@@ -9,10 +9,12 @@ correction acts as excess noise for the key and is granted to the
 eavesdropper.  The key analysis uses the standard entangling-cloner
 covariance algebra with a trusted receiver: detector efficiency and
 electronic noise sit inside Bob's station, so the eavesdropper purifies
-only the channel.  Eve's conditional entropy is computed by modelling
-the detector as a beamsplitter whose idle port is fed half of an EPR
-state (purifying the electronic noise) and conditioning the remaining
-modes on Bob's homodyne outcome.
+only the channel.  Eve's conditional entropy is the trusted-homodyne
+closed form of Lodewyck et al. (PRA 76, 042305 (2007)), derived by
+modelling the detector as a beamsplitter whose idle port is fed half of
+an EPR state (purifying the electronic noise) and conditioning the
+remaining modes on Bob's homodyne outcome.  It is scalar arithmetic
+arranged so that nothing cancels as the channel nears the identity.
 
 All variances are in shot-noise units (SNU, vacuum = 1) unless suffixed
 otherwise; the raw-unit convention (vacuum quadrature variance 0.25) is
@@ -23,8 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .mathfn import ber_to_snr_amplitude, bosonic_entropy
 
@@ -236,83 +236,32 @@ def mutual_information(
     return p.beta * 0.5 * math.log2(1.0 + channel_snr(ch, p, noise))
 
 
-_Z2 = np.diag([1.0, -1.0])
-_I2 = np.eye(2)
-
-
-def _snap_to_vacuum(nu: float, scale: float) -> float:
-    """Round an eigenvalue a numerical hair under 1 back up to 1."""
-    if 1.0 - 1e-8 * max(1.0, scale) <= nu < 1.0:
-        return 1.0
-    return nu
-
-
-def _symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
-    n_modes = gamma.shape[0] // 2
-    omega_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.kron(np.eye(n_modes), omega_1)
-    eigs = np.linalg.eigvals(omega @ gamma)
-    nus = np.sort(np.abs(eigs.imag))
-    nus = nus[1::2]  # eigenvalues come in +/- i nu pairs
-    # eigensolver noise can leave a physical eigenvalue just under 1
-    tol = 1e-8 * max(1.0, float(np.abs(gamma).max()))
-    return np.where(nus >= 1.0 - tol, np.maximum(nus, 1.0), nus)
-
-
 def _conditional_entropy_bits(
-    a: float, b: float, c: float, p: CvProtocolParams
-) -> tuple[float, tuple[float, ...]]:
-    """Entropy of everything Eve cannot touch, given Bob's homodyne outcome.
+    tau: float, u: float, v: float, w: float, g: float, det: float, chi_hom: float
+) -> tuple[float, tuple[float, float, float]]:
+    """Eve's conditional entropy and (nu3, nu4, nu5) given Bob's homodyne outcome.
 
-    The two-mode state (A, B0) with covariance [[a I, c Z], [c Z, b I]]
-    enters a detector modelled as a beamsplitter of transmissivity
-    eta_receiver whose idle port carries half of an EPR pair of variance
-    d = 1 + v_el / (1 - eta); Bob measures x on the bright output.  The
-    conditional entropy of (A, dark output, EPR partner) equals Eve's
-    conditional entropy because the five-party state is pure.
+    Trusted-homodyne closed form (Lodewyck et al., PRA 76, 042305 (2007)) in
+    holevo_bound's notation: nu3^2 + nu4^2 = C, nu3^2 nu4^2 = D, nu5 = 1,
+    C = ((g^2 + 2 det) chi_hom + v det + b) / den, D = det (v + det chi_hom) / den,
+    den = b + chi_hom.  C^2 - 4D cancels as tau -> 1; every term of this
+    expansion vanishes at the identity channel (k = 2 tau u + v u w + w^2):
+
+        disc den^2 = (v^2 - 1)^2 w^2 - 2 (v^2 - 1) g k chi_hom
+                     + (g chi_hom)^2 ((v u + w)^2 + 4 tau (1 + v w))
     """
-    eta = p.eta_receiver
-    if eta == 1.0:
-        if p.v_el > 0.0:
-            raise ValueError(
-                "electronic noise requires a receiver efficiency below 1 "
-                "in the trusted-detector model"
-            )
-        nu3_sq = a * (a - c * c / b)
-        nu3 = _snap_to_vacuum(math.sqrt(max(nu3_sq, 0.0)), a)
-        return bosonic_entropy(nu3), (nu3,)
-
-    d = 1.0 + p.v_el / (1.0 - eta)
-    e_off = math.sqrt(max(d * d - 1.0, 0.0))
-
-    # covariance of (A, B0, F0, G)
-    gamma0 = np.zeros((8, 8))
-    gamma0[0:2, 0:2] = a * _I2
-    gamma0[2:4, 2:4] = b * _I2
-    gamma0[0:2, 2:4] = c * _Z2
-    gamma0[2:4, 0:2] = c * _Z2
-    gamma0[4:6, 4:6] = d * _I2
-    gamma0[6:8, 6:8] = d * _I2
-    gamma0[4:6, 6:8] = e_off * _Z2
-    gamma0[6:8, 4:6] = e_off * _Z2
-
-    # beamsplitter on (B0, F0): B1 = sqrt(eta) B0 + sqrt(1-eta) F0
-    s_bs = np.eye(8)
-    rt, rr = math.sqrt(eta), math.sqrt(1.0 - eta)
-    s_bs[2:4, 2:4] = rt * _I2
-    s_bs[2:4, 4:6] = rr * _I2
-    s_bs[4:6, 2:4] = -rr * _I2
-    s_bs[4:6, 4:6] = rt * _I2
-    gamma1 = s_bs @ gamma0 @ s_bs.T
-
-    rest = [0, 1, 4, 5, 6, 7]  # modes A, F1, G
-    var_x = gamma1[2, 2]
-    u = gamma1[np.ix_(rest, [2])]
-    gamma_cond = gamma1[np.ix_(rest, rest)] - (u @ u.T) / var_x
-
-    nus = _symplectic_eigenvalues(gamma_cond)
-    entropy = sum(bosonic_entropy(float(nu)) for nu in nus)
-    return entropy, tuple(float(nu) for nu in nus)
+    b = tau * v + w
+    den = b + chi_hom
+    c_sum = ((g * g + 2.0 * det) * chi_hom + v * det + b) / den
+    d_prod = det * (v + det * chi_hom) / den
+    v2m1 = v * v - 1.0
+    k = 2.0 * tau * u + v * u * w + w * w
+    disc = (v2m1 * w) ** 2 - 2.0 * v2m1 * g * k * chi_hom + (g * chi_hom) ** 2 * (
+        (v * u + w) ** 2 + 4.0 * tau * (1.0 + v * w)
+    )
+    nu3 = math.sqrt((c_sum + math.sqrt(disc) / den) / 2.0)
+    nu4 = math.sqrt(d_prod) / nu3
+    return bosonic_entropy(nu3) + bosonic_entropy(nu4), (nu3, nu4, 1.0)
 
 
 def holevo_bound(
@@ -320,7 +269,7 @@ def holevo_bound(
     p: CvProtocolParams,
     noise: PhaseEncodingNoise,
 ) -> tuple[float, tuple[float, ...]]:
-    """Holevo information chi_E in bits/use, plus (nu1, nu2, nu_cond...).
+    """Holevo information chi_E in bits/use, plus (nu1, nu2, nu3, nu4, nu5).
 
     Channel-output covariance uses a = V = v_mod + 1,
     b = tau (V + chi_line), c = sqrt(tau (V^2 - 1)) with
@@ -332,34 +281,35 @@ def holevo_bound(
     finite loss.  The residual is granted to the eavesdropper (referred
     to the channel, not the trusted receiver).  Eve's entropy comes from
     (nu1, nu2) of that state; her conditional entropy from the
-    trusted-detector conditioning.  chi_E = 0 exactly for
-    (tau=1, n=0, eps=0).
+    trusted-detector conditioning.  chi_E = 0 exactly for (tau=1, n=0, eps=0).
     """
     tau = ch.tau
     if not tau > 0.0:
         raise ValueError("holevo_bound requires tau > 0")
+    eta = p.eta_receiver
+    if eta == 1.0 and p.v_el > 0.0:
+        raise ValueError(
+            "electronic noise requires a receiver efficiency below 1 "
+            "in the trusted-detector model"
+        )
     v = p.v_mod + 1.0
-    residual = _detection_noise(ch, p, noise)[3]
-    eps_in = residual / (tau * p.eta_receiver)
-    chi_line = (1.0 - tau) / tau * (2.0 * ch.n_thermal + 1.0) + eps_in
-    a = v
-    b = tau * (v + chi_line)
-    c = math.sqrt(tau * (v * v - 1.0))
+    eps_in = _detection_noise(ch, p, noise)[3] / (tau * eta)
+    # u is exact for tau >= 1/2 and w = tau chi_line skips the (1 - tau)/tau
+    # round trip, so what vanishes at the identity channel does so exactly
+    u = 1.0 - tau
+    w = u * (2.0 * ch.n_thermal + 1.0) + tau * eps_in
+    g = w - u * v  # b - a
+    det = tau + v * w  # ab - c^2
 
     # two-mode closed form (Weedbrook et al., RMP 84, 621 (2012)):
-    # nu1,2 = (sqrt((a + b)^2 - 4 c^2) +- |b - a|) / 2.  Neither root is
-    # formed by a difference of near-equal numbers: the radicand is
-    # (b - a)^2 + 4 det with det = ab - c^2 = tau (1 + v chi_line), and
-    # nu2 = det / nu1.  Both stay within an ulp or two of the vacuum
-    # boundary as tau -> 1, and the snap absorbs that last rounding.
-    det = tau * (1.0 + v * chi_line)
-    half_gap = abs(b - a) / 2.0
+    # nu1,2 = (sqrt((a + b)^2 - 4 c^2) +- |b - a|) / 2, radicand (b - a)^2 + 4 det
+    half_gap = abs(g) / 2.0
     nu1 = half_gap + math.sqrt(half_gap * half_gap + det)
-    nu2 = _snap_to_vacuum(det / nu1, a)
-    nu1 = _snap_to_vacuum(nu1, a)
+    nu2 = det / nu1
     s_eve = bosonic_entropy(nu1) + bosonic_entropy(nu2)
 
-    s_cond, nu_cond = _conditional_entropy_bits(a, b, c, p)
+    chi_hom = (1.0 - eta) / eta + p.v_el / eta
+    s_cond, nu_cond = _conditional_entropy_bits(tau, u, v, w, g, det, chi_hom)
     chi = s_eve - s_cond
     if chi < -1e-9:
         raise ValueError(f"non-physical negative Holevo bound: {chi!r}")

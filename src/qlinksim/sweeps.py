@@ -1,9 +1,11 @@
 """Batch sweeps over altitude/frequency/temperature grids plus bisection.
 
-Rows are computed from immutable inputs (frozen dataclasses), optionally
-across a process pool, then sorted by their grid coordinates, so output
-is byte-identical for identical configuration regardless of worker
-count or scheduling.
+Rows are computed from immutable inputs (frozen dataclasses), then
+sorted by their grid coordinates, so output is byte-identical for
+identical configuration regardless of worker count or scheduling.
+Only the gas-attenuation grid spreads its slants across a process
+pool; every other scenario is cheaper than the pool's start-up and
+runs in process whatever the worker count.
 """
 
 from __future__ import annotations
@@ -105,16 +107,14 @@ class SecureAltitudeResult:
             raise ValueError("iteration count must be >= 0")
 
 
-def _dv_row(task: tuple) -> tuple[float, ...]:
-    altitude_km, block_n, cfg = task
+def _dv_row(altitude_km: float, block_n: float, cfg: SimulationConfig) -> tuple[float, ...]:
     out = cfg.channel.at_altitude(altitude_km)
     eta_total = out.transmissivity * cfg.dv.eta_receiver
     res = finite_key_rate(eta_total, cfg.dv, cfg.dv_fs(block_n))
     return (altitude_km, block_n, res.key_rate, res.payload_rate, out.transmissivity)
 
 
-def _cv_row(task: tuple) -> tuple[float, ...]:
-    altitude_km, block_n, cfg = task
+def _cv_row(altitude_km: float, block_n: float, cfg: SimulationConfig) -> tuple[float, ...]:
     out = cfg.channel.at_altitude(altitude_km)
     ch = ThermalLossChannel(tau=out.transmissivity, n_thermal=cfg.cv.n_bg)
     res = composable_key_rate(ch, cfg.cv, cfg.cv_noise, block_size_n=block_n)
@@ -129,43 +129,44 @@ def _atmos_rows(task: tuple) -> list[tuple[float, ...]]:
     return [(f, slant_km, float(a)) for f, a in zip(freqs, att)]
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            return list(pool.map(fn, tasks, chunksize=chunk))
-    return [fn(task) for task in tasks]
-
-
 def dv_sweep(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
     """Decoy-state key and payload rates over the altitude grid, one curve per block size."""
-    tasks = [
-        (alt, n, cfg)
+    del workers  # tens of milliseconds of work; a pool costs more than it saves
+    rows = [
+        _dv_row(alt, n, cfg)
         for n in sorted(cfg.sweep.block_sizes)
         for alt in cfg.sweep.altitudes_km()
     ]
-    rows = _map_tasks(_dv_row, tasks, workers)
     rows.sort(key=lambda r: (r[1], r[0]))
     return SweepTable("dv-sweep", DV_COLUMNS, tuple(rows))
 
 
 def cv_sweep(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
     """Composable coherent-state key and classical rates over the altitude grid."""
-    tasks = [
-        (alt, n, cfg)
+    del workers  # tens of milliseconds of work; a pool costs more than it saves
+    rows = [
+        _cv_row(alt, n, cfg)
         for n in sorted(cfg.sweep.block_sizes)
         for alt in cfg.sweep.altitudes_km()
     ]
-    rows = _map_tasks(_cv_row, tasks, workers)
     rows.sort(key=lambda r: (r[1], r[0]))
     return SweepTable("cv-sweep", CV_COLUMNS, tuple(rows))
 
 
 def atmos_grid(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
-    """Gaseous slant-path attenuation over the frequency x slant-distance grid."""
+    """Gaseous slant-path attenuation over the frequency x slant-distance grid.
+
+    The one scenario heavy enough for a process pool: each slant is a
+    separate task when workers > 1.
+    """
     freqs = cfg.sweep.frequencies_ghz()
     tasks = [(s, freqs, cfg.sweep.elevation_deg) for s in cfg.sweep.slants_km()]
-    groups = _map_tasks(_atmos_rows, tasks, workers)
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (4 * workers))
+            groups = list(pool.map(_atmos_rows, tasks, chunksize=chunk))
+    else:
+        groups = [_atmos_rows(task) for task in tasks]
     rows = [row for group in groups for row in group]
     rows.sort(key=lambda r: (r[0], r[1]))
     return SweepTable("atmos-grid", ATMOS_COLUMNS, tuple(rows))
@@ -184,9 +185,9 @@ def thermal_grid(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
 
 def _rate_at_altitude(protocol: str, altitude_km: float, block_n: float, cfg: SimulationConfig) -> float:
     if protocol == "dv":
-        return _dv_row((altitude_km, block_n, cfg))[2]
+        return _dv_row(altitude_km, block_n, cfg)[2]
     if protocol == "cv":
-        return _cv_row((altitude_km, block_n, cfg))[2]
+        return _cv_row(altitude_km, block_n, cfg)[2]
     raise ValueError(f"protocol must be 'dv' or 'cv': {protocol!r}")
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracle_cv_conditional import holevo_chi_e
 from qlinksim.cvqkd import (
     CvDiagnostics,
     CvProtocolParams,
@@ -22,7 +23,7 @@ from qlinksim.cvqkd import (
     snu_from_raw,
     theta_correction,
 )
-from qlinksim.mathfn import ber_to_snr_amplitude
+from qlinksim.mathfn import NU_CLAMP_TOL, ber_to_snr_amplitude
 
 PARAMS = CvProtocolParams()
 NOISE = PhaseEncodingNoise()
@@ -201,7 +202,8 @@ def test_trusted_detector_reduces_to_ideal_closed_form():
         chi_ideal, nus_ideal = holevo_bound(ch, ideal, NOISE)
         chi_near, _ = holevo_bound(ch, near, NOISE)
         assert chi_ideal == pytest.approx(chi_near, abs=1e-6)
-        assert len(nus_ideal) == 3  # conditioning leaves a single mode
+        # conditioning leaves a single mode away from the vacuum
+        assert all(abs(nu - 1.0) <= NU_CLAMP_TOL for nu in nus_ideal[3:])
 
 
 def test_electronic_noise_needs_lossy_detector_model():
@@ -218,11 +220,62 @@ def test_electronic_noise_needs_lossy_detector_model():
 # one ulp below the identity channel: nu2 sits on the vacuum boundary, where
 # a cancelling eigenvalue formula falls under 1 and the entropy check raises
 @example(1 - 2**-53, 0.0, 0.0)
+# the conditional eigenvalues sit on the boundary too: a discriminant formed
+# as C^2 - 4D cancels there and pushes nu4 under 1 by about 2e-8
+@example(1 - 1e-12, 0.0, 0.0)
 def test_holevo_bound_never_negative(tau, n_thermal, eps):
     chi, _ = holevo_bound(
         ThermalLossChannel(tau, n_thermal), PARAMS, PhaseEncodingNoise(eps)
     )
     assert chi >= 0.0
+
+
+IDEAL_RECEIVER = CvProtocolParams(eta_det=1.0, eta_lo=1.0, v_el=0.0)
+NOISY_RECEIVER = CvProtocolParams(eta_det=0.2, v_el=0.5)
+# (params, tau, n_thermal, eps_classical): the default receiver, the ideal
+# one (eta = 1), a lossy one with large electronic noise, a near-ideal one
+# and a stronger modulation, each out to the identity channel
+ORACLE_POINTS = [
+    (PARAMS, 0.5, 0.0, 3.9e-5),
+    (PARAMS, 0.1, 9.31e-10, 3.9e-5),
+    (PARAMS, 1e-3, 0.0, 3.9e-5),
+    (PARAMS, 1e-5, 0.1, 1e-4),
+    (PARAMS, 0.3, 0.05, 1e-5),
+    (PARAMS, 0.9, 0.1, 0.0),
+    (PARAMS, 1 - 2**-53, 0.0, 0.0),
+    (PARAMS, 1 - 1e-12, 0.0, 0.0),
+    (PARAMS, 1 - 1e-12, 0.1, 3.9e-5),
+    (PARAMS, 1.0, 0.0, 0.0),
+    (PARAMS, 1.0, 0.0, 3.9e-5),
+    (IDEAL_RECEIVER, 0.5, 0.0, 3.9e-5),
+    (IDEAL_RECEIVER, 0.01, 0.1, 1e-5),
+    (IDEAL_RECEIVER, 1 - 2**-53, 0.0, 0.0),
+    (IDEAL_RECEIVER, 1.0, 0.0, 0.0),
+    (NOISY_RECEIVER, 0.7, 0.01, 3.9e-5),
+    (NOISY_RECEIVER, 1 - 1e-12, 0.0, 0.0),
+    (NOISY_RECEIVER, 1.0, 0.0, 0.0),
+    (CvProtocolParams(eta_det=1.0 - 1e-9, eta_lo=1.0, v_el=0.0), 0.3, 0.001, 3.9e-5),
+    (CvProtocolParams(v_mod=20.0), 0.05, 0.02, 2e-5),
+]
+
+
+@pytest.mark.parametrize("params, tau, n_thermal, eps", ORACLE_POINTS)
+def test_holevo_bound_matches_conditioning_oracle(params, tau, n_thermal, eps):
+    want_chi, want_nu_ab, want_nu_cond = holevo_chi_e(
+        tau,
+        n_thermal,
+        eps,
+        v_mod=params.v_mod,
+        v_el=params.v_el,
+        eta=params.eta_receiver,
+        ber_target=params.ber_target,
+    )
+    chi, nus = holevo_bound(
+        ThermalLossChannel(tau, n_thermal), params, PhaseEncodingNoise(eps)
+    )
+    assert abs(chi - float(want_chi)) <= 1e-12
+    want_nus = [float(nu) for nu in want_nu_ab + want_nu_cond]
+    assert nus == pytest.approx(want_nus, rel=1e-12)
 
 
 def test_holevo_grows_with_thermal_occupancy():
