@@ -3,8 +3,8 @@
 Every other default in the package is a stated link-budget or protocol
 number.  Two knobs are not stated anywhere and have to be fitted:
 
-* the rms pointing jitter (TurbulenceModel.pointing_jitter_urad and the
-  FsoChannelParams.jitter_urad mirror), which shifts every
+* the rms pointing jitter (TurbulenceModel.pointing_jitter_urad, which
+  FsoChannelParams.jitter_urad takes as its default), which shifts every
   maximum-secure-altitude curve up or down at once, and
 * the phase-correction leak fraction (PhaseEncodingNoise.eps_classical),
   which sets the residual excess noise and with it the asymptotic
@@ -15,7 +15,7 @@ published operating points (altitude windows at +/-20%, strict block-size
 orderings, classical rates within a factor of two and increasing, payload
 rates inside their order-of-magnitude envelope), and prints the pair with
 the smallest worst-case window deviation.  Copy the printed values into
-the two defaults named above.
+the two defaults named above and into configs/default.ini.
 
 Run from the repository root:
 
@@ -181,9 +181,9 @@ def main() -> int:
             f"  classical={detail[f'cls_{n:g}']:.4f}"
         )
     print()
-    print("copy the jitter into TurbulenceModel.pointing_jitter_urad and")
-    print("FsoChannelParams.jitter_urad, and the leak fraction into")
-    print("PhaseEncodingNoise.eps_classical.")
+    print("copy the jitter into TurbulenceModel.pointing_jitter_urad and the")
+    print("leak fraction into PhaseEncodingNoise.eps_classical, and both into")
+    print("configs/default.ini.")
     return 0
 
 

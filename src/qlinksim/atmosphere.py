@@ -27,7 +27,6 @@ __all__ = [
     "ReferenceAtmosphereProfile",
     "SpectralLineTable",
     "SlantPathSpec",
-    "ThermalOccupancyQuery",
     "default_line_table",
     "specific_attenuation",
     "attenuation_spectrum",
@@ -519,22 +518,6 @@ def slant_attenuation(
 # ---------------------------------------------------------------------------
 # thermal occupancy
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThermalOccupancyQuery:
-    frequency_hz: float
-    temperature_k: float
-
-    def __post_init__(self) -> None:
-        if not self.frequency_hz > 0.0:
-            raise ValueError(f"frequency must be > 0 Hz: {self.frequency_hz!r}")
-        if not self.temperature_k > 0.0:
-            raise ValueError(f"temperature must be > 0 K: {self.temperature_k!r}")
-
-    @property
-    def mean_photons(self) -> float:
-        return thermal_photon_number(self.frequency_hz, self.temperature_k)
 
 
 def thermal_photon_number(frequency_hz: float, temperature_k: float) -> float:

@@ -11,19 +11,9 @@ import argparse
 import sys
 
 from .config import ConfigError, load_config
-from .sweeps import InfeasibleScenario, render_csv, run_scenario
+from .sweeps import SCENARIOS, InfeasibleScenario, render_csv, run_scenario
 
 __all__ = ["main"]
-
-_SCENARIOS = ("dv-sweep", "cv-sweep", "atmos-grid", "thermal-grid", "max-altitude")
-
-_HELP = {
-    "dv-sweep": "decoy-state key/payload rates over the altitude grid",
-    "cv-sweep": "coherent-state key/classical rates over the altitude grid",
-    "atmos-grid": "gaseous slant attenuation over frequency x slant distance",
-    "thermal-grid": "blackbody photon occupancy over frequency x temperature",
-    "max-altitude": "bisect the maximum secure altitude per block size",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,8 +22,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Satellite-to-ground quantum/classical link feasibility sweeps.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="SCENARIO")
-    for name in _SCENARIOS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, scenario in SCENARIOS.items():
+        p = sub.add_parser(name, help=scenario.help)
         p.add_argument("--config", default=None, metavar="PATH", help="INI config file")
         p.add_argument(
             "--out",

@@ -158,7 +158,6 @@ _SCHEMA: dict[str, dict[str, Callable]] = {
         "epsilon": _parse_float,
         "p_mu": _parse_float,
         "p_nu": _parse_float,
-        "p_vac": _parse_float,
     },
     "cv": {
         **{f.name: (_parse_int if f.name == "d_bits" else _parse_float) for f in fields(CvProtocolParams)},
@@ -175,7 +174,7 @@ _SCHEMA: dict[str, dict[str, Callable]] = {
     },
 }
 
-_DV_FINITE_KEYS = ("epsilon", "p_mu", "p_nu", "p_vac")
+_DV_FINITE_KEYS = ("epsilon", "p_mu", "p_nu")
 
 
 def _collect(path: str | None, overrides: list[str] | tuple[str, ...]) -> dict[str, dict[str, object]]:

@@ -16,9 +16,7 @@ an EPR state (purifying the electronic noise) and conditioning the
 remaining modes on Bob's homodyne outcome.  It is scalar arithmetic
 arranged so that nothing cancels as the channel nears the identity.
 
-All variances are in shot-noise units (SNU, vacuum = 1) unless suffixed
-otherwise; the raw-unit convention (vacuum quadrature variance 0.25) is
-convertible via snu_from_raw / raw_from_snu.
+All variances are in shot-noise units (SNU, vacuum = 1).
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ __all__ = [
     "ThermalLossChannel",
     "CvDiagnostics",
     "CvRateResult",
-    "snu_from_raw",
-    "raw_from_snu",
     "classical_displacement",
     "channel_snr",
     "mutual_information",
@@ -56,13 +52,11 @@ class CvProtocolParams:
 
     v_mod: float = 5.0
     v_el: float = 0.1
-    shot_noise_variance: float = 0.25  # raw-unit vacuum variance defining 1 SNU
     eta_det: float = 0.5
     eta_lo: float = 10.0 ** (-0.063)
     n_bg: float = 9.31e-10
     ber_target: float = 1e-6
     p_ec: float = 0.9
-    eps_cor: float = 1e-10
     beta: float = 0.98
     eps_sec: float = 1e-10
     eps_hash: float = 1e-10
@@ -73,13 +67,11 @@ class CvProtocolParams:
             raise ValueError(f"modulation variance must be > 0: {self.v_mod!r}")
         if self.v_el < 0.0:
             raise ValueError(f"electronic noise must be >= 0: {self.v_el!r}")
-        if not self.shot_noise_variance > 0.0:
-            raise ValueError("raw shot-noise variance must be > 0")
         for name in ("eta_det", "eta_lo", "p_ec", "beta"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]: {value!r}")
-        for name in ("eps_cor", "eps_sec", "eps_hash"):
+        for name in ("eps_sec", "eps_hash"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1): {value!r}")
@@ -106,10 +98,8 @@ class PhaseEncodingNoise:
     Because the displacement is sized to hold the bit error rate fixed,
     its received power (and hence the residual) is roughly independent
     of channel loss, which is what ultimately bounds the secure range.
-
-    Both the residual (SNU at the detector plane) and its input-referred
-    and thermal-photon equivalents are protocol- and channel-dependent,
-    so they are exposed as methods rather than stored.
+    The residual depends on the protocol and the channel, so it is a
+    method rather than a stored field.
     """
 
     eps_classical: float = 3.9e-5
@@ -121,22 +111,6 @@ class PhaseEncodingNoise:
     def residual_excess_noise(self, ch: ThermalLossChannel, p: CvProtocolParams) -> float:
         """Residual variance eps_classical * delta_received^2 at the detector (SNU)."""
         return _detection_noise(ch, p, self)[3]
-
-    def input_referred(self, ch: ThermalLossChannel, p: CvProtocolParams) -> float:
-        """The same residual referred back to the channel input (SNU)."""
-        if not ch.tau > 0.0:
-            raise ValueError("input-referred noise needs tau > 0")
-        return self.residual_excess_noise(ch, p) / (ch.tau * p.eta_receiver)
-
-    def equivalent_thermal_photons(self, ch: ThermalLossChannel, p: CvProtocolParams) -> float:
-        """Environment occupancy injecting the same output noise.
-
-        n_eq = tau * eps_in / (2 (1 - tau)) for tau < 1 (0 at tau = 1),
-        so that (1 - tau) * 2 n_eq / tau = eps_in by construction.
-        """
-        if ch.tau == 1.0:
-            return 0.0
-        return ch.tau * self.input_referred(ch, p) / (2.0 * (1.0 - ch.tau))
 
 
 @dataclass(frozen=True)
@@ -158,20 +132,6 @@ class ThermalLossChannel:
 
     def output_variance(self, v_in_snu: float) -> float:
         return self.tau * v_in_snu + (1.0 - self.tau) * (2.0 * self.n_thermal + 1.0)
-
-
-def snu_from_raw(v_raw: float, shot_noise_variance: float = 0.25) -> float:
-    """Convert a raw-unit quadrature variance to shot-noise units."""
-    if not shot_noise_variance > 0.0:
-        raise ValueError("shot-noise variance must be > 0")
-    return v_raw / shot_noise_variance
-
-
-def raw_from_snu(v_snu: float, shot_noise_variance: float = 0.25) -> float:
-    """Convert a shot-noise-unit quadrature variance to raw units."""
-    if not shot_noise_variance > 0.0:
-        raise ValueError("shot-noise variance must be > 0")
-    return v_snu * shot_noise_variance
 
 
 def _detection_noise(
@@ -318,14 +278,13 @@ def holevo_bound(
 
 @dataclass(frozen=True)
 class CvDiagnostics:
+    """Per-point intermediates; nus is holevo_bound's (nu1, nu2, nu3, nu4, nu5)."""
+
     snr: float
     i_ab: float
     chi_e: float
-    nu1: float
-    nu2: float
-    nu3: float
+    nus: tuple[float, float, float, float, float]
     displacement_amplitude: float
-    nu_cond: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -378,8 +337,7 @@ def composable_key_rate(
         raise ValueError(f"block size must be > 0: {block_size_n!r}")
     if ch.tau == 0.0:
         diag = CvDiagnostics(
-            snr=0.0, i_ab=0.0, chi_e=0.0, nu1=1.0, nu2=1.0, nu3=1.0,
-            displacement_amplitude=math.inf,
+            snr=0.0, i_ab=0.0, chi_e=0.0, nus=(1.0,) * 5, displacement_amplitude=math.inf
         )
         return CvRateResult(key_rate=0.0, classical_rate=0.0, secure=False, diagnostics=diag)
 
@@ -404,11 +362,8 @@ def composable_key_rate(
         snr=snr,
         i_ab=i_raw,
         chi_e=chi_e,
-        nu1=nus[0],
-        nu2=nus[1],
-        nu3=nus[2],
+        nus=nus,
         displacement_amplitude=delta,
-        nu_cond=nus[2:],
     )
     return CvRateResult(
         key_rate=max(rate, 0.0),

@@ -39,13 +39,13 @@ class DecoyProtocolParams:
 
     mu, nu are mean photon numbers of the signal and weak-decoy pulses;
     the third intensity is vacuum.  y0_stray and y0_dark add up to the
-    background yield Y0.  check_fraction is the fraction of direct-
-    transmission rounds spent on eavesdropping checks.
+    background yield Y0, a device constant that stands in for the vacuum
+    gain Q_0.  check_fraction is the fraction of direct-transmission
+    rounds spent on eavesdropping checks.
     """
 
     mu: float = 0.6
     nu: float = 0.2
-    vacuum_intensity: float = 0.0
     eta_receiver: float = 0.2
     e0: float = 0.5
     y0_stray: float = 2e-4
@@ -56,8 +56,8 @@ class DecoyProtocolParams:
     check_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.mu > self.nu > self.vacuum_intensity >= 0.0:
-            raise ValueError("intensities must satisfy mu > nu > vacuum >= 0")
+        if not self.mu > self.nu > 0.0:
+            raise ValueError("intensities must satisfy mu > nu > 0")
         for name in ("eta_receiver", "e0", "e_mis", "sift_q", "check_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -82,19 +82,18 @@ class FiniteSizeConfig:
     epsilon: float = 1e-10
     p_mu: float = 0.5
     p_nu: float = 0.25
-    p_vac: float = 0.25
 
     def __post_init__(self) -> None:
         if not self.block_size_n > 0:
             raise ValueError(f"block size must be > 0: {self.block_size_n!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1): {self.epsilon!r}")
-        for name in ("p_mu", "p_nu", "p_vac"):
+        for name in ("p_mu", "p_nu"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        total = self.p_mu + self.p_nu + self.p_vac
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"intensity probabilities must sum to 1: {total!r}")
+        # the vacuum pulses take the rest of the schedule
+        if not self.p_mu + self.p_nu < 1.0:
+            raise ValueError(f"p_mu + p_nu must be < 1: {self.p_mu + self.p_nu!r}")
 
     @property
     def is_asymptotic(self) -> bool:

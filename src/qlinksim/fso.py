@@ -289,15 +289,18 @@ def channel_transmissivity(
 
 @dataclass(frozen=True)
 class FsoChannelParams:
-    """Bundle of every downlink parameter except the satellite altitude."""
+    """Bundle of every downlink parameter except the satellite altitude.
 
-    wavelength_nm: float = 800.0
-    w0_m: float = 0.20
-    aperture_m: float = 0.70
+    Defaults are those of the component records, so each is written once.
+    """
+
+    wavelength_nm: float = OpticalBeam.wavelength_nm
+    w0_m: float = OpticalBeam.initial_spot_w0_m
+    aperture_m: float = ReceiverAperture.radius_m
     zenith_deg: float = 80.0
-    hv_ground_cn2: float = 1.7e-13
-    hv_wind: float = 21.0
-    jitter_urad: float = 2.91
+    hv_ground_cn2: float = TurbulenceModel.hv_ground_cn2
+    hv_wind: float = TurbulenceModel.hv_wind_m_s
+    jitter_urad: float = TurbulenceModel.pointing_jitter_urad
     tau_zenith: float = 0.91
 
     def __post_init__(self) -> None:

@@ -14,6 +14,7 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .dvqkd import finite_key_rate
 
 __all__ = [
     "InfeasibleScenario",
+    "SCENARIOS",
+    "Scenario",
     "SecureAltitudeResult",
     "SweepTable",
     "dv_sweep",
@@ -242,19 +245,44 @@ def max_altitude_table(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
     return SweepTable("max-altitude", MAX_ALT_COLUMNS, tuple(rows))
 
 
-_SCENARIOS = {
-    "dv-sweep": dv_sweep,
-    "cv-sweep": cv_sweep,
-    "atmos-grid": atmos_grid,
-    "thermal-grid": thermal_grid,
-    "max-altitude": max_altitude_table,
+@dataclass(frozen=True)
+class Scenario:
+    """One CLI subcommand: its table builder, help line and golden table.
+
+    golden names configs/<golden>.ini and data/<golden>.csv, the committed
+    table the scenario regenerates, or is None when no table is committed.
+    """
+
+    run: Callable[..., SweepTable]
+    help: str
+    golden: str | None
+
+
+# the one list of scenarios: the CLI, the regeneration script and the
+# golden-table test all read it
+SCENARIOS = {
+    "dv-sweep": Scenario(
+        dv_sweep, "decoy-state key/payload rates over the altitude grid", "fig2_dv_rates"
+    ),
+    "cv-sweep": Scenario(
+        cv_sweep, "coherent-state key/classical rates over the altitude grid", "fig3_cv_rates"
+    ),
+    "atmos-grid": Scenario(
+        atmos_grid, "gaseous slant attenuation over frequency x slant distance", "fig4_attenuation"
+    ),
+    "thermal-grid": Scenario(
+        thermal_grid, "blackbody photon occupancy over frequency x temperature", "fig5_thermal"
+    ),
+    "max-altitude": Scenario(
+        max_altitude_table, "bisect the maximum secure altitude per block size", None
+    ),
 }
 
 
 def run_scenario(scenario: str, cfg: SimulationConfig, workers: int = 1) -> SweepTable:
-    if scenario not in _SCENARIOS:
+    if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    return _SCENARIOS[scenario](cfg, workers=workers)
+    return SCENARIOS[scenario].run(cfg, workers=workers)
 
 
 def _format_cell(value: float) -> str:

@@ -42,6 +42,7 @@ from qlinksim.dvqkd import (
 )
 from qlinksim.fso import FsoChannelParams
 from qlinksim.sweeps import (
+    SCENARIOS,
     dv_sweep,
     max_secure_altitude,
     render_csv,
@@ -290,12 +291,6 @@ def test_criterion_7_randomized_property_campaigns():
     assert time.perf_counter() - start < 60.0
 
 
-FIGURE_TABLES = (
-    ("dv-sweep", "fig2_dv_rates"),
-    ("cv-sweep", "fig3_cv_rates"),
-    ("atmos-grid", "fig4_attenuation"),
-    ("thermal-grid", "fig5_thermal"),
-)
 # every figure table leads with two grid-coordinate columns
 GRID_COLUMNS = 2
 # Relative bound on computed table values.  math.log2 and math.expm1 come
@@ -360,8 +355,12 @@ def test_criterion_8_figure_tables_regenerate_byte_identical():
     All four tables are compared before the test fails, and the failure
     names every drifted table, row and column.
     """
+    goldens = {s.golden: scenario for scenario, s in SCENARIOS.items() if s.golden is not None}
+    # a golden dropped from the registry would silently leave the check
+    assert sorted(goldens) == sorted(p.stem for p in (REPO_ROOT / "data").glob("*.csv"))
+    assert sorted(goldens) == sorted(p.stem for p in (REPO_ROOT / "configs").glob("fig*.ini"))
     drifts = []
-    for scenario, name in FIGURE_TABLES:
+    for name, scenario in goldens.items():
         config_path = REPO_ROOT / "configs" / f"{name}.ini"
         golden_path = REPO_ROOT / "data" / f"{name}.csv"
         command = (

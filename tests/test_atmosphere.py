@@ -16,7 +16,6 @@ from qlinksim.atmosphere import (
     ReferenceAtmosphereProfile,
     SlantPathSpec,
     SpectralLineTable,
-    ThermalOccupancyQuery,
     attenuation_spectrum,
     default_line_table,
     default_profile,
@@ -313,13 +312,6 @@ def test_thermal_photon_number_domain():
         thermal_photon_number(0.0, 295.0)
     with pytest.raises(ValueError):
         thermal_photon_number(1e12, 0.0)
-    with pytest.raises(ValueError):
-        ThermalOccupancyQuery(frequency_hz=-1.0, temperature_k=295.0)
-
-
-def test_thermal_occupancy_query_matches_function():
-    q = ThermalOccupancyQuery(frequency_hz=1e12, temperature_k=295.0)
-    assert q.mean_photons == thermal_photon_number(1e12, 295.0)
 
 
 @given(

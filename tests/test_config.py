@@ -16,6 +16,7 @@ from qlinksim.config import (
 from qlinksim.cvqkd import CvProtocolParams, PhaseEncodingNoise
 from qlinksim.dvqkd import DecoyProtocolParams, FiniteSizeConfig
 from qlinksim.fso import FsoChannelParams
+from qlinksim.sweeps import cv_sweep, dv_sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,7 +147,7 @@ def test_dv_finite_block_swap():
 def test_resolved_items_cover_every_key():
     cfg = load_config()
     items = resolved_items(cfg)
-    assert len(items) == 52
+    assert len(items) == 48
     triples = {(section, key): value for section, key, value in items}
     assert triples[("channel", "jitter_urad")] == "2.91"
     assert triples[("cv", "eps_classical")] == "3.9e-05"
@@ -169,3 +170,44 @@ def test_resolved_items_track_overrides():
     triples = {(s, k): v for s, k, v in resolved_items(cfg)}
     assert triples[("channel", "zenith_deg")] == "60.0"
     assert triples[("cv", "d_bits")] == "7"
+
+
+# two altitudes below both finite-block ceilings, so every rate term is live
+GUARD_GRID = (
+    "sweep.altitude_start_km=150",
+    "sweep.altitude_stop_km=200",
+    "sweep.altitude_step_km=50",
+    "sweep.block_sizes=1e9, inf",
+)
+# keys whose default sits at or near the top of their range move down
+MOVE_DOWN = ("zenith_deg", "tau_zenith", "beta")
+
+
+def _nudged(key: str, text: str) -> str:
+    if text.isdigit():
+        return str(int(text) + 1)
+    value = float(text)
+    if value == 0.0:
+        return "0.1"
+    return repr(value * (0.9 if key in MOVE_DOWN else 1.1))
+
+
+def _rate_rows(*overrides: str) -> tuple:
+    cfg = load_config(overrides=GUARD_GRID + overrides)
+    return dv_sweep(cfg).rows + cv_sweep(cfg).rows
+
+
+def test_every_model_key_changes_some_output():
+    """A key that changes no dv-sweep or cv-sweep value does no work."""
+    base = _rate_rows()
+    dead = []
+    for section, key, text in resolved_items(load_config()):
+        if section == "sweep":
+            continue
+        override = f"{section}.{key}={_nudged(key, text)}"
+        try:
+            if _rate_rows(override) == base:
+                dead.append(f"{override} changes no value")
+        except ConfigError as exc:
+            dead.append(f"{override} cannot be set on its own: {exc}")
+    assert not dead, "\n".join(dead)

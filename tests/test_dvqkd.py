@@ -190,7 +190,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FiniteSizeConfig(epsilon=1.0)
     with pytest.raises(ValueError):
-        FiniteSizeConfig(p_mu=0.5, p_nu=0.3, p_vac=0.3)
+        FiniteSizeConfig(p_mu=0.7, p_nu=0.3)
     assert FiniteSizeConfig().is_asymptotic
     assert not FiniteSizeConfig(block_size_n=1e9).is_asymptotic
 
@@ -200,6 +200,8 @@ def test_params_validation():
         DecoyProtocolParams(mu=0.2, nu=0.2)
     with pytest.raises(ValueError):
         DecoyProtocolParams(mu=0.2, nu=0.4)
+    with pytest.raises(ValueError):
+        DecoyProtocolParams(nu=0.0)
     with pytest.raises(ValueError):
         DecoyProtocolParams(eta_receiver=1.5)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from qlinksim.atmosphere import SlantPathSpec, slant_attenuation, thermal_photon
 from qlinksim.cli import main
 from qlinksim.config import load_config
 from qlinksim.sweeps import (
+    SCENARIOS,
     InfeasibleScenario,
     SecureAltitudeResult,
     SweepTable,
@@ -291,3 +292,23 @@ def test_cli_module_invocation_round_trip(tmp_path):
     assert content.startswith("# scenario = thermal-grid\n")
     expected = thermal_photon_number(1e11, 295.0)
     assert repr(expected) in content
+
+
+def test_regen_script_rejects_missing_and_unknown_names():
+    """No name, or any name without a figure table, writes nothing and exits 2."""
+    data = REPO_ROOT / "data"
+    tables = " ".join(name for name, s in SCENARIOS.items() if s.golden is not None)
+
+    def snapshot():
+        return {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in data.iterdir()}
+
+    before = snapshot()
+    for names in ((), ("warp-drive",), ("dv-sweep", "max-altitude")):
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "regen_figure_data.py"), *names],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, (names, proc.stdout, proc.stderr)
+        assert tables in proc.stderr
+    assert snapshot() == before
