@@ -47,9 +47,7 @@ def main() -> int:
         stem = tables[scenario]
         config = REPO / "configs" / f"{stem}.ini"
         out = out_dir / f"{stem}.csv"
-        code = cli_main(
-            [scenario, "--config", str(config), "--out", str(out), "--workers", "1"]
-        )
+        code = cli_main([scenario, "--config", str(config), "--out", str(out)])
         if code != 0:
             print(f"{scenario} failed with exit code {code}", file=sys.stderr)
             return code

@@ -31,7 +31,10 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             help="output CSV path (default: stdout)",
         )
-        p.add_argument("--workers", type=int, default=1, metavar="INT")
+        p.add_argument(
+            "--workers", type=int, default=1, metavar="INT",
+            help="accepted for compatibility; has no effect",
+        )
         p.add_argument(
             "--override",
             action="append",
@@ -53,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        table = run_scenario(args.scenario, cfg, workers=args.workers)
+        table = run_scenario(args.scenario, cfg)
     except InfeasibleScenario as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
         return 3

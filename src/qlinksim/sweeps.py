@@ -1,24 +1,18 @@
 """Batch sweeps over altitude/frequency/temperature grids plus bisection.
 
-Rows are computed from immutable inputs (frozen dataclasses), then
-sorted by their grid coordinates, so output is byte-identical for
-identical configuration regardless of worker count or scheduling.
-Only the gas-attenuation grid spreads its slants across a process
-pool; every other scenario is cheaper than the pool's start-up and
-runs in process whatever the worker count.
+Rows are computed in process from immutable inputs (frozen
+dataclasses), then sorted by their grid coordinates, so output is
+byte-identical for identical configuration.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .atmosphere import SlantPathSpec, slant_attenuation_spectrum, thermal_photon_number
+from .atmosphere import slant_attenuation_spectra, thermal_photon_number
 from .config import SimulationConfig, resolved_items
 from .cvqkd import ThermalLossChannel, composable_key_rate
 from .dvqkd import finite_key_rate
@@ -125,16 +119,8 @@ def _cv_row(altitude_km: float, block_n: float, cfg: SimulationConfig) -> tuple[
     return (altitude_km, block_n, res.key_rate, res.classical_rate, d.snr, d.chi_e)
 
 
-def _atmos_rows(task: tuple) -> list[tuple[float, ...]]:
-    slant_km, freqs, elevation_deg = task
-    path = SlantPathSpec(elevation_deg=elevation_deg, slant_distance_km=slant_km)
-    att = slant_attenuation_spectrum(path, np.asarray(freqs))
-    return [(f, slant_km, float(a)) for f, a in zip(freqs, att)]
-
-
-def dv_sweep(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
+def dv_sweep(cfg: SimulationConfig) -> SweepTable:
     """Decoy-state key and payload rates over the altitude grid, one curve per block size."""
-    del workers  # tens of milliseconds of work; a pool costs more than it saves
     rows = [
         _dv_row(alt, n, cfg)
         for n in sorted(cfg.sweep.block_sizes)
@@ -144,9 +130,8 @@ def dv_sweep(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
     return SweepTable("dv-sweep", DV_COLUMNS, tuple(rows))
 
 
-def cv_sweep(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
+def cv_sweep(cfg: SimulationConfig) -> SweepTable:
     """Composable coherent-state key and classical rates over the altitude grid."""
-    del workers  # tens of milliseconds of work; a pool costs more than it saves
     rows = [
         _cv_row(alt, n, cfg)
         for n in sorted(cfg.sweep.block_sizes)
@@ -156,26 +141,21 @@ def cv_sweep(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
     return SweepTable("cv-sweep", CV_COLUMNS, tuple(rows))
 
 
-def atmos_grid(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
+def atmos_grid(cfg: SimulationConfig) -> SweepTable:
     """Gaseous slant-path attenuation over the frequency x slant-distance grid.
 
-    The one scenario heavy enough for a process pool: each slant is a
-    separate task when workers > 1.
+    Every slant starts on the ground at the one configured elevation, so
+    all of them are integrated from one gamma grid, in process.
     """
     freqs = cfg.sweep.frequencies_ghz()
-    tasks = [(s, freqs, cfg.sweep.elevation_deg) for s in cfg.sweep.slants_km()]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            groups = list(pool.map(_atmos_rows, tasks, chunksize=chunk))
-    else:
-        groups = [_atmos_rows(task) for task in tasks]
-    rows = [row for group in groups for row in group]
+    slants = cfg.sweep.slants_km()
+    att = slant_attenuation_spectra(cfg.sweep.elevation_deg, 0.0, slants, freqs)
+    rows = [(f, s, a) for s, row in zip(slants, att.tolist()) for f, a in zip(freqs, row)]
     rows.sort(key=lambda r: (r[0], r[1]))
     return SweepTable("atmos-grid", ATMOS_COLUMNS, tuple(rows))
 
 
-def thermal_grid(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
+def thermal_grid(cfg: SimulationConfig) -> SweepTable:
     """Blackbody mean photon occupancy over the frequency x temperature grid."""
     rows = [
         (f_ghz * 1e9, t, thermal_photon_number(f_ghz * 1e9, t))
@@ -227,9 +207,8 @@ def max_secure_altitude(
     return SecureAltitudeResult(block_n, best_alt, best_rate, iterations)
 
 
-def max_altitude_table(cfg: SimulationConfig, workers: int = 1) -> SweepTable:
+def max_altitude_table(cfg: SimulationConfig) -> SweepTable:
     """One bisection result per configured block size for sweep.protocol."""
-    del workers  # a handful of bisections; not worth pool startup
     rows = []
     for block_n in sorted(cfg.sweep.block_sizes):
         res = max_secure_altitude(cfg.sweep.protocol, block_n, cfg)
@@ -253,7 +232,7 @@ class Scenario:
     table the scenario regenerates, or is None when no table is committed.
     """
 
-    run: Callable[..., SweepTable]
+    run: Callable[[SimulationConfig], SweepTable]
     help: str
     golden: str | None
 
@@ -279,10 +258,10 @@ SCENARIOS = {
 }
 
 
-def run_scenario(scenario: str, cfg: SimulationConfig, workers: int = 1) -> SweepTable:
+def run_scenario(scenario: str, cfg: SimulationConfig) -> SweepTable:
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    return SCENARIOS[scenario].run(cfg, workers=workers)
+    return SCENARIOS[scenario].run(cfg)
 
 
 def _format_cell(value: float) -> str:

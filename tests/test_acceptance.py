@@ -369,7 +369,7 @@ def test_criterion_8_figure_tables_regenerate_byte_identical():
         if command not in config_path.read_text(encoding="utf-8"):
             drifts.append(f"{config_path.name} must document its generating command")
         cfg = load_config(str(config_path))
-        text = render_csv(run_scenario(scenario, cfg, workers=1), cfg)
+        text = render_csv(run_scenario(scenario, cfg), cfg)
         drifts += _table_drifts(golden_path.name, golden_path.read_text(encoding="utf-8"), text)
     assert not drifts, "figure tables drifted from their generating commands:\n" + "\n".join(
         drifts

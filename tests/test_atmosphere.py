@@ -20,6 +20,7 @@ from qlinksim.atmosphere import (
     default_line_table,
     default_profile,
     slant_attenuation,
+    slant_attenuation_spectra,
     slant_attenuation_spectrum,
     specific_attenuation,
     thermal_photon_number,
@@ -283,6 +284,21 @@ def test_slant_spectrum_matches_scalar_and_respects_band():
         assert a == pytest.approx(slant_attenuation(path, float(f)), rel=1e-12)
     with pytest.raises(ValueError):
         slant_attenuation_spectrum(path, np.array([0.5]))
+
+
+def test_slant_spectra_match_one_path_integrals():
+    freqs = np.array([10.0, 60.0])
+    with pytest.raises(ValueError, match="at least one slant"):
+        slant_attenuation_spectra(45.0, 0.0, [], freqs)
+    with pytest.raises(ValueError, match="slant distance"):
+        slant_attenuation_spectra(45.0, 0.0, [5.0, 0.0], freqs)
+    slants = [3.0, 40.0, 0.5]
+    spectra = slant_attenuation_spectra(30.0, 8.0, slants, freqs)
+    assert spectra.shape == (3, 2)
+    for slant, spectrum in zip(slants, spectra):
+        one = slant_attenuation_spectrum(SlantPathSpec(30.0, 8.0, slant), freqs)
+        assert spectrum.tobytes() == one.tobytes()
+    assert not slant_attenuation_spectra(45.0, 100.0, slants, freqs).any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,24 @@
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qlinksim.atmosphere import SlantPathSpec, slant_attenuation, thermal_photon_number
+from qlinksim.atmosphere import (
+    SlantPathSpec,
+    TOP_ALTITUDE_KM,
+    _gamma_grid,
+    _path_nodes,
+    default_line_table,
+    default_profile,
+    slant_attenuation,
+    thermal_photon_number,
+)
 from qlinksim.cli import main
 from qlinksim.config import load_config
 from qlinksim.sweeps import (
@@ -39,14 +50,15 @@ SMALL_CV = load_config(overrides=[
     "sweep.block_sizes=1e10, inf",
     "sweep.protocol=cv",
 ])
-SMALL_ATMOS = load_config(overrides=[
+SMALL_ATMOS_OVERRIDES = [
     "sweep.freq_start_ghz=10",
     "sweep.freq_stop_ghz=60",
     "sweep.freq_step_ghz=50",
     "sweep.slant_start_km=10",
     "sweep.slant_stop_km=20",
     "sweep.slant_step_km=10",
-])
+]
+SMALL_ATMOS = load_config(overrides=SMALL_ATMOS_OVERRIDES)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +127,25 @@ def test_atmos_grid_matches_direct_evaluation():
     assert att[1] == pytest.approx(direct, rel=1e-12)
 
 
+def test_atmos_grid_fig4_is_bit_exact_per_slant():
+    # 1000 frequencies span several gamma blocks, and the 1/10/19/28 km
+    # slants have different node sets: every value must equal, bit for bit,
+    # the trapezoid over that slant's own nodes on one full gamma grid
+    cfg = load_config(str(REPO_ROOT / "configs" / "fig4_attenuation.ini"))
+    table = atmos_grid(cfg)
+    freqs = np.array(cfg.sweep.frequencies_ghz())
+    slants = np.array(table.column("slant_km"))
+    att = np.array(table.column("attenuation_db"))
+    assert len(cfg.sweep.slants_km()) == 4
+    for slant in cfg.sweep.slants_km():
+        path = SlantPathSpec(cfg.sweep.elevation_deg, slant_distance_km=slant)
+        nodes = _path_nodes(path, 1.0)
+        h = np.clip(nodes * math.sin(math.radians(path.elevation_deg)), 0.0, TOP_ALTITUDE_KM)
+        gamma = _gamma_grid(freqs, *default_profile().states_at(h), default_line_table())
+        want = np.trapezoid(gamma, nodes, axis=1)
+        assert att[slants == slant].tobytes() == want.tobytes(), slant
+
+
 def test_thermal_grid_matches_direct_evaluation():
     cfg = load_config(overrides=[
         "sweep.freq_start_ghz=100",
@@ -133,11 +164,6 @@ def test_thermal_grid_matches_direct_evaluation():
 def test_run_scenario_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario("warp-drive", SMALL_DV)
-
-
-def test_worker_pool_matches_serial():
-    assert dv_sweep(SMALL_DV, workers=2).rows == dv_sweep(SMALL_DV, workers=1).rows
-    assert atmos_grid(SMALL_ATMOS, workers=2).rows == atmos_grid(SMALL_ATMOS, workers=1).rows
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +293,36 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     missing_dir = tmp_path / "absent" / "out.csv"
     assert main(THERMAL_ARGS + ["--out", str(missing_dir)]) == 2
     assert "cannot write output file" in capsys.readouterr().err
+
+
+def test_cli_workers_flag_changes_no_byte(capsys):
+    args = ["atmos-grid", *(a for o in SMALL_ATMOS_OVERRIDES for a in ("--override", o))]
+    outputs = []
+    for workers in ("1", "2"):
+        assert main([*args, "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n60,") == 2
+    assert main([*args, "--workers", "0"]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_run_starts_no_process_pool():
+    code = (
+        "import sys\n"
+        "from qlinksim.cli import main\n"
+        f"assert main({THERMAL_ARGS!r} + ['--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.devnull],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_infeasible_exits_3(capsys):
