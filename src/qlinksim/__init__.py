@@ -1,21 +1,17 @@
 """Desk-scale feasibility simulator for satellite-to-ground links that
 carry classical data and quantum key material on the same signal.
 
-Submodules: mathfn (shared special functions), atmosphere (gaseous
-attenuation and thermal occupancy), fso (optical downlink
+Submodules: mathfn (shared special functions and thermal occupancy),
+atmosphere (gaseous attenuation), fso (optical downlink
 transmissivity), dvqkd (decoy-state rates with a direct-message
 payload), cvqkd (displaced coherent-state rates), config/sweeps/cli
 (batch orchestration).
+
+atmosphere is the only submodule that needs numpy.  It is imported on
+first use of one of its exports below (PEP 562), so importing the
+package, or running a rate scenario, never loads numpy.
 """
 
-from .atmosphere import (
-    AtmosphericState,
-    ReferenceAtmosphereProfile,
-    SlantPathSpec,
-    slant_attenuation,
-    specific_attenuation,
-    thermal_photon_number,
-)
 from .config import ConfigError, SimulationConfig, SweepRanges, load_config
 from .cvqkd import (
     CvProtocolParams,
@@ -32,6 +28,7 @@ from .dvqkd import (
     qsdc_payload_rate,
 )
 from .fso import ChannelOutput, DownlinkGeometry, FsoChannelParams, channel_transmissivity, slant_range
+from .mathfn import thermal_photon_number
 from .sweeps import (
     InfeasibleScenario,
     SecureAltitudeResult,
@@ -41,6 +38,23 @@ from .sweeps import (
 )
 
 __version__ = "0.1.0"
+
+_ATMOSPHERE_EXPORTS = (
+    "AtmosphericState",
+    "ReferenceAtmosphereProfile",
+    "SlantPathSpec",
+    "slant_attenuation",
+    "specific_attenuation",
+)
+
+
+def __getattr__(name: str):
+    if name in _ATMOSPHERE_EXPORTS:
+        from . import atmosphere
+
+        return getattr(atmosphere, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AtmosphericState",

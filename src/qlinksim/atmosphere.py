@@ -4,7 +4,8 @@ Implements the line-by-line specific attenuation of Rec. ITU-R P.676
 Annex 1 (44 oxygen lines, 35 water-vapour lines, dry-air continuum),
 numerical integration of that attenuation along straight slant rays
 through a mean annual global reference atmosphere (Rec. ITU-R P.835
-style), and the Bose-Einstein mean thermal photon occupancy.
+style).  The Bose-Einstein mean thermal photon occupancy lives in mathfn,
+which needs no numpy, and is re-exported here.
 
 The spectroscopic coefficients ship as plain-text data files whose
 SHA-256 digests are verified at load time against a bundled manifest.
@@ -21,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .mathfn import CONSTANTS
+from .mathfn import CONSTANTS, thermal_photon_number
 
 __all__ = [
     "AtmosphericState",
@@ -527,25 +528,3 @@ def slant_attenuation(
         path, np.array([frequency_ghz]), profile, table, step_scale
     )
     return float(result[0])
-
-
-# ---------------------------------------------------------------------------
-# thermal occupancy
-# ---------------------------------------------------------------------------
-
-
-def thermal_photon_number(frequency_hz: float, temperature_k: float) -> float:
-    """Bose-Einstein mean photon occupancy 1 / (exp(hf/kT) - 1)."""
-    if not frequency_hz > 0.0:
-        raise ValueError(f"frequency must be > 0 Hz: {frequency_hz!r}")
-    if not temperature_k > 0.0:
-        raise ValueError(f"temperature must be > 0 K: {temperature_k!r}")
-    x = (
-        CONSTANTS.planck_constant
-        * frequency_hz
-        / (CONSTANTS.boltzmann_constant * temperature_k)
-    )
-    if x > 700.0:
-        # expm1 would overflow; occupancy is exp(-x) to double precision
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .mathfn import CONSTANTS
 
 __all__ = [
@@ -110,20 +108,17 @@ class TurbulenceModel:
         if self.cn2_scale < 0.0:
             raise ValueError(f"cn2_scale must be >= 0: {self.cn2_scale!r}")
 
-    def cn2(self, altitude_m: np.ndarray | float) -> np.ndarray | float:
-        """Structure constant Cn^2(h) in m^(-2/3), h in metres above ground."""
-        h = np.asarray(altitude_m, dtype=float)
-        value = self.cn2_scale * (
+    def cn2(self, altitude_m: float) -> float:
+        """Structure constant Cn^2(h) in m^(-2/3) at one altitude h, in metres above ground."""
+        h = altitude_m
+        return self.cn2_scale * (
             0.00594
             * (self.hv_wind_m_s / 27.0) ** 2
             * (1e-5 * h) ** 10
-            * np.exp(-h / 1000.0)
-            + 2.7e-16 * np.exp(-h / 1500.0)
-            + self.hv_ground_cn2 * np.exp(-h / 100.0)
+            * math.exp(-h / 1000.0)
+            + 2.7e-16 * math.exp(-h / 1500.0)
+            + self.hv_ground_cn2 * math.exp(-h / 100.0)
         )
-        if np.isscalar(altitude_m):
-            return float(value)
-        return value
 
 
 def slant_range(geom: DownlinkGeometry) -> float:
@@ -140,6 +135,13 @@ def slant_range(geom: DownlinkGeometry) -> float:
 
 # turbulence above this altitude is negligible for any HV-style profile
 _TURB_TOP_KM = 60.0
+# integration nodes in metres, spaced by the HV decay scales: 5 m up to 2 km
+# (100 m scale term), 50 m up to 30 km, 500 m up to the turbulence ceiling
+_TURB_NODES_M = tuple(
+    start + step * i
+    for start, stop, step in ((0.0, 2e3, 5.0), (2e3, 30e3, 50.0), (30e3, _TURB_TOP_KM * 1e3, 500.0))
+    for i in range(round((stop - start) / step))
+) + (_TURB_TOP_KM * 1e3,)
 
 
 @lru_cache(maxsize=32)
@@ -162,22 +164,17 @@ def _turbulence_moment(
     )
     r = earth_radius_km * 1e3
     cos_z = math.cos(math.radians(zenith_deg))
-    # node spacing follows the HV decay scales: 5 m up to 2 km (100 m scale
-    # term), 50 m up to 30 km, 500 m up to the turbulence ceiling
-    h = np.unique(
-        np.concatenate(
-            [
-                np.arange(0.0, 2e3 + 1.0, 5.0),
-                np.arange(2e3, 30e3 + 1.0, 50.0),
-                np.arange(30e3, _TURB_TOP_KM * 1e3 + 1.0, 500.0),
-            ]
-        )
+    h = _TURB_NODES_M
+    integrand = []
+    for hi in h:
+        root = math.sqrt((r * cos_z) ** 2 + 2.0 * r * hi + hi * hi)
+        s = root - r * cos_z
+        ds_dh = (r + hi) / root
+        integrand.append(turb.cn2(hi) * s ** (5.0 / 3.0) * ds_dh)
+    # trapezoid terms as numpy.trapezoid forms them, summed exactly
+    return math.fsum(
+        (h[i + 1] - h[i]) * (integrand[i + 1] + integrand[i]) / 2.0 for i in range(len(h) - 1)
     )
-    root = np.sqrt((r * cos_z) ** 2 + 2.0 * r * h + h * h)
-    s = root - r * cos_z
-    ds_dh = (r + h) / root
-    integrand = turb.cn2(h) * s ** (5.0 / 3.0) * ds_dh
-    return float(np.trapezoid(integrand, h))
 
 
 def coherence_length(

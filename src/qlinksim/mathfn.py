@@ -1,4 +1,5 @@
-"""Physical constants and the shared information-theory / statistics helpers.
+"""Physical constants, the shared information-theory / statistics helpers
+and the Bose-Einstein thermal photon occupancy.
 
 Every rate in this package is reported in bits per channel use, so the
 entropy functions here use base-2 logarithms throughout.  Natural
@@ -23,6 +24,7 @@ __all__ = [
     "ber_to_snr_amplitude",
     "erfc_inverse",
     "hoeffding_delta",
+    "thermal_photon_number",
 ]
 
 # symplectic eigenvalues a hair below 1 are accepted as exactly 1; the
@@ -247,3 +249,20 @@ def hoeffding_delta(n_samples: float, epsilon: float) -> float:
     if n_samples == 0:
         return 0.0
     return math.sqrt(n_samples * math.log(1.0 / epsilon) / 2.0)
+
+
+def thermal_photon_number(frequency_hz: float, temperature_k: float) -> float:
+    """Bose-Einstein mean photon occupancy 1 / (exp(hf/kT) - 1)."""
+    if not frequency_hz > 0.0:
+        raise ValueError(f"frequency must be > 0 Hz: {frequency_hz!r}")
+    if not temperature_k > 0.0:
+        raise ValueError(f"temperature must be > 0 K: {temperature_k!r}")
+    x = (
+        CONSTANTS.planck_constant
+        * frequency_hz
+        / (CONSTANTS.boltzmann_constant * temperature_k)
+    )
+    if x > 700.0:
+        # expm1 would overflow; occupancy is exp(-x) to double precision
+        return math.exp(-x)
+    return 1.0 / math.expm1(x)

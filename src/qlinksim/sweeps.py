@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .atmosphere import slant_attenuation_spectra, thermal_photon_number
 from .config import SimulationConfig, resolved_items
 from .cvqkd import ThermalLossChannel, composable_key_rate
 from .dvqkd import finite_key_rate
+from .mathfn import thermal_photon_number
 
 __all__ = [
     "InfeasibleScenario",
@@ -104,17 +104,39 @@ class SecureAltitudeResult:
             raise ValueError("iteration count must be >= 0")
 
 
-def _dv_row(altitude_km: float, block_n: float, cfg: SimulationConfig) -> tuple[float, ...]:
-    out = cfg.channel.at_altitude(altitude_km)
-    eta_total = out.transmissivity * cfg.dv.eta_receiver
-    res = finite_key_rate(eta_total, cfg.dv, cfg.dv_fs(block_n))
-    return (altitude_km, block_n, res.key_rate, res.payload_rate, out.transmissivity)
+def _row_error(
+    scenario: str, altitude_km: float, block_n: float, tau: float | None, exc: ValueError
+) -> ValueError:
+    """A kernel's complaint, prefixed with the row inputs that reproduce it."""
+    where = f"{scenario} row at altitude_km={altitude_km!r}, block_size={block_n!r}"
+    if tau is not None:
+        where += f", tau={tau!r}"
+    return ValueError(f"{where}: {exc}")
 
 
-def _cv_row(altitude_km: float, block_n: float, cfg: SimulationConfig) -> tuple[float, ...]:
-    out = cfg.channel.at_altitude(altitude_km)
-    ch = ThermalLossChannel(tau=out.transmissivity, n_thermal=cfg.cv.n_bg)
-    res = composable_key_rate(ch, cfg.cv, cfg.cv_noise, block_size_n=block_n)
+def _dv_row(
+    altitude_km: float, block_n: float, cfg: SimulationConfig, scenario: str = "dv-sweep"
+) -> tuple[float, ...]:
+    tau = None
+    try:
+        out = cfg.channel.at_altitude(altitude_km)
+        tau = out.transmissivity
+        res = finite_key_rate(tau * cfg.dv.eta_receiver, cfg.dv, cfg.dv_fs(block_n))
+    except ValueError as exc:
+        raise _row_error(scenario, altitude_km, block_n, tau, exc) from exc
+    return (altitude_km, block_n, res.key_rate, res.payload_rate, tau)
+
+
+def _cv_row(
+    altitude_km: float, block_n: float, cfg: SimulationConfig, scenario: str = "cv-sweep"
+) -> tuple[float, ...]:
+    tau = None
+    try:
+        tau = cfg.channel.at_altitude(altitude_km).transmissivity
+        ch = ThermalLossChannel(tau=tau, n_thermal=cfg.cv.n_bg)
+        res = composable_key_rate(ch, cfg.cv, cfg.cv_noise, block_size_n=block_n)
+    except ValueError as exc:
+        raise _row_error(scenario, altitude_km, block_n, tau, exc) from exc
     d = res.diagnostics
     return (altitude_km, block_n, res.key_rate, res.classical_rate, d.snr, d.chi_e)
 
@@ -145,8 +167,12 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
     """Gaseous slant-path attenuation over the frequency x slant-distance grid.
 
     Every slant starts on the ground at the one configured elevation, so
-    all of them are integrated from one gamma grid, in process.
+    all of them are integrated from one gamma grid, in process.  The
+    atmosphere module, and with it numpy, is imported here on first use,
+    so that the other scenarios never load it.
     """
+    from .atmosphere import slant_attenuation_spectra
+
     freqs = cfg.sweep.frequencies_ghz()
     slants = cfg.sweep.slants_km()
     att = slant_attenuation_spectra(cfg.sweep.elevation_deg, 0.0, slants, freqs)
@@ -168,9 +194,9 @@ def thermal_grid(cfg: SimulationConfig) -> SweepTable:
 
 def _rate_at_altitude(protocol: str, altitude_km: float, block_n: float, cfg: SimulationConfig) -> float:
     if protocol == "dv":
-        return _dv_row(altitude_km, block_n, cfg)[2]
+        return _dv_row(altitude_km, block_n, cfg, "max-altitude")[2]
     if protocol == "cv":
-        return _cv_row(altitude_km, block_n, cfg)[2]
+        return _cv_row(altitude_km, block_n, cfg, "max-altitude")[2]
     raise ValueError(f"protocol must be 'dv' or 'cv': {protocol!r}")
 
 

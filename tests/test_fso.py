@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from qlinksim.fso import (
     OpticalBeam,
     ReceiverAperture,
     TurbulenceModel,
+    _TURB_NODES_M,
+    _turbulence_moment,
     channel_transmissivity,
     coherence_length,
     collection_efficiency,
@@ -112,6 +116,49 @@ def test_aperture_validation():
 def test_coherence_length_infinite_without_turbulence():
     geom = DownlinkGeometry(500.0, 45.0)
     assert coherence_length(BEAM, TurbulenceModel(cn2_scale=0.0), geom) == math.inf
+
+
+def _numpy_nodes() -> np.ndarray:
+    return np.unique(
+        np.concatenate(
+            [
+                np.arange(0.0, 2e3 + 1.0, 5.0),
+                np.arange(2e3, 30e3 + 1.0, 50.0),
+                np.arange(30e3, 60e3 + 1.0, 500.0),
+            ]
+        )
+    )
+
+
+def _numpy_moment(zenith_deg, ground_cn2, wind, cn2_scale, earth_radius_km=6371.0):
+    """The same trapezoid in array form, with numpy's pairwise sum."""
+    h = _numpy_nodes()
+    r = earth_radius_km * 1e3
+    cos_z = math.cos(math.radians(zenith_deg))
+    root = np.sqrt((r * cos_z) ** 2 + 2.0 * r * h + h * h)
+    s = root - r * cos_z
+    ds_dh = (r + h) / root
+    cn2 = cn2_scale * (
+        0.00594 * (wind / 27.0) ** 2 * (1e-5 * h) ** 10 * np.exp(-h / 1000.0)
+        + 2.7e-16 * np.exp(-h / 1500.0)
+        + ground_cn2 * np.exp(-h / 100.0)
+    )
+    return float(np.trapezoid(cn2 * s ** (5.0 / 3.0) * ds_dh, h))
+
+
+def test_turbulence_moment_matches_numpy_trapezoid():
+    assert list(_TURB_NODES_M) == _numpy_nodes().tolist()
+    # the default 80 deg geometry behind every golden rate table: bit for bit
+    golden = _turbulence_moment(80.0, 1.7e-13, 21.0, 1.0, 6371.0)
+    assert golden == _numpy_moment(80.0, 1.7e-13, 21.0, 1.0) == 8.92734020527528e-05
+    # elsewhere fsum and the pairwise sum may part in the last bits only
+    for zenith, ground, wind, scale in itertools.product(
+        (0.0, 30.0, 60.0, 75.0, 80.0), (1e-15, 1.7e-13, 1e-12), (0.0, 21.0, 40.0), (0.5, 1.0, 2.0)
+    ):
+        want = _numpy_moment(zenith, ground, wind, scale)
+        got = _turbulence_moment(zenith, ground, wind, scale, 6371.0)
+        assert abs(got - want) <= 1e-15 * want, (zenith, ground, wind, scale)
+    assert _turbulence_moment(45.0, 1.7e-13, 21.0, 0.0, 6371.0) == 0.0
 
 
 def test_coherence_length_decreases_with_turbulence_strength():

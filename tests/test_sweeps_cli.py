@@ -37,19 +37,21 @@ from qlinksim.sweeps import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-SMALL_DV = load_config(overrides=[
+SMALL_DV_OVERRIDES = [
     "sweep.altitude_start_km=300",
     "sweep.altitude_stop_km=320",
     "sweep.altitude_step_km=10",
     "sweep.block_sizes=1e10, inf",
-])
-SMALL_CV = load_config(overrides=[
+]
+SMALL_DV = load_config(overrides=SMALL_DV_OVERRIDES)
+SMALL_CV_OVERRIDES = [
     "sweep.altitude_start_km=200",
     "sweep.altitude_stop_km=220",
     "sweep.altitude_step_km=10",
     "sweep.block_sizes=1e10, inf",
     "sweep.protocol=cv",
-])
+]
+SMALL_CV = load_config(overrides=SMALL_CV_OVERRIDES)
 SMALL_ATMOS_OVERRIDES = [
     "sweep.freq_start_ghz=10",
     "sweep.freq_stop_ghz=60",
@@ -59,6 +61,10 @@ SMALL_ATMOS_OVERRIDES = [
     "sweep.slant_step_km=10",
 ]
 SMALL_ATMOS = load_config(overrides=SMALL_ATMOS_OVERRIDES)
+
+
+def _override_args(overrides: list[str]) -> list[str]:
+    return [arg for item in overrides for arg in ("--override", item)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +208,38 @@ def test_bisection_agrees_with_grid_sweep():
     assert last_grid_alt <= res.max_secure_altitude_km < last_grid_alt + 10.0
 
 
+def test_kernel_errors_name_their_row(monkeypatch):
+    from qlinksim import sweeps
+    from qlinksim.fso import FsoChannelParams
+
+    def boom(*args, **kwargs):
+        raise ValueError("kernel complaint")
+
+    monkeypatch.setattr(sweeps, "finite_key_rate", boom)
+    monkeypatch.setattr(sweeps, "composable_key_rate", boom)
+    cases = [
+        (lambda: dv_sweep(SMALL_DV), "dv-sweep", 300.0, 1e10, SMALL_DV),
+        (lambda: cv_sweep(SMALL_CV), "cv-sweep", 200.0, 1e10, SMALL_CV),
+        (lambda: max_secure_altitude("cv", math.inf, SMALL_CV), "max-altitude", 100.0, math.inf, SMALL_CV),
+    ]
+    for run, scenario, altitude_km, block_n, cfg in cases:
+        with pytest.raises(ValueError) as info:
+            run()
+        tau = cfg.channel.at_altitude(altitude_km).transmissivity
+        assert str(info.value) == (
+            f"{scenario} row at altitude_km={altitude_km!r}, block_size={block_n!r}, "
+            f"tau={tau!r}: kernel complaint"
+        )
+        assert str(info.value.__cause__) == "kernel complaint"
+    # a channel error comes before tau is known
+    monkeypatch.setattr(FsoChannelParams, "at_altitude", boom)
+    with pytest.raises(ValueError) as info:
+        dv_sweep(SMALL_DV)
+    assert str(info.value) == (
+        "dv-sweep row at altitude_km=300.0, block_size=10000000000.0: kernel complaint"
+    )
+
+
 def test_infeasible_scenario_reports_bracket():
     cfg = load_config(overrides=["channel.jitter_urad=50"])
     with pytest.raises(InfeasibleScenario, match="non-positive at the 100 km bracket"):
@@ -296,7 +334,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
 
 
 def test_cli_workers_flag_changes_no_byte(capsys):
-    args = ["atmos-grid", *(a for o in SMALL_ATMOS_OVERRIDES for a in ("--override", o))]
+    args = ["atmos-grid", *_override_args(SMALL_ATMOS_OVERRIDES)]
     outputs = []
     for workers in ("1", "2"):
         assert main([*args, "--workers", workers]) == 0
@@ -323,6 +361,47 @@ def test_cli_run_starts_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_rate_path_loads_no_numpy():
+    # every scenario but atmos-grid, on small grids; only the gas-attenuation
+    # layer may import numpy, and only when one of its names is used
+    runs = [
+        ["dv-sweep", *_override_args(SMALL_DV_OVERRIDES)],
+        ["cv-sweep", *_override_args(SMALL_CV_OVERRIDES)],
+        ["max-altitude", "--override", "sweep.block_sizes=inf"],
+        ["max-altitude", *_override_args(["sweep.protocol=cv", "sweep.block_sizes=inf"])],
+        THERMAL_ARGS,
+    ]
+    code = (
+        "import sys\n"
+        "import qlinksim\n"
+        "from qlinksim.cli import main\n"
+        f"for args in {runs!r}:\n"
+        "    assert main(args + ['--out', sys.argv[1]]) == 0, args\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by the rate path'\n"
+        "assert 'qlinksim.atmosphere' not in sys.modules\n"
+        "assert qlinksim.AtmosphericState is qlinksim.atmosphere.AtmosphericState\n"
+        "star = {}\n"
+        "exec('from qlinksim import *', star)\n"
+        "assert set(qlinksim.__all__) <= set(star), set(qlinksim.__all__) - set(star)\n"
+        "assert star['slant_attenuation'] is qlinksim.atmosphere.slant_attenuation\n"
+        "try:\n"
+        "    qlinksim.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('unknown attribute resolved')\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.devnull],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_cli_infeasible_exits_3(capsys):
