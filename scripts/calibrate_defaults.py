@@ -3,9 +3,8 @@
 Every other default in the package is a stated link-budget or protocol
 number.  Two knobs are not stated anywhere and have to be fitted:
 
-* the rms pointing jitter (TurbulenceModel.pointing_jitter_urad, which
-  FsoChannelParams.jitter_urad takes as its default), which shifts every
-  maximum-secure-altitude curve up or down at once, and
+* the rms pointing jitter (FsoChannelParams.jitter_urad), which shifts
+  every maximum-secure-altitude curve up or down at once, and
 * the phase-correction leak fraction (PhaseEncodingNoise.eps_classical),
   which sets the residual excess noise and with it the asymptotic
   reach of the continuous-variable protocol and its classical rate.
@@ -182,7 +181,7 @@ def main() -> int:
             f"  classical={detail[f'cls_{n:g}']:.4f}"
         )
     print()
-    print("copy the jitter into TurbulenceModel.pointing_jitter_urad and the")
+    print("copy the jitter into FsoChannelParams.jitter_urad and the")
     print("leak fraction into PhaseEncodingNoise.eps_classical, and both into")
     print("configs/default.ini.")
     return 0

@@ -27,7 +27,7 @@ from .dvqkd import (
     finite_key_rate,
     qsdc_payload_rate,
 )
-from .fso import ChannelOutput, DownlinkGeometry, FsoChannelParams, channel_transmissivity, slant_range
+from .fso import ChannelOutput, FsoChannelParams, slant_range
 from .mathfn import thermal_photon_number
 from .sweeps import (
     InfeasibleScenario,
@@ -78,9 +78,7 @@ __all__ = [
     "finite_key_rate",
     "qsdc_payload_rate",
     "ChannelOutput",
-    "DownlinkGeometry",
     "FsoChannelParams",
-    "channel_transmissivity",
     "slant_range",
     "InfeasibleScenario",
     "SecureAltitudeResult",

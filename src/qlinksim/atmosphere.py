@@ -74,11 +74,6 @@ class AtmosphericState:
                 f"water vapour density must be >= 0: {self.water_vapor_density_g_m3!r}"
             )
 
-    @property
-    def water_vapor_pressure_hpa(self) -> float:
-        """Partial pressure of water vapour, e = rho * T / 216.7."""
-        return self.water_vapor_density_g_m3 * self.temperature_k / 216.7
-
 
 def _read_checked(name: str) -> bytes:
     data_dir = resources.files(__package__) / "data"
@@ -275,19 +270,6 @@ class ReferenceAtmosphereProfile:
             rho[i] = max(rho_exp, rho_floor)
         return cls(altitude_km=alts, temperature_k=t, pressure_hpa=p, water_vapor_g_m3=rho)
 
-    @classmethod
-    def from_rows(cls, rows) -> "ReferenceAtmosphereProfile":
-        """Build a profile from (altitude_km, T_k, P_hpa, rho_g_m3) rows."""
-        arr = np.array([[float(v) for v in row] for row in rows], dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise ValueError("profile rows must have four columns")
-        return cls(
-            altitude_km=arr[:, 0],
-            temperature_k=arr[:, 1],
-            pressure_hpa=arr[:, 2],
-            water_vapor_g_m3=arr[:, 3],
-        )
-
     def states_at(self, h_km: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized (T, P, rho) at the requested altitudes."""
         h = np.asarray(h_km, dtype=float)
@@ -377,9 +359,11 @@ def _gamma_grid(
 
 def _check_freq(frequency_ghz: np.ndarray | float) -> None:
     f = np.asarray(frequency_ghz, dtype=float)
-    if np.any(f < FREQ_MIN_GHZ) or np.any(f > FREQ_MAX_GHZ):
+    bad = f[(f < FREQ_MIN_GHZ) | (f > FREQ_MAX_GHZ)]
+    if bad.size:
         raise ValueError(
-            f"frequency must lie in [{FREQ_MIN_GHZ}, {FREQ_MAX_GHZ}] GHz: {frequency_ghz!r}"
+            f"frequency must lie in [{FREQ_MIN_GHZ}, {FREQ_MAX_GHZ}] GHz: "
+            f"{float(bad.flat[0])!r} is out of range ({bad.size} of {f.size} values)"
         )
 
 

@@ -1,8 +1,8 @@
 """Command-line entry point: scenario subcommands writing CSV tables.
 
 Exit codes: 0 success, 2 configuration error (unknown key, bad value,
-unwritable output), 3 infeasible scenario (no positive rate anywhere in
-the altitude bracket).
+a grid value the model rejects, unwritable output), 3 infeasible
+scenario (no positive rate anywhere in the altitude bracket).
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleScenario as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # a grid value the model rejects, such as a zero altitude or slant
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     text = render_csv(table, cfg)
     if args.out is None:
         sys.stdout.write(text)

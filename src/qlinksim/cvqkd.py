@@ -34,7 +34,6 @@ __all__ = [
     "CvRateResult",
     "classical_displacement",
     "channel_snr",
-    "mutual_information",
     "holevo_bound",
     "composable_key_rate",
 ]
@@ -98,8 +97,8 @@ class PhaseEncodingNoise:
     Because the displacement is sized to hold the bit error rate fixed,
     its received power (and hence the residual) is roughly independent
     of channel loss, which is what ultimately bounds the secure range.
-    The residual depends on the protocol and the channel, so it is a
-    method rather than a stored field.
+    The residual itself depends on the protocol and the channel; the
+    rate kernels compute it with the rest of the detection noise.
     """
 
     eps_classical: float = 3.9e-5
@@ -107,10 +106,6 @@ class PhaseEncodingNoise:
     def __post_init__(self) -> None:
         if self.eps_classical < 0.0:
             raise ValueError(f"excess noise fraction must be >= 0: {self.eps_classical!r}")
-
-    def residual_excess_noise(self, ch: ThermalLossChannel, p: CvProtocolParams) -> float:
-        """Residual variance eps_classical * delta_received^2 at the detector (SNU)."""
-        return _detection_noise(ch, p, self)[3]
 
 
 @dataclass(frozen=True)
@@ -129,9 +124,6 @@ class ThermalLossChannel:
             raise ValueError(f"transmissivity must lie in [0, 1]: {self.tau!r}")
         if self.n_thermal < 0.0:
             raise ValueError(f"thermal occupancy must be >= 0: {self.n_thermal!r}")
-
-    def output_variance(self, v_in_snu: float) -> float:
-        return self.tau * v_in_snu + (1.0 - self.tau) * (2.0 * self.n_thermal + 1.0)
 
 
 def _detection_noise(
@@ -187,13 +179,6 @@ def channel_snr(
     tau_total, background, _, residual = _detection_noise(ch, p, noise)
     base = 1.0 + p.v_el + background + residual
     return tau_total * p.v_mod / base
-
-
-def mutual_information(
-    ch: ThermalLossChannel, p: CvProtocolParams, noise: PhaseEncodingNoise
-) -> float:
-    """Reconciled Shannon rate beta * (1/2) log2(1 + SNR) for homodyne."""
-    return p.beta * 0.5 * math.log2(1.0 + channel_snr(ch, p, noise))
 
 
 def _conditional_entropy_bits(

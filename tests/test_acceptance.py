@@ -296,7 +296,7 @@ GRID_COLUMNS = 2
 # Relative bound on computed table values.  math.log2 and math.expm1 come
 # from the platform's C library, which need not round correctly, so their
 # last bit can differ between machines; the largest such drift seen in a
-# golden is 9e-15 (key_rate, through mutual_information's log2).  1e-12
+# golden is 9e-15 (key_rate, through the log2 of I_raw).  1e-12
 # sits 100x above that and 100x below the 1e-10 key_rate shift that the
 # cancellation-free two-mode symplectic eigenvalues in holevo_bound made to
 # fig3, so a kernel change of that size is caught.

@@ -79,10 +79,6 @@ def test_atmospheric_state_validation():
         AtmosphericState(280.0, -1.0, 5.0)
     with pytest.raises(ValueError):
         AtmosphericState(280.0, 1000.0, -0.1)
-    # e = rho T / 216.7
-    assert SEA_LEVEL.water_vapor_pressure_hpa == pytest.approx(
-        7.5 * 288.15 / 216.7, rel=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +123,20 @@ def test_profile_tropospheric_lapse_rate():
     assert (t0 - t5) / 5.0 == pytest.approx(6.5, rel=0.01)
 
 
+def _profile(rows) -> ReferenceAtmosphereProfile:
+    """Profile from (altitude_km, T_k, P_hpa, rho_g_m3) rows, one array per column."""
+    return ReferenceAtmosphereProfile(*np.array(rows, dtype=float).T)
+
+
 def test_profile_validation_rejects_bad_tables():
-    with pytest.raises(ValueError):
-        ReferenceAtmosphereProfile.from_rows(
-            [(0.0, 288.0, 1000.0, 5.0), (100.0, 280.0, 1010.0, 4.0)]
-        )  # pressure increasing
-    with pytest.raises(ValueError):
-        ReferenceAtmosphereProfile.from_rows(
-            [(1.0, 288.0, 1000.0, 5.0), (100.0, 280.0, 900.0, 4.0)]
-        )  # does not start at 0
-    with pytest.raises(ValueError):
-        ReferenceAtmosphereProfile.from_rows(
-            [(0.0, 288.0, 1000.0, 5.0), (50.0, 280.0, 900.0, 4.0)]
-        )  # does not reach 100 km
+    # a valid two-node table passes
+    _profile([(0.0, 288.0, 1000.0, 5.0), (100.0, 280.0, 900.0, 4.0)])
+    with pytest.raises(ValueError, match="non-increasing"):
+        _profile([(0.0, 288.0, 1000.0, 5.0), (100.0, 280.0, 1010.0, 4.0)])
+    with pytest.raises(ValueError, match="start at altitude 0"):
+        _profile([(1.0, 288.0, 1000.0, 5.0), (100.0, 280.0, 900.0, 4.0)])
+    with pytest.raises(ValueError, match="must reach"):
+        _profile([(0.0, 288.0, 1000.0, 5.0), (50.0, 280.0, 900.0, 4.0)])
 
 
 def test_states_at_rejects_out_of_range_altitudes():

@@ -13,12 +13,12 @@ from qlinksim.cvqkd import (
     CvRateResult,
     PhaseEncodingNoise,
     ThermalLossChannel,
+    _detection_noise,
     aep_correction,
     channel_snr,
     classical_displacement,
     composable_key_rate,
     holevo_bound,
-    mutual_information,
     theta_correction,
 )
 from qlinksim.mathfn import NU_CLAMP_TOL, ber_to_snr_amplitude
@@ -68,9 +68,12 @@ def test_channel_validation_and_output_variance():
         ThermalLossChannel(1.2)
     with pytest.raises(ValueError):
         ThermalLossChannel(0.5, n_thermal=-1.0)
+    # V_out = tau V_in + (1 - tau)(2 n + 1): the thermal excess over a pure
+    # loss, (1 - tau) 2 n, reaches the detector as background
     ch = ThermalLossChannel(0.3, n_thermal=2.0)
-    assert ch.output_variance(6.0) == pytest.approx(0.3 * 6.0 + 0.7 * 5.0, rel=1e-15)
-    assert ThermalLossChannel(1.0).output_variance(6.0) == pytest.approx(6.0)
+    background = _detection_noise(ch, PARAMS, NOISE)[1]
+    assert background == pytest.approx(PARAMS.eta_receiver * 0.7 * 4.0, rel=1e-15)
+    assert _detection_noise(ThermalLossChannel(1.0, n_thermal=2.0), PARAMS, NOISE)[1] == 0.0
 
 
 def test_noise_model_validation():
@@ -87,17 +90,17 @@ def test_input_referred_noise_grows_as_loss_deepens():
     # the received displacement power is pinned by the BER target, so the
     # input-referred residual scales roughly inversely with transmissivity
     clear, lossy = ThermalLossChannel(1.0), ThermalLossChannel(0.01)
-    eps_hi = NOISE.residual_excess_noise(clear, PARAMS) / (clear.tau * PARAMS.eta_receiver)
-    eps_lo = NOISE.residual_excess_noise(lossy, PARAMS) / (lossy.tau * PARAMS.eta_receiver)
+    eps_hi = _detection_noise(clear, PARAMS, NOISE)[3] / (clear.tau * PARAMS.eta_receiver)
+    eps_lo = _detection_noise(lossy, PARAMS, NOISE)[3] / (lossy.tau * PARAMS.eta_receiver)
     assert eps_lo > 30.0 * eps_hi
 
 
 def test_residual_grows_with_leak_fraction():
     ch = ThermalLossChannel(0.5)
-    small = PhaseEncodingNoise(eps_classical=1e-5).residual_excess_noise(ch, PARAMS)
-    large = PhaseEncodingNoise(eps_classical=4e-5).residual_excess_noise(ch, PARAMS)
+    small = _detection_noise(ch, PARAMS, PhaseEncodingNoise(eps_classical=1e-5))[3]
+    large = _detection_noise(ch, PARAMS, PhaseEncodingNoise(eps_classical=4e-5))[3]
     assert 0.0 < small < large
-    assert NO_LEAK.residual_excess_noise(ch, PARAMS) == 0.0
+    assert _detection_noise(ch, PARAMS, NO_LEAK)[3] == 0.0
 
 
 def test_oversized_leak_fraction_is_rejected():
@@ -107,7 +110,7 @@ def test_oversized_leak_fraction_is_rejected():
     amp = ber_to_snr_amplitude(PARAMS.ber_target)
     assert 0.05 * amp * amp > 1.0
     with pytest.raises(ValueError, match="displacement budget"):
-        greedy.residual_excess_noise(ThermalLossChannel(0.5), PARAMS)
+        _detection_noise(ThermalLossChannel(0.5), PARAMS, greedy)
 
 
 def test_displacement_amplitude_behaviour():
@@ -137,7 +140,9 @@ def test_displacement_shrinks_with_transmissivity(tau):
 def test_snr_and_mutual_information_are_consistent():
     ch = ThermalLossChannel(0.25, 1e-9)
     snr = channel_snr(ch, PARAMS, NOISE)
-    assert mutual_information(ch, PARAMS, NOISE) == pytest.approx(
+    result = composable_key_rate(ch, PARAMS, NOISE)
+    assert result.diagnostics.snr == snr
+    assert result.classical_rate == pytest.approx(
         PARAMS.beta * 0.5 * math.log2(1.0 + snr), rel=1e-15
     )
 

@@ -404,6 +404,40 @@ def test_rate_path_loads_no_numpy():
     assert proc.stdout == "ok\n"
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (["atmos-grid", "sweep.slant_start_km=0"], "slant distance must be > 0: 0.0"),
+        (
+            ["atmos-grid", "sweep.freq_start_ghz=0.5"],
+            "frequency must lie in [1.0, 1000.0] GHz: 0.5 is out of range (1 of 1000 values)",
+        ),
+        (
+            ["dv-sweep", "sweep.altitude_start_km=0", "sweep.altitude_stop_km=0"],
+            "altitude must be > 0 km: 0.0",
+        ),
+        (
+            ["thermal-grid", "sweep.temp_start_k=0", "sweep.temp_stop_k=0"],
+            "temperature must be > 0 K: 0.0",
+        ),
+    ],
+)
+def test_cli_bad_grid_value_exits_2(args, message):
+    scenario, *overrides = args
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlinksim", scenario, *_override_args(overrides)],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("config error: ")
+    assert message in line
+
+
 def test_cli_infeasible_exits_3(capsys):
     rc = main([
         "max-altitude",
