@@ -359,7 +359,8 @@ def _gamma_grid(
 
 def _check_freq(frequency_ghz: np.ndarray | float) -> None:
     f = np.asarray(frequency_ghz, dtype=float)
-    bad = f[(f < FREQ_MIN_GHZ) | (f > FREQ_MAX_GHZ)]
+    # written as "not inside" so that NaN is rejected too
+    bad = f[~((f >= FREQ_MIN_GHZ) & (f <= FREQ_MAX_GHZ))]
     if bad.size:
         raise ValueError(
             f"frequency must lie in [{FREQ_MIN_GHZ}, {FREQ_MAX_GHZ}] GHz: "

@@ -128,8 +128,8 @@ class ThermalLossChannel:
 
 def _detection_noise(
     ch: ThermalLossChannel, p: CvProtocolParams, noise: PhaseEncodingNoise
-) -> tuple[float, float, float, float]:
-    """(tau_total, background, bit-decision variance, residual) in SNU.
+) -> tuple[float, float, float, float, float]:
+    """(tau_total, background, bit-decision variance, residual, amp), variances in SNU.
 
     The bit decision sees vacuum, electronic noise, the Gaussian key
     modulation and the channel background as noise; the displacement is
@@ -153,19 +153,30 @@ def _detection_noise(
             f"eps_classical * amp^2 = {leak:.3f} must be < 1"
         )
     sigma_bit_sq = (1.0 + p.v_el + tau_total * p.v_mod + background) / (1.0 - leak)
-    return tau_total, background, sigma_bit_sq, leak * sigma_bit_sq
+    return tau_total, background, sigma_bit_sq, leak * sigma_bit_sq, amp
+
+
+def _displacement(
+    p: CvProtocolParams, tau_total: float, sigma_bit_sq: float, amp: float
+) -> float:
+    if p.ber_target == 0.5:
+        return 0.0
+    if tau_total == 0.0:
+        return math.inf
+    return amp * math.sqrt(sigma_bit_sq / tau_total)
+
+
+def _snr(p: CvProtocolParams, tau_total: float, background: float, residual: float) -> float:
+    base = 1.0 + p.v_el + background + residual
+    return tau_total * p.v_mod / base
 
 
 def classical_displacement(
     ch: ThermalLossChannel, p: CvProtocolParams, noise: PhaseEncodingNoise
 ) -> float:
     """Smallest input displacement (sqrt SNU) meeting the target BER."""
-    if p.ber_target == 0.5:
-        return 0.0
-    tau_total, _, sigma_bit_sq, _ = _detection_noise(ch, p, noise)
-    if tau_total == 0.0:
-        return math.inf
-    return ber_to_snr_amplitude(p.ber_target) * math.sqrt(sigma_bit_sq / tau_total)
+    tau_total, _, sigma_bit_sq, _, amp = _detection_noise(ch, p, noise)
+    return _displacement(p, tau_total, sigma_bit_sq, amp)
 
 
 def channel_snr(
@@ -176,9 +187,8 @@ def channel_snr(
     The displacement itself is subtracted; only its residual counts as
     noise for the key quadratures.
     """
-    tau_total, background, _, residual = _detection_noise(ch, p, noise)
-    base = 1.0 + p.v_el + background + residual
-    return tau_total * p.v_mod / base
+    tau_total, background, _, residual, _ = _detection_noise(ch, p, noise)
+    return _snr(p, tau_total, background, residual)
 
 
 def _conditional_entropy_bits(
@@ -228,6 +238,13 @@ def holevo_bound(
     (nu1, nu2) of that state; her conditional entropy from the
     trusted-detector conditioning.  chi_E = 0 exactly for (tau=1, n=0, eps=0).
     """
+    return _holevo(ch, p, _detection_noise(ch, p, noise)[3])
+
+
+def _holevo(
+    ch: ThermalLossChannel, p: CvProtocolParams, residual: float
+) -> tuple[float, tuple[float, ...]]:
+    """holevo_bound with the detector-plane residual of _detection_noise given."""
     tau = ch.tau
     if not tau > 0.0:
         raise ValueError("holevo_bound requires tau > 0")
@@ -238,7 +255,7 @@ def holevo_bound(
             "in the trusted-detector model"
         )
     v = p.v_mod + 1.0
-    eps_in = _detection_noise(ch, p, noise)[3] / (tau * eta)
+    eps_in = residual / (tau * eta)
     # u is exact for tau >= 1/2 and w = tau chi_line skips the (1 - tau)/tau
     # round trip, so what vanishes at the identity channel does so exactly
     u = 1.0 - tau
@@ -326,10 +343,12 @@ def composable_key_rate(
         )
         return CvRateResult(key_rate=0.0, classical_rate=0.0, secure=False, diagnostics=diag)
 
-    snr = channel_snr(ch, p, noise)
+    # shared by the SNR, the Holevo bound and the displacement: computed once
+    tau_total, background, sigma_bit_sq, residual, amp = _detection_noise(ch, p, noise)
+    snr = _snr(p, tau_total, background, residual)
     i_raw = 0.5 * math.log2(1.0 + snr)
-    chi_e, nus = holevo_bound(ch, p, noise)
-    delta = classical_displacement(ch, p, noise)
+    chi_e, nus = _holevo(ch, p, residual)
+    delta = _displacement(p, tau_total, sigma_bit_sq, amp)
 
     bracket = p.beta * i_raw - chi_e
     if math.isinf(block_size_n):

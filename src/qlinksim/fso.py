@@ -10,6 +10,7 @@ airmass-law extinction factor.  No fading statistics are drawn.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +19,9 @@ from .mathfn import CONSTANTS
 __all__ = ["ChannelOutput", "FsoChannelParams", "slant_range"]
 
 MAX_ZENITH_DEG = 80.0
+# fields the channel formulas square, and the bound that keeps each square finite
+_SQUARED_FIELDS = ("wavelength_nm", "w0_m", "aperture_m", "hv_wind", "jitter_urad")
+_SQUARE_LIMIT = math.sqrt(sys.float_info.max)
 
 
 def slant_range(altitude_km: float, zenith_deg: float) -> float:
@@ -129,6 +133,11 @@ class FsoChannelParams:
             value = getattr(self, name)
             if not value >= 0.0:
                 raise ValueError(f"{name} must be >= 0: {value!r}")
+        for name in _SQUARED_FIELDS:
+            value = getattr(self, name)
+            # the model squares these; a square that overflows raises OverflowError
+            if not value < _SQUARE_LIMIT:
+                raise ValueError(f"{name} is too large: {value!r}")
         if not 0.0 < self.tau_zenith <= 1.0:
             raise ValueError(f"tau_zenith must lie in (0, 1]: {self.tau_zenith!r}")
         if not 0.0 <= self.zenith_deg <= MAX_ZENITH_DEG:
@@ -149,6 +158,14 @@ class FsoChannelParams:
         """
         if not altitude_km > 0.0:
             raise ValueError(f"altitude must be > 0 km: {altitude_km!r}")
+        try:
+            return self._at_altitude(altitude_km)
+        except ArithmeticError as exc:  # OverflowError, ZeroDivisionError
+            raise ValueError(
+                f"channel leaves floating-point range at altitude_km={altitude_km!r}: {self!r}"
+            ) from exc
+
+    def _at_altitude(self, altitude_km: float) -> ChannelOutput:
         z_km = slant_range(altitude_km, self.zenith_deg)
         z_m = z_km * 1e3
         wavelength_m = self.wavelength_nm * 1e-9
@@ -158,7 +175,7 @@ class FsoChannelParams:
         k = 2.0 * math.pi / wavelength_m
         bracket = 1.46 * k * k * sec_z * moment / z_m ** (5.0 / 3.0)
         if not math.isfinite(bracket):
-            raise ValueError("non-physical turbulence integral")
+            raise ValueError(f"non-physical turbulence integral: {self!r}")
         rho0 = bracket ** (-3.0 / 5.0)
 
         w0 = self.w0_m
@@ -177,3 +194,54 @@ class FsoChannelParams:
             slant_range_km=z_km,
             long_term_beam_radius_m=w_lt,
         )
+
+    def _range_law(self) -> tuple[float, float]:
+        """(A, B) in m^2 with w_LT^2 = A + B z^2 exactly, z the slant range in metres.
+
+        The moment integral does not depend on z and at_altitude divides it
+        by z^(5/3), so rho_0 = c z and the turbulence term 2 (lambda / (pi c))^2
+        is constant: A = w0^2 + 2 (lambda / (pi c))^2, B = w0^2 / z_R^2 + sigma^2.
+        """
+        wavelength_m = self.wavelength_nm * 1e-9
+        sec_z = 1.0 / math.cos(math.radians(self.zenith_deg))
+        moment = _turbulence_moment(self.zenith_deg, self.hv_ground_cn2, self.hv_wind)
+        k = 2.0 * math.pi / wavelength_m
+        rho0_per_m = (1.46 * k * k * sec_z * moment) ** (-3.0 / 5.0)
+        w0 = self.w0_m
+        rayleigh_range_m = math.pi * w0**2 / wavelength_m
+        a = w0 * w0 + 2.0 * (wavelength_m / (math.pi * rho0_per_m)) ** 2
+        b = (w0 / rayleigh_range_m) ** 2 + (self.jitter_urad * 1e-6) ** 2
+        return a, b
+
+    def altitude_at(self, transmissivity: float) -> float:
+        """The altitude in km at which at_altitude gives this transmissivity.
+
+        The closed-form inverse of at_altitude: with eta_ext the extinction,
+        w*^2 = -2 a^2 / log1p(-eta / eta_ext), z*^2 = (w*^2 - A) / B (see
+        _range_law), and h* = q / (sqrt(q + R^2) + R) with
+        q = z*^2 + 2 z* R cos(zeta), which is sqrt(q + R^2) - R without
+        its cancellation.  Raises ValueError for a transmissivity that no
+        altitude gives: outside (0, eta_ext), or above the zero-range value.
+        """
+        eta_ext = self.tau_zenith ** (1.0 / math.cos(math.radians(self.zenith_deg)))
+        if not 0.0 < transmissivity < eta_ext:
+            raise ValueError(f"transmissivity must lie in (0, {eta_ext!r}): {transmissivity!r}")
+        try:
+            a, b = self._range_law()
+            w_sq = -2.0 * self.aperture_m**2 / math.log1p(-transmissivity / eta_ext)
+            z_m_sq = (w_sq - a) / b
+            if not z_m_sq > 0.0:
+                raise ValueError(
+                    f"transmissivity {transmissivity!r} is above the zero-range value of {self!r}"
+                )
+            z_km = math.sqrt(z_m_sq) * 1e-3
+            r = CONSTANTS.earth_radius_km
+            q = z_km * z_km + 2.0 * z_km * r * math.cos(math.radians(self.zenith_deg))
+            altitude_km = q / (math.sqrt(q + r * r) + r)
+        except ArithmeticError as exc:  # OverflowError, ZeroDivisionError
+            raise ValueError(
+                f"transmissivity {transmissivity!r} leaves floating-point range: {self!r}"
+            ) from exc
+        if not math.isfinite(altitude_km):
+            raise ValueError(f"transmissivity {transmissivity!r} is too small: {self!r}")
+        return altitude_km

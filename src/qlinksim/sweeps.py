@@ -1,8 +1,14 @@
-"""Batch sweeps over altitude/frequency/temperature grids plus bisection.
+"""Batch sweeps over altitude/frequency/temperature grids, and secure ceilings.
 
 Rows are computed in process from immutable inputs (frozen
 dataclasses), then sorted by their grid coordinates, so output is
 byte-identical for identical configuration.
+
+Both protocols see the channel only through its transmissivity tau, so
+the maximum secure altitude splits in two: secure_threshold bisects the
+smallest tau with a positive key rate, using the protocol records alone,
+and FsoChannelParams.altitude_at maps that tau to an altitude in closed
+form.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "thermal_grid",
     "max_altitude_table",
     "max_secure_altitude",
+    "secure_threshold",
     "run_scenario",
     "render_csv",
 ]
@@ -58,13 +65,23 @@ MAX_ALT_COLUMNS = (
     "unbounded",
 )
 
-# bisection bracket and resolution for the maximum secure altitude
+# altitude bracket of the maximum secure altitude; the key rate is <= 0
+# ALTITUDE_TOL_KM above every ceiling reported inside it
 ALTITUDE_BRACKET_KM = (100.0, 2000.0)
 ALTITUDE_TOL_KM = 1.0
+# resolution of the threshold bisection in ln(tau): about 3 cm of altitude
+# at the default ceilings
+THRESHOLD_TOL_LN = 1e-6
+# the search for the lower end of the threshold bracket doubles -ln(tau)
+# from 1 and gives up below this ln(tau), tau = 4e-223
+_THRESHOLD_FLOOR_LN = -512.0
+# steps of one ulp down from the closed-form ceiling before giving up; it
+# lies a rounding error from a transmissivity with a positive rate
+_CEILING_STEPS = 64
 
 
 class InfeasibleScenario(RuntimeError):
-    """No positive rate even at the lower altitude bracket."""
+    """No positive rate at the lower altitude bracket, or at any transmissivity."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +106,7 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class SecureAltitudeResult:
-    """Highest altitude with a positive key rate, found by bisection."""
+    """Highest altitude with a positive key rate; iterations counts rate probes."""
 
     block_size: float
     max_secure_altitude_km: float
@@ -114,29 +131,25 @@ def _row_error(
     return ValueError(f"{where}: {exc}")
 
 
-def _dv_row(
-    altitude_km: float, block_n: float, cfg: SimulationConfig, scenario: str = "dv-sweep"
-) -> tuple[float, ...]:
+def _dv_row(altitude_km: float, block_n: float, cfg: SimulationConfig) -> tuple[float, ...]:
     tau = None
     try:
         out = cfg.channel.at_altitude(altitude_km)
         tau = out.transmissivity
         res = finite_key_rate(tau * cfg.dv.eta_receiver, cfg.dv, cfg.dv_fs(block_n))
     except ValueError as exc:
-        raise _row_error(scenario, altitude_km, block_n, tau, exc) from exc
+        raise _row_error("dv-sweep", altitude_km, block_n, tau, exc) from exc
     return (altitude_km, block_n, res.key_rate, res.payload_rate, tau)
 
 
-def _cv_row(
-    altitude_km: float, block_n: float, cfg: SimulationConfig, scenario: str = "cv-sweep"
-) -> tuple[float, ...]:
+def _cv_row(altitude_km: float, block_n: float, cfg: SimulationConfig) -> tuple[float, ...]:
     tau = None
     try:
         tau = cfg.channel.at_altitude(altitude_km).transmissivity
         ch = ThermalLossChannel(tau=tau, n_thermal=cfg.cv.n_bg)
         res = composable_key_rate(ch, cfg.cv, cfg.cv_noise, block_size_n=block_n)
     except ValueError as exc:
-        raise _row_error(scenario, altitude_km, block_n, tau, exc) from exc
+        raise _row_error("cv-sweep", altitude_km, block_n, tau, exc) from exc
     d = res.diagnostics
     return (altitude_km, block_n, res.key_rate, res.classical_rate, d.snr, d.chi_e)
 
@@ -192,49 +205,137 @@ def thermal_grid(cfg: SimulationConfig) -> SweepTable:
     return SweepTable("thermal-grid", THERMAL_COLUMNS, tuple(rows))
 
 
-def _rate_at_altitude(protocol: str, altitude_km: float, block_n: float, cfg: SimulationConfig) -> float:
+def _key_rate_of_tau(protocol: str, block_n: float, cfg: SimulationConfig) -> Callable[[float], float]:
+    """The key rate as a function of the channel transmissivity alone.
+
+    Reads only the protocol records (cfg.dv and cfg.dv_finite, or cfg.cv
+    and cfg.cv_noise); the finite-size record is built once, here.
+    """
     if protocol == "dv":
-        return _dv_row(altitude_km, block_n, cfg, "max-altitude")[2]
+        dv, fs = cfg.dv, cfg.dv_fs(block_n)
+        return lambda tau: finite_key_rate(tau * dv.eta_receiver, dv, fs).key_rate
     if protocol == "cv":
-        return _cv_row(altitude_km, block_n, cfg, "max-altitude")[2]
+        cv, noise = cfg.cv, cfg.cv_noise
+        return lambda tau: composable_key_rate(
+            ThermalLossChannel(tau=tau, n_thermal=cv.n_bg), cv, noise, block_size_n=block_n
+        ).key_rate
     raise ValueError(f"protocol must be 'dv' or 'cv': {protocol!r}")
 
 
-def max_secure_altitude(
-    protocol: str, block_n: float, cfg: SimulationConfig
-) -> SecureAltitudeResult:
-    """Bisect the highest altitude with positive key rate over [100, 2000] km.
+def _solve_threshold(
+    rate_of: Callable[[float], float], protocol: str, block_n: float
+) -> tuple[float, int]:
+    """(smallest probed tau with a positive rate, number of probes).
 
-    Relies on the rate being monotone non-increasing in altitude.  Raises
-    InfeasibleScenario when the rate is already non-positive at 100 km;
-    reports 2000 km with the unbounded flag when still positive there.
+    Bisects in ln(tau) to THRESHOLD_TOL_LN, assuming the rate is
+    non-decreasing in tau.  The bracket is probed at both ends: tau = 1
+    must give a positive rate, and the lower end is found by doubling
+    -ln(tau) from 1 until the rate is <= 0.
     """
+    probes = 0
+
+    def positive(tau: float) -> bool:
+        nonlocal probes
+        probes += 1
+        try:
+            return rate_of(tau) > 0.0
+        except ValueError as exc:
+            raise ValueError(
+                f"{protocol} threshold probe at tau={tau!r}, block_size={block_n!r}: {exc}"
+            ) from exc
+
+    if not positive(1.0):
+        raise InfeasibleScenario(
+            f"{protocol} rate is non-positive even at tau=1 (block_size={block_n:g})"
+        )
+    hi, tau_hi, lo = 0.0, 1.0, -1.0
+    while positive(math.exp(lo)):
+        if lo <= _THRESHOLD_FLOOR_LN:
+            raise ValueError(
+                f"{protocol} rate stays positive down to tau={math.exp(lo)!r} "
+                f"(block_size={block_n!r})"
+            )
+        hi, tau_hi, lo = lo, math.exp(lo), 2.0 * lo
+    while hi - lo > THRESHOLD_TOL_LN:
+        mid = 0.5 * (lo + hi)
+        tau_mid = math.exp(mid)
+        if positive(tau_mid):
+            hi, tau_hi = mid, tau_mid
+        else:
+            lo = mid
+    return tau_hi, probes
+
+
+def secure_threshold(protocol: str, block_n: float, cfg: SimulationConfig) -> float:
+    """The smallest transmissivity tau with a positive key rate, to THRESHOLD_TOL_LN in ln(tau).
+
+    The rate is positive at the returned tau and non-positive at
+    tau * exp(-THRESHOLD_TOL_LN).  No channel parameter enters: only the
+    protocol records of cfg.  Raises InfeasibleScenario when even tau = 1
+    gives no key.
+    """
+    return _solve_threshold(_key_rate_of_tau(protocol, block_n, cfg), protocol, block_n)[0]
+
+
+def _rate_at_altitude(
+    rate_of: Callable[[float], float], altitude_km: float, block_n: float, cfg: SimulationConfig
+) -> tuple[float, float]:
+    """(tau, key rate) with the satellite at altitude_km; errors name the max-altitude row."""
+    tau = None
+    try:
+        tau = cfg.channel.at_altitude(altitude_km).transmissivity
+        return tau, rate_of(tau)
+    except ValueError as exc:
+        raise _row_error("max-altitude", altitude_km, block_n, tau, exc) from exc
+
+
+def max_secure_altitude(
+    protocol: str, block_n: float, cfg: SimulationConfig, threshold: float | None = None
+) -> SecureAltitudeResult:
+    """The highest altitude in [100, 2000] km with a positive key rate.
+
+    Raises InfeasibleScenario when the rate is already non-positive at
+    100 km; reports 2000 km with the unbounded flag when still positive
+    there.  Otherwise the ceiling is the altitude at which the channel
+    delivers the secure threshold tau*, in closed form, so it lies within
+    a few centimetres below the exact crossing.  threshold, when given, is
+    secure_threshold(protocol, block_n, cfg), solved by the caller;
+    otherwise this call solves it.  iterations counts the rate probes this
+    call made.
+    """
+    rate_of = _key_rate_of_tau(protocol, block_n, cfg)
     lo, hi = ALTITUDE_BRACKET_KM
-    rate_lo = _rate_at_altitude(protocol, lo, block_n, cfg)
-    iterations = 1
+    tau_lo, rate_lo = _rate_at_altitude(rate_of, lo, block_n, cfg)
     if not rate_lo > 0.0:
         raise InfeasibleScenario(
             f"{protocol} rate is non-positive at the {lo:.0f} km bracket "
             f"(block_size={block_n:g})"
         )
-    rate_hi = _rate_at_altitude(protocol, hi, block_n, cfg)
-    iterations += 1
+    rate_hi = _rate_at_altitude(rate_of, hi, block_n, cfg)[1]
+    probes = 2
     if rate_hi > 0.0:
-        return SecureAltitudeResult(block_n, hi, rate_hi, iterations, unbounded=True)
-    best_alt, best_rate = lo, rate_lo
-    while hi - best_alt > ALTITUDE_TOL_KM:
-        mid = 0.5 * (best_alt + hi)
-        rate_mid = _rate_at_altitude(protocol, mid, block_n, cfg)
-        iterations += 1
-        if rate_mid > 0.0:
-            best_alt, best_rate = mid, rate_mid
-        else:
-            hi = mid
-    return SecureAltitudeResult(block_n, best_alt, best_rate, iterations)
+        return SecureAltitudeResult(block_n, hi, rate_hi, probes, unbounded=True)
+    if threshold is None:
+        threshold, solved = _solve_threshold(rate_of, protocol, block_n)
+        probes += solved
+    if threshold >= tau_lo:
+        # the crossing lies above 100 km, closer to it than the threshold's resolution
+        return SecureAltitudeResult(block_n, lo, rate_lo, probes)
+    altitude = cfg.channel.altitude_at(threshold)
+    for _ in range(_CEILING_STEPS):
+        rate = _rate_at_altitude(rate_of, altitude, block_n, cfg)[1]
+        probes += 1
+        if rate > 0.0:
+            return SecureAltitudeResult(block_n, altitude, rate, probes)
+        altitude = math.nextafter(altitude, lo)
+    raise ValueError(
+        f"{protocol} rate is non-positive {_CEILING_STEPS} steps below the altitude of "
+        f"tau={threshold!r} (block_size={block_n!r}); is it this protocol's threshold?"
+    )
 
 
 def max_altitude_table(cfg: SimulationConfig) -> SweepTable:
-    """One bisection result per configured block size for sweep.protocol."""
+    """One secure ceiling per configured block size for sweep.protocol."""
     rows = []
     for block_n in sorted(cfg.sweep.block_sizes):
         res = max_secure_altitude(cfg.sweep.protocol, block_n, cfg)
@@ -279,7 +380,7 @@ SCENARIOS = {
         thermal_grid, "blackbody photon occupancy over frequency x temperature", "fig5_thermal"
     ),
     "max-altitude": Scenario(
-        max_altitude_table, "bisect the maximum secure altitude per block size", None
+        max_altitude_table, "maximum secure altitude per block size", None
     ),
 }
 

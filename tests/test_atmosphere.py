@@ -198,6 +198,13 @@ def test_specific_attenuation_rejects_out_of_band_frequencies():
             specific_attenuation(bad, SEA_LEVEL)
 
 
+def test_nan_frequencies_are_rejected():
+    with pytest.raises(ValueError, match="nan is out of range"):
+        specific_attenuation(math.nan, SEA_LEVEL)
+    with pytest.raises(ValueError, match="nan is out of range \\(1 of 3 values\\)"):
+        attenuation_spectrum(np.array([10.0, math.nan, 20.0]), SEA_LEVEL)
+
+
 @given(
     st.floats(min_value=1.0, max_value=1000.0),
     st.floats(min_value=0.0, max_value=40.0),

@@ -384,3 +384,42 @@ def test_transmissivity_default_operating_point_magnitude():
     out = PARAMS.at_altitude(500.0)
     loss_db = -10.0 * math.log10(out.transmissivity)
     assert 15.0 < loss_db < 25.0
+
+
+# ---------------------------------------------------------------------------
+# closed-form inverse and floating-point range
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "params", [FsoChannelParams(zenith_deg=0.0), PARAMS, NO_JITTER], ids=["zenith0", "zenith80", "jitter0"]
+)
+def test_altitude_at_inverts_at_altitude(params):
+    for i in range(191):
+        altitude_km = 100.0 + 10.0 * i
+        eta = params.at_altitude(altitude_km).transmissivity
+        assert abs(params.altitude_at(eta) - altitude_km) <= 1e-9, altitude_km
+
+
+def test_altitude_at_rejects_transmissivities_no_altitude_gives():
+    eta_ext = PARAMS.at_altitude(500.0).extinction
+    for bad in (0.0, -0.1, eta_ext, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="transmissivity must lie in"):
+            PARAMS.altitude_at(bad)
+    # just below the extinction: more than the beam delivers at zero range
+    with pytest.raises(ValueError, match="above the zero-range value"):
+        PARAMS.altitude_at(math.nextafter(eta_ext, 0.0))
+    with pytest.raises(ValueError, match="too small"):
+        PARAMS.altitude_at(5e-324)
+
+
+def test_out_of_range_channel_values_raise_value_error():
+    # each of these squares past the largest double
+    for name in ("wavelength_nm", "w0_m", "aperture_m", "hv_wind", "jitter_urad"):
+        with pytest.raises(ValueError, match=f"{name} is too large: 1e\\+200"):
+            FsoChannelParams(**{name: 1e200})
+    # representable fields whose combination is not, and a huge altitude
+    for params, altitude_km in ((FsoChannelParams(w0_m=1e-150), 500.0), (PARAMS, 1e300)):
+        with pytest.raises(ValueError, match="leaves floating-point range") as info:
+            params.at_altitude(altitude_km)
+        assert isinstance(info.value.__cause__, ArithmeticError)

@@ -21,8 +21,13 @@ from qlinksim.atmosphere import (
 )
 from qlinksim.cli import main
 from qlinksim.config import load_config
+from qlinksim.cvqkd import ThermalLossChannel, composable_key_rate
+from qlinksim.dvqkd import finite_key_rate
 from qlinksim.sweeps import (
+    ALTITUDE_BRACKET_KM,
+    ALTITUDE_TOL_KM,
     SCENARIOS,
+    THRESHOLD_TOL_LN,
     InfeasibleScenario,
     SecureAltitudeResult,
     SweepTable,
@@ -32,6 +37,7 @@ from qlinksim.sweeps import (
     max_secure_altitude,
     render_csv,
     run_scenario,
+    secure_threshold,
     thermal_grid,
 )
 
@@ -240,6 +246,119 @@ def test_kernel_errors_name_their_row(monkeypatch):
     )
 
 
+def _key_rate(protocol, tau, block_n, cfg):
+    if protocol == "dv":
+        return finite_key_rate(tau * cfg.dv.eta_receiver, cfg.dv, cfg.dv_fs(block_n)).key_rate
+    ch = ThermalLossChannel(tau=tau, n_thermal=cfg.cv.n_bg)
+    return composable_key_rate(ch, cfg.cv, cfg.cv_noise, block_size_n=block_n).key_rate
+
+
+@pytest.mark.parametrize("protocol", ["dv", "cv"])
+def test_secure_threshold_brackets_the_crossing(protocol):
+    cfg = load_config()
+    for block_n in (1e9, 1e11, math.inf):
+        eta = secure_threshold(protocol, block_n, cfg)
+        assert 0.0 < eta < 1.0
+        assert _key_rate(protocol, eta, block_n, cfg) > 0.0
+        assert _key_rate(protocol, eta * (1.0 - 1e-5), block_n, cfg) <= 0.0
+    assert THRESHOLD_TOL_LN < 1e-5
+
+
+def test_secure_threshold_reads_no_channel_parameter():
+    cfg = load_config()
+    other = load_config(overrides=["channel.jitter_urad=0", "channel.zenith_deg=0"])
+    assert secure_threshold("dv", 1e10, cfg) == secure_threshold("dv", 1e10, other)
+    assert secure_threshold("cv", 1e10, cfg) == secure_threshold("cv", 1e10, other)
+
+
+@pytest.mark.parametrize("protocol", ["dv", "cv"])
+def test_ceiling_is_the_altitude_of_the_threshold(protocol):
+    cfg = load_config()
+    for block_n in (1e9, math.inf):
+        eta = secure_threshold(protocol, block_n, cfg)
+        res = max_secure_altitude(protocol, block_n, cfg)
+        assert res.max_secure_altitude_km == cfg.channel.altitude_at(eta)
+        assert res.rate_at_max == _key_rate(
+            protocol, cfg.channel.at_altitude(res.max_secure_altitude_km).transmissivity, block_n, cfg
+        )
+        # a threshold handed in gives the same ceiling from three probes:
+        # 100 km, 2000 km and the ceiling itself
+        given = max_secure_altitude(protocol, block_n, cfg, eta)
+        assert given.max_secure_altitude_km == res.max_secure_altitude_km
+        assert given.iterations == 3
+        assert res.iterations > 20
+        above = cfg.channel.at_altitude(res.max_secure_altitude_km + ALTITUDE_TOL_KM)
+        assert _key_rate(protocol, above.transmissivity, block_n, cfg) == 0.0
+
+
+def test_threshold_at_the_bracket_floor_reports_the_floor():
+    cfg = load_config()
+    lo = ALTITUDE_BRACKET_KM[0]
+    tau_lo = cfg.channel.at_altitude(lo).transmissivity
+    res = max_secure_altitude("dv", 1e9, cfg, tau_lo)
+    assert res.max_secure_altitude_km == lo
+    assert res.iterations == 2
+
+
+def test_threshold_probe_errors_name_tau_and_block_size(monkeypatch):
+    from qlinksim import sweeps
+
+    def boom(*args, **kwargs):
+        raise ValueError("kernel complaint")
+
+    monkeypatch.setattr(sweeps, "finite_key_rate", boom)
+    with pytest.raises(ValueError) as info:
+        secure_threshold("dv", 1e9, load_config())
+    assert str(info.value) == (
+        "dv threshold probe at tau=1.0, block_size=1000000000.0: kernel complaint"
+    )
+    assert str(info.value.__cause__) == "kernel complaint"
+
+
+def test_threshold_infeasible_at_unit_transmissivity():
+    # a leak this large leaves no key even through a lossless channel
+    cfg = load_config(overrides=["cv.eps_classical=0.04"])
+    with pytest.raises(InfeasibleScenario, match="non-positive even at tau=1"):
+        secure_threshold("cv", math.inf, cfg)
+    with pytest.raises(ValueError, match="protocol must be"):
+        secure_threshold("qkd", math.inf, cfg)
+
+
+def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
+    import types
+
+    from qlinksim import sweeps
+
+    calls, bisections = [], []
+    solve, bisect = sweeps.secure_threshold, sweeps._solve_threshold
+
+    def counted(protocol, block_n, cfg):
+        calls.append((protocol, block_n))
+        return solve(protocol, block_n, cfg)
+
+    def counted_bisection(*args):
+        bisections.append(args[1:])
+        return bisect(*args)
+
+    monkeypatch.setattr(sweeps, "secure_threshold", counted)
+    monkeypatch.setattr(sweeps, "_solve_threshold", counted_bisection)
+    path = REPO_ROOT / "scripts" / "calibrate_defaults.py"
+    script = types.ModuleType("calibrate_defaults")
+    script.__file__ = str(path)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(script))
+    assert script.main() == 0
+    # 4 DV thresholds, and 4 CV ones for each of the 9 distinct leaks; no
+    # ceiling bisects a threshold of its own
+    assert len(calls) == len(bisections) == 40
+    assert sorted(set(calls)) == sorted(
+        (protocol, n) for protocol in ("dv", "cv") for n in (1e9, 1e10, 1e11, math.inf)
+    )
+    assert "calibrated pointing jitter : 2.91 urad" in capsys.readouterr().out
+    # a run leaves no threshold behind for the next one
+    assert script.THRESHOLDS == {}
+
+
 def test_infeasible_scenario_reports_bracket():
     cfg = load_config(overrides=["channel.jitter_urad=50"])
     with pytest.raises(InfeasibleScenario, match="non-positive at the 100 km bracket"):
@@ -432,6 +551,28 @@ def test_cli_bad_grid_value_exits_2(args, message):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("config error: ")
+    assert message in line
+
+
+@pytest.mark.parametrize(
+    ("override", "message"),
+    [
+        ("channel.hv_wind=1e200", "hv_wind is too large: 1e+200"),
+        ("channel.w0_m=1e300", "w0_m is too large: 1e+300"),
+        ("channel.w0_m=1e-150", "channel leaves floating-point range at altitude_km=100.0"),
+    ],
+)
+def test_cli_out_of_range_channel_value_exits_2(override, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlinksim", "dv-sweep", "--override", override],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("config error: ")
