@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .mathfn import CONSTANTS, thermal_photon_number
+from .mathfn import thermal_photon_number
 
 __all__ = [
     "AtmosphericState",

@@ -32,8 +32,6 @@ __all__ = [
     "ThermalLossChannel",
     "CvDiagnostics",
     "CvRateResult",
-    "classical_displacement",
-    "channel_snr",
     "holevo_bound",
     "composable_key_rate",
 ]
@@ -167,28 +165,9 @@ def _displacement(
 
 
 def _snr(p: CvProtocolParams, tau_total: float, background: float, residual: float) -> float:
+    """Quadrature SNR after the trusted receiver; of the displacement only its residual is noise."""
     base = 1.0 + p.v_el + background + residual
     return tau_total * p.v_mod / base
-
-
-def classical_displacement(
-    ch: ThermalLossChannel, p: CvProtocolParams, noise: PhaseEncodingNoise
-) -> float:
-    """Smallest input displacement (sqrt SNU) meeting the target BER."""
-    tau_total, _, sigma_bit_sq, _, amp = _detection_noise(ch, p, noise)
-    return _displacement(p, tau_total, sigma_bit_sq, amp)
-
-
-def channel_snr(
-    ch: ThermalLossChannel, p: CvProtocolParams, noise: PhaseEncodingNoise
-) -> float:
-    """Quadrature SNR of the Gaussian modulation after the trusted receiver.
-
-    The displacement itself is subtracted; only its residual counts as
-    noise for the key quadratures.
-    """
-    tau_total, background, _, residual, _ = _detection_noise(ch, p, noise)
-    return _snr(p, tau_total, background, residual)
 
 
 def _conditional_entropy_bits(

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .mathfn import CONSTANTS
+from .mathfn import EARTH_RADIUS_KM
 
 __all__ = ["ChannelOutput", "FsoChannelParams", "slant_range"]
 
@@ -29,7 +29,7 @@ def slant_range(altitude_km: float, zenith_deg: float) -> float:
 
     z = sqrt((R + h)^2 - R^2 sin^2(zeta)) - R cos(zeta).
     """
-    r = CONSTANTS.earth_radius_km
+    r = EARTH_RADIUS_KM
     zeta = math.radians(zenith_deg)
     return math.sqrt((r + altitude_km) ** 2 - (r * math.sin(zeta)) ** 2) - r * math.cos(zeta)
 
@@ -68,7 +68,7 @@ def _turbulence_moment(zenith_deg: float, hv_ground_cn2: float, hv_wind_m_s: flo
     spherical ray s'(h) = sqrt(R^2 cos^2(zeta) + 2 R h + h^2) - R cos(zeta)
     with all lengths in metres.
     """
-    r = CONSTANTS.earth_radius_km * 1e3
+    r = EARTH_RADIUS_KM * 1e3
     cos_z = math.cos(math.radians(zenith_deg))
     h = _TURB_NODES_M
     integrand = []
@@ -235,7 +235,7 @@ class FsoChannelParams:
                     f"transmissivity {transmissivity!r} is above the zero-range value of {self!r}"
                 )
             z_km = math.sqrt(z_m_sq) * 1e-3
-            r = CONSTANTS.earth_radius_km
+            r = EARTH_RADIUS_KM
             q = z_km * z_km + 2.0 * z_km * r * math.cos(math.radians(self.zenith_deg))
             altitude_km = q / (math.sqrt(q + r * r) + r)
         except ArithmeticError as exc:  # OverflowError, ZeroDivisionError

@@ -13,11 +13,11 @@ CSV generation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "PhysicalConstants",
-    "CONSTANTS",
+    "PLANCK_CONSTANT",
+    "BOLTZMANN_CONSTANT",
+    "EARTH_RADIUS_KM",
     "binary_entropy",
     "bosonic_entropy",
     "gaussian_tail_ber",
@@ -32,31 +32,11 @@ __all__ = [
 NU_CLAMP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA/SI constants plus the spherical Earth radius used by geometry.
-
-    planck_constant and boltzmann_constant are exact by the 2019 SI
-    redefinition; speed_of_light is exact by definition of the metre.
-    """
-
-    planck_constant: float = 6.62607015e-34  # J s
-    boltzmann_constant: float = 1.380649e-23  # J / K
-    speed_of_light: float = 299792458.0  # m / s
-    earth_radius_km: float = 6371.0  # mean spherical radius
-
-    def __post_init__(self) -> None:
-        for name in (
-            "planck_constant",
-            "boltzmann_constant",
-            "speed_of_light",
-            "earth_radius_km",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-CONSTANTS = PhysicalConstants()
+# exact by the 2019 SI redefinition
+PLANCK_CONSTANT = 6.62607015e-34  # J s
+BOLTZMANN_CONSTANT = 1.380649e-23  # J / K
+# mean spherical radius, used by the link geometry
+EARTH_RADIUS_KM = 6371.0
 
 
 def binary_entropy(p: float) -> float:
@@ -257,11 +237,7 @@ def thermal_photon_number(frequency_hz: float, temperature_k: float) -> float:
         raise ValueError(f"frequency must be > 0 Hz: {frequency_hz!r}")
     if not temperature_k > 0.0:
         raise ValueError(f"temperature must be > 0 K: {temperature_k!r}")
-    x = (
-        CONSTANTS.planck_constant
-        * frequency_hz
-        / (CONSTANTS.boltzmann_constant * temperature_k)
-    )
+    x = PLANCK_CONSTANT * frequency_hz / (BOLTZMANN_CONSTANT * temperature_k)
     if x > 700.0:
         # expm1 would overflow; occupancy is exp(-x) to double precision
         return math.exp(-x)

@@ -4,11 +4,11 @@ Rows are computed in process from immutable inputs (frozen
 dataclasses), then sorted by their grid coordinates, so output is
 byte-identical for identical configuration.
 
-Both protocols see the channel only through its transmissivity tau, so
-the maximum secure altitude splits in two: secure_threshold bisects the
-smallest tau with a positive key rate, using the protocol records alone,
-and FsoChannelParams.altitude_at maps that tau to an altitude in closed
-form.
+Both protocols see the channel only through its transmissivity tau, and
+every rate here is evaluated through _rate_of_tau.  So the maximum secure
+altitude splits in two: secure_threshold bisects the smallest tau with a
+positive key rate, using the protocol records alone, and
+FsoChannelParams.altitude_at maps that tau to an altitude in closed form.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .config import SimulationConfig, resolved_items
-from .cvqkd import ThermalLossChannel, composable_key_rate
-from .dvqkd import finite_key_rate
+from .cvqkd import CvRateResult, ThermalLossChannel, composable_key_rate
+from .dvqkd import DvRateResult, finite_key_rate
 from .mathfn import thermal_photon_number
 
 __all__ = [
@@ -79,6 +79,10 @@ _THRESHOLD_FLOOR_LN = -512.0
 # lies a rounding error from a transmissivity with a positive rate
 _CEILING_STEPS = 64
 
+# a protocol's rate result at one transmissivity, and the map from tau to it
+RateResult = DvRateResult | CvRateResult
+RateOfTau = Callable[[float], RateResult]
+
 
 class InfeasibleScenario(RuntimeError):
     """No positive rate at the lower altitude bracket, or at any transmissivity."""
@@ -106,74 +110,92 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class SecureAltitudeResult:
-    """Highest altitude with a positive key rate; iterations counts rate probes."""
+    """Highest altitude with a positive key rate.
+
+    rate is the protocol's rate result probed at that altitude;
+    iterations counts the rate probes the call made.
+    """
 
     block_size: float
     max_secure_altitude_km: float
-    rate_at_max: float
+    rate: RateResult
     iterations: int
     unbounded: bool = False
 
     def __post_init__(self) -> None:
-        if not self.rate_at_max > 0.0:
-            raise ValueError(f"rate at the reported altitude must be > 0: {self.rate_at_max!r}")
+        if not self.rate.key_rate > 0.0:
+            raise ValueError(f"rate at the reported altitude must be > 0: {self.rate.key_rate!r}")
         if self.iterations < 0:
             raise ValueError("iteration count must be >= 0")
 
 
-def _row_error(
-    scenario: str, altitude_km: float, block_n: float, tau: float | None, exc: ValueError
-) -> ValueError:
-    """A kernel's complaint, prefixed with the row inputs that reproduce it."""
-    where = f"{scenario} row at altitude_km={altitude_km!r}, block_size={block_n!r}"
-    if tau is not None:
-        where += f", tau={tau!r}"
-    return ValueError(f"{where}: {exc}")
+def _rate_of_tau(protocol: str, block_n: float, cfg: SimulationConfig) -> RateOfTau:
+    """The protocol's rate result as a function of the channel transmissivity alone.
+
+    The one place that knows how each protocol is evaluated.  Reads only
+    the protocol records (cfg.dv and cfg.dv_finite, or cfg.cv and
+    cfg.cv_noise); the finite-size record is built once, here.
+    """
+    if protocol == "dv":
+        dv, fs = cfg.dv, cfg.dv_fs(block_n)
+        return lambda tau: finite_key_rate(tau * dv.eta_receiver, dv, fs)
+    if protocol == "cv":
+        cv, noise = cfg.cv, cfg.cv_noise
+        return lambda tau: composable_key_rate(
+            ThermalLossChannel(tau=tau, n_thermal=cv.n_bg), cv, noise, block_size_n=block_n
+        )
+    raise ValueError(f"protocol must be 'dv' or 'cv': {protocol!r}")
 
 
-def _dv_row(altitude_km: float, block_n: float, cfg: SimulationConfig) -> tuple[float, ...]:
-    tau = None
-    try:
-        out = cfg.channel.at_altitude(altitude_km)
-        tau = out.transmissivity
-        res = finite_key_rate(tau * cfg.dv.eta_receiver, cfg.dv, cfg.dv_fs(block_n))
-    except ValueError as exc:
-        raise _row_error("dv-sweep", altitude_km, block_n, tau, exc) from exc
-    return (altitude_km, block_n, res.key_rate, res.payload_rate, tau)
-
-
-def _cv_row(altitude_km: float, block_n: float, cfg: SimulationConfig) -> tuple[float, ...]:
+def _rate_at_altitude(
+    scenario: str, rate_of: RateOfTau, altitude_km: float, block_n: float, cfg: SimulationConfig
+) -> tuple[float, RateResult]:
+    """(tau, rate result) at altitude_km; errors are prefixed with the row that reproduces them."""
     tau = None
     try:
         tau = cfg.channel.at_altitude(altitude_km).transmissivity
-        ch = ThermalLossChannel(tau=tau, n_thermal=cfg.cv.n_bg)
-        res = composable_key_rate(ch, cfg.cv, cfg.cv_noise, block_size_n=block_n)
+        return tau, rate_of(tau)
     except ValueError as exc:
-        raise _row_error("cv-sweep", altitude_km, block_n, tau, exc) from exc
-    d = res.diagnostics
-    return (altitude_km, block_n, res.key_rate, res.classical_rate, d.snr, d.chi_e)
+        where = f"{scenario} row at altitude_km={altitude_km!r}, block_size={block_n!r}"
+        if tau is not None:
+            where += f", tau={tau!r}"
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _altitude_sweep(
+    scenario: str,
+    protocol: str,
+    columns: tuple[str, ...],
+    pick: Callable[[float, RateResult], tuple[float, ...]],
+    cfg: SimulationConfig,
+) -> SweepTable:
+    """Rows (altitude, block size) + pick(tau, rate result) over the altitude grid."""
+    rows = []
+    for n in sorted(cfg.sweep.block_sizes):
+        rate_of = _rate_of_tau(protocol, n, cfg)
+        for alt in cfg.sweep.altitudes_km():
+            tau, res = _rate_at_altitude(scenario, rate_of, alt, n, cfg)
+            rows.append((alt, n) + pick(tau, res))
+    rows.sort(key=lambda r: (r[1], r[0]))
+    return SweepTable(scenario, columns, tuple(rows))
 
 
 def dv_sweep(cfg: SimulationConfig) -> SweepTable:
     """Decoy-state key and payload rates over the altitude grid, one curve per block size."""
-    rows = [
-        _dv_row(alt, n, cfg)
-        for n in sorted(cfg.sweep.block_sizes)
-        for alt in cfg.sweep.altitudes_km()
-    ]
-    rows.sort(key=lambda r: (r[1], r[0]))
-    return SweepTable("dv-sweep", DV_COLUMNS, tuple(rows))
+    return _altitude_sweep(
+        "dv-sweep", "dv", DV_COLUMNS, lambda tau, r: (r.key_rate, r.payload_rate, tau), cfg
+    )
 
 
 def cv_sweep(cfg: SimulationConfig) -> SweepTable:
     """Composable coherent-state key and classical rates over the altitude grid."""
-    rows = [
-        _cv_row(alt, n, cfg)
-        for n in sorted(cfg.sweep.block_sizes)
-        for alt in cfg.sweep.altitudes_km()
-    ]
-    rows.sort(key=lambda r: (r[1], r[0]))
-    return SweepTable("cv-sweep", CV_COLUMNS, tuple(rows))
+    return _altitude_sweep(
+        "cv-sweep",
+        "cv",
+        CV_COLUMNS,
+        lambda tau, r: (r.key_rate, r.classical_rate, r.diagnostics.snr, r.diagnostics.chi_e),
+        cfg,
+    )
 
 
 def atmos_grid(cfg: SimulationConfig) -> SweepTable:
@@ -205,25 +227,8 @@ def thermal_grid(cfg: SimulationConfig) -> SweepTable:
     return SweepTable("thermal-grid", THERMAL_COLUMNS, tuple(rows))
 
 
-def _key_rate_of_tau(protocol: str, block_n: float, cfg: SimulationConfig) -> Callable[[float], float]:
-    """The key rate as a function of the channel transmissivity alone.
-
-    Reads only the protocol records (cfg.dv and cfg.dv_finite, or cfg.cv
-    and cfg.cv_noise); the finite-size record is built once, here.
-    """
-    if protocol == "dv":
-        dv, fs = cfg.dv, cfg.dv_fs(block_n)
-        return lambda tau: finite_key_rate(tau * dv.eta_receiver, dv, fs).key_rate
-    if protocol == "cv":
-        cv, noise = cfg.cv, cfg.cv_noise
-        return lambda tau: composable_key_rate(
-            ThermalLossChannel(tau=tau, n_thermal=cv.n_bg), cv, noise, block_size_n=block_n
-        ).key_rate
-    raise ValueError(f"protocol must be 'dv' or 'cv': {protocol!r}")
-
-
 def _solve_threshold(
-    rate_of: Callable[[float], float], protocol: str, block_n: float
+    rate_of: RateOfTau, protocol: str, block_n: float
 ) -> tuple[float, int]:
     """(smallest probed tau with a positive rate, number of probes).
 
@@ -238,7 +243,7 @@ def _solve_threshold(
         nonlocal probes
         probes += 1
         try:
-            return rate_of(tau) > 0.0
+            return rate_of(tau).key_rate > 0.0
         except ValueError as exc:
             raise ValueError(
                 f"{protocol} threshold probe at tau={tau!r}, block_size={block_n!r}: {exc}"
@@ -274,19 +279,7 @@ def secure_threshold(protocol: str, block_n: float, cfg: SimulationConfig) -> fl
     protocol records of cfg.  Raises InfeasibleScenario when even tau = 1
     gives no key.
     """
-    return _solve_threshold(_key_rate_of_tau(protocol, block_n, cfg), protocol, block_n)[0]
-
-
-def _rate_at_altitude(
-    rate_of: Callable[[float], float], altitude_km: float, block_n: float, cfg: SimulationConfig
-) -> tuple[float, float]:
-    """(tau, key rate) with the satellite at altitude_km; errors name the max-altitude row."""
-    tau = None
-    try:
-        tau = cfg.channel.at_altitude(altitude_km).transmissivity
-        return tau, rate_of(tau)
-    except ValueError as exc:
-        raise _row_error("max-altitude", altitude_km, block_n, tau, exc) from exc
+    return _solve_threshold(_rate_of_tau(protocol, block_n, cfg), protocol, block_n)[0]
 
 
 def max_secure_altitude(
@@ -294,43 +287,45 @@ def max_secure_altitude(
 ) -> SecureAltitudeResult:
     """The highest altitude in [100, 2000] km with a positive key rate.
 
-    Raises InfeasibleScenario when the rate is already non-positive at
-    100 km; reports 2000 km with the unbounded flag when still positive
-    there.  Otherwise the ceiling is the altitude at which the channel
-    delivers the secure threshold tau*, in closed form, so it lies within
-    a few centimetres below the exact crossing.  threshold, when given, is
-    secure_threshold(protocol, block_n, cfg), solved by the caller;
-    otherwise this call solves it.  iterations counts the rate probes this
-    call made.
+    threshold, when given, is secure_threshold(protocol, block_n, cfg),
+    solved by the caller; otherwise this call solves it.  The channel
+    alone places that tau* in the bracket, and the rate is probed once:
+    at 2000 km, flagged unbounded, when the channel still passes tau*
+    there; at 100 km when it passes less than tau* there, raising
+    InfeasibleScenario if the rate is non-positive; otherwise at the
+    altitude where the channel delivers tau*, in closed form, within a
+    few centimetres below the exact crossing.  InfeasibleScenario is also
+    raised when even tau = 1 gives no key.  iterations counts the rate
+    probes this call made, the threshold's included.
     """
-    rate_of = _key_rate_of_tau(protocol, block_n, cfg)
+    rate_of = _rate_of_tau(protocol, block_n, cfg)
+    probes = 0
+    if threshold is None:
+        threshold, probes = _solve_threshold(rate_of, protocol, block_n)
     lo, hi = ALTITUDE_BRACKET_KM
-    tau_lo, rate_lo = _rate_at_altitude(rate_of, lo, block_n, cfg)
-    if not rate_lo > 0.0:
+    unbounded = threshold <= cfg.channel.at_altitude(hi).transmissivity
+    # at the floor the crossing lies below 100 km, or above it closer than
+    # the threshold's resolution
+    floor = not unbounded and threshold >= cfg.channel.at_altitude(lo).transmissivity
+    if unbounded or floor:
+        altitude, steps = (hi if unbounded else lo), 1
+    else:
+        altitude, steps = cfg.channel.altitude_at(threshold), _CEILING_STEPS
+    for _ in range(steps):
+        rate = _rate_at_altitude("max-altitude", rate_of, altitude, block_n, cfg)[1]
+        probes += 1
+        if rate.key_rate > 0.0:
+            return SecureAltitudeResult(block_n, altitude, rate, probes, unbounded)
+        altitude = math.nextafter(altitude, lo)
+    if floor:
         raise InfeasibleScenario(
             f"{protocol} rate is non-positive at the {lo:.0f} km bracket "
             f"(block_size={block_n:g})"
         )
-    rate_hi = _rate_at_altitude(rate_of, hi, block_n, cfg)[1]
-    probes = 2
-    if rate_hi > 0.0:
-        return SecureAltitudeResult(block_n, hi, rate_hi, probes, unbounded=True)
-    if threshold is None:
-        threshold, solved = _solve_threshold(rate_of, protocol, block_n)
-        probes += solved
-    if threshold >= tau_lo:
-        # the crossing lies above 100 km, closer to it than the threshold's resolution
-        return SecureAltitudeResult(block_n, lo, rate_lo, probes)
-    altitude = cfg.channel.altitude_at(threshold)
-    for _ in range(_CEILING_STEPS):
-        rate = _rate_at_altitude(rate_of, altitude, block_n, cfg)[1]
-        probes += 1
-        if rate > 0.0:
-            return SecureAltitudeResult(block_n, altitude, rate, probes)
-        altitude = math.nextafter(altitude, lo)
     raise ValueError(
-        f"{protocol} rate is non-positive {_CEILING_STEPS} steps below the altitude of "
-        f"tau={threshold!r} (block_size={block_n!r}); is it this protocol's threshold?"
+        f"{protocol} rate is non-positive at every altitude probed ({steps}) where the "
+        f"channel passes tau={threshold!r} or more (block_size={block_n!r}); "
+        "is it this protocol's threshold?"
     )
 
 
@@ -343,7 +338,7 @@ def max_altitude_table(cfg: SimulationConfig) -> SweepTable:
             (
                 res.block_size,
                 res.max_secure_altitude_km,
-                res.rate_at_max,
+                res.rate.key_rate,
                 float(res.iterations),
                 float(res.unbounded),
             )

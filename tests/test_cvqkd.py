@@ -15,8 +15,6 @@ from qlinksim.cvqkd import (
     ThermalLossChannel,
     _detection_noise,
     aep_correction,
-    channel_snr,
-    classical_displacement,
     composable_key_rate,
     holevo_bound,
     theta_correction,
@@ -113,22 +111,22 @@ def test_oversized_leak_fraction_is_rejected():
         _detection_noise(ThermalLossChannel(0.5), PARAMS, greedy)
 
 
+def _displacement(ch, p=PARAMS):
+    return composable_key_rate(ch, p, NOISE).diagnostics.displacement_amplitude
+
+
 def test_displacement_amplitude_behaviour():
-    assert classical_displacement(
-        ThermalLossChannel(0.5), CvProtocolParams(ber_target=0.5), NOISE
-    ) == 0.0
-    assert classical_displacement(ThermalLossChannel(0.0), PARAMS, NOISE) == math.inf
-    assert classical_displacement(
-        ThermalLossChannel(0.1, 9.31e-10), PARAMS, NOISE
-    ) == pytest.approx(26.234988953294614, rel=1e-12)
+    assert _displacement(ThermalLossChannel(0.5), CvProtocolParams(ber_target=0.5)) == 0.0
+    assert _displacement(ThermalLossChannel(0.0)) == math.inf
+    assert _displacement(ThermalLossChannel(0.1, 9.31e-10)) == pytest.approx(
+        26.234988953294614, rel=1e-12
+    )
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))
 def test_displacement_shrinks_with_transmissivity(tau):
-    big = classical_displacement(ThermalLossChannel(tau), PARAMS, NOISE)
-    small = classical_displacement(
-        ThermalLossChannel(min(tau * 1.05, 1.0)), PARAMS, NOISE
-    )
+    big = _displacement(ThermalLossChannel(tau))
+    small = _displacement(ThermalLossChannel(min(tau * 1.05, 1.0)))
     assert big > small > 0.0
 
 
@@ -139,7 +137,9 @@ def test_displacement_shrinks_with_transmissivity(tau):
 
 def test_snr_and_mutual_information_are_consistent():
     ch = ThermalLossChannel(0.25, 1e-9)
-    snr = channel_snr(ch, PARAMS, NOISE)
+    # the displacement is subtracted; only its residual counts as noise
+    tau_total, background, _, residual, _ = _detection_noise(ch, PARAMS, NOISE)
+    snr = tau_total * PARAMS.v_mod / (1.0 + PARAMS.v_el + background + residual)
     result = composable_key_rate(ch, PARAMS, NOISE)
     assert result.diagnostics.snr == snr
     assert result.classical_rate == pytest.approx(
@@ -149,8 +149,10 @@ def test_snr_and_mutual_information_are_consistent():
 
 @given(st.floats(min_value=0.01, max_value=0.99))
 def test_snr_increases_with_transmissivity(tau):
-    lo = channel_snr(ThermalLossChannel(tau), PARAMS, NOISE)
-    hi = channel_snr(ThermalLossChannel(min(tau * 1.05, 1.0)), PARAMS, NOISE)
+    lo, hi = (
+        composable_key_rate(ThermalLossChannel(t), PARAMS, NOISE).diagnostics.snr
+        for t in (tau, min(tau * 1.05, 1.0))
+    )
     assert hi > lo > 0.0
 
 

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qlinksim.mathfn import (
-    CONSTANTS,
+    BOLTZMANN_CONSTANT,
+    EARTH_RADIUS_KM,
+    PLANCK_CONSTANT,
     ber_to_snr_amplitude,
     binary_entropy,
     bosonic_entropy,
@@ -18,10 +20,9 @@ from qlinksim.mathfn import (
 
 
 def test_constants_are_exact_si_values():
-    assert CONSTANTS.planck_constant == 6.62607015e-34
-    assert CONSTANTS.boltzmann_constant == 1.380649e-23
-    assert CONSTANTS.speed_of_light == 299792458.0
-    assert CONSTANTS.earth_radius_km == 6371.0
+    assert PLANCK_CONSTANT == 6.62607015e-34
+    assert BOLTZMANN_CONSTANT == 1.380649e-23
+    assert EARTH_RADIUS_KM == 6371.0
 
 
 def test_binary_entropy_endpoints_and_midpoint():

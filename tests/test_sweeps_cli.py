@@ -88,10 +88,13 @@ def test_table_enforces_row_width():
 
 
 def test_altitude_result_validation():
+    cfg = load_config()
+    dead, live = (_rate("dv", tau, 1e9, cfg) for tau in (1e-9, 1.0))
+    assert dead.key_rate == 0.0 < live.key_rate
     with pytest.raises(ValueError):
-        SecureAltitudeResult(1e9, 300.0, 0.0, 5)
+        SecureAltitudeResult(1e9, 300.0, dead, 5)
     with pytest.raises(ValueError):
-        SecureAltitudeResult(1e9, 300.0, 1e-4, -1)
+        SecureAltitudeResult(1e9, 300.0, live, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +189,7 @@ def test_run_scenario_rejects_unknown_name():
 def test_bisection_brackets_the_boundary():
     res = max_secure_altitude("dv", 1e9, load_config())
     assert 100.0 < res.max_secure_altitude_km < 2000.0
-    assert res.rate_at_max > 0.0
+    assert res.rate.key_rate > 0.0
     assert not res.unbounded
     # one tolerance step higher the rate is already gone
     cfg = load_config()
@@ -223,10 +226,12 @@ def test_kernel_errors_name_their_row(monkeypatch):
 
     monkeypatch.setattr(sweeps, "finite_key_rate", boom)
     monkeypatch.setattr(sweeps, "composable_key_rate", boom)
+    # a threshold at tau(100 km) sends the one probe to the 100 km floor
+    at_floor = SMALL_CV.channel.at_altitude(100.0).transmissivity
     cases = [
         (lambda: dv_sweep(SMALL_DV), "dv-sweep", 300.0, 1e10, SMALL_DV),
         (lambda: cv_sweep(SMALL_CV), "cv-sweep", 200.0, 1e10, SMALL_CV),
-        (lambda: max_secure_altitude("cv", math.inf, SMALL_CV), "max-altitude", 100.0, math.inf, SMALL_CV),
+        (lambda: max_secure_altitude("cv", math.inf, SMALL_CV, at_floor), "max-altitude", 100.0, math.inf, SMALL_CV),
     ]
     for run, scenario, altitude_km, block_n, cfg in cases:
         with pytest.raises(ValueError) as info:
@@ -246,11 +251,15 @@ def test_kernel_errors_name_their_row(monkeypatch):
     )
 
 
-def _key_rate(protocol, tau, block_n, cfg):
+def _rate(protocol, tau, block_n, cfg):
     if protocol == "dv":
-        return finite_key_rate(tau * cfg.dv.eta_receiver, cfg.dv, cfg.dv_fs(block_n)).key_rate
+        return finite_key_rate(tau * cfg.dv.eta_receiver, cfg.dv, cfg.dv_fs(block_n))
     ch = ThermalLossChannel(tau=tau, n_thermal=cfg.cv.n_bg)
-    return composable_key_rate(ch, cfg.cv, cfg.cv_noise, block_size_n=block_n).key_rate
+    return composable_key_rate(ch, cfg.cv, cfg.cv_noise, block_size_n=block_n)
+
+
+def _key_rate(protocol, tau, block_n, cfg):
+    return _rate(protocol, tau, block_n, cfg).key_rate
 
 
 @pytest.mark.parametrize("protocol", ["dv", "cv"])
@@ -278,14 +287,15 @@ def test_ceiling_is_the_altitude_of_the_threshold(protocol):
         eta = secure_threshold(protocol, block_n, cfg)
         res = max_secure_altitude(protocol, block_n, cfg)
         assert res.max_secure_altitude_km == cfg.channel.altitude_at(eta)
-        assert res.rate_at_max == _key_rate(
+        # the probed rate result, field for field
+        assert res.rate == _rate(
             protocol, cfg.channel.at_altitude(res.max_secure_altitude_km).transmissivity, block_n, cfg
         )
-        # a threshold handed in gives the same ceiling from three probes:
-        # 100 km, 2000 km and the ceiling itself
+        # a threshold handed in gives the same ceiling from one probe: the
+        # ceiling itself
         given = max_secure_altitude(protocol, block_n, cfg, eta)
         assert given.max_secure_altitude_km == res.max_secure_altitude_km
-        assert given.iterations == 3
+        assert given.iterations == 1
         assert res.iterations > 20
         above = cfg.channel.at_altitude(res.max_secure_altitude_km + ALTITUDE_TOL_KM)
         assert _key_rate(protocol, above.transmissivity, block_n, cfg) == 0.0
@@ -297,7 +307,53 @@ def test_threshold_at_the_bracket_floor_reports_the_floor():
     tau_lo = cfg.channel.at_altitude(lo).transmissivity
     res = max_secure_altitude("dv", 1e9, cfg, tau_lo)
     assert res.max_secure_altitude_km == lo
-    assert res.iterations == 2
+    assert res.iterations == 1
+
+
+@pytest.mark.parametrize("protocol", ["dv", "cv"])
+def test_each_ceiling_exit_probes_the_rate_once(protocol, monkeypatch):
+    from qlinksim import sweeps
+
+    cfg = load_config()
+    eta = secure_threshold(protocol, 1e9, cfg)
+    lo, hi = ALTITUDE_BRACKET_KM
+    wide = load_config(overrides=[
+        "channel.aperture_m=5", "channel.zenith_deg=0", "channel.jitter_urad=0"
+    ])
+    exits = [
+        (cfg, eta, cfg.channel.altitude_at(eta), False),  # closed form
+        (cfg, cfg.channel.at_altitude(lo).transmissivity, lo, False),  # 100 km floor
+        (wide, eta, hi, True),  # unbounded
+    ]
+    kernel = "finite_key_rate" if protocol == "dv" else "composable_key_rate"
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = getattr(sweeps, kernel)
+    monkeypatch.setattr(sweeps, kernel, counted)
+    for c, threshold, altitude, unbounded in exits:
+        calls.clear()
+        res = max_secure_altitude(protocol, 1e9, c, threshold)
+        assert len(calls) == res.iterations == 1
+        assert (res.max_secure_altitude_km, res.unbounded) == (altitude, unbounded)
+        assert res.rate == _rate(protocol, c.channel.at_altitude(altitude).transmissivity, 1e9, c)
+    calls.clear()
+    with pytest.raises(InfeasibleScenario, match="non-positive at the 100 km bracket"):
+        max_secure_altitude(protocol, 1e9, load_config(overrides=["channel.jitter_urad=50"]), eta)
+    assert len(calls) == 1
+
+
+def test_a_threshold_below_the_protocols_is_rejected():
+    cfg = load_config()
+    eta = secure_threshold("dv", 1e9, cfg)
+    # the closed-form altitude of half the threshold, and the 2000 km top
+    # for a threshold the channel passes even there
+    for threshold, probes in ((0.5 * eta, 64), (1e-12, 1)):
+        with pytest.raises(ValueError, match=rf"every altitude probed \({probes}\)"):
+            max_secure_altitude("dv", 1e9, cfg, threshold)
 
 
 def test_threshold_probe_errors_name_tau_and_block_size(monkeypatch):
@@ -320,6 +376,8 @@ def test_threshold_infeasible_at_unit_transmissivity():
     cfg = load_config(overrides=["cv.eps_classical=0.04"])
     with pytest.raises(InfeasibleScenario, match="non-positive even at tau=1"):
         secure_threshold("cv", math.inf, cfg)
+    with pytest.raises(InfeasibleScenario, match="non-positive even at tau=1"):
+        max_secure_altitude("cv", math.inf, cfg)
     with pytest.raises(ValueError, match="protocol must be"):
         secure_threshold("qkd", math.inf, cfg)
 
