@@ -234,7 +234,15 @@ def _holevo(
             "in the trusted-detector model"
         )
     v = p.v_mod + 1.0
-    eps_in = residual / (tau * eta)
+    # at subnormal tau, tau * eta rounds to 0 or the quotient overflows, and
+    # the infinite excess noise would make the bound NaN
+    tau_eta = tau * eta
+    eps_in = residual / tau_eta if tau_eta > 0.0 else math.inf
+    if eps_in == math.inf:
+        raise ValueError(
+            f"tau={tau!r} is too small: the detector residual referred to the "
+            f"channel input, {residual!r} / (tau * eta), overflows"
+        )
     # u is exact for tau >= 1/2 and w = tau chi_line skips the (1 - tau)/tau
     # round trip, so what vanishes at the identity channel does so exactly
     u = 1.0 - tau
@@ -276,10 +284,13 @@ class CvRateResult:
     diagnostics: CvDiagnostics
 
     def __post_init__(self) -> None:
-        if self.key_rate < 0.0:
-            raise ValueError("key rate is clamped at 0 and cannot be negative")
-        if self.diagnostics.chi_e < 0.0:
-            raise ValueError("Holevo bound cannot be negative")
+        # written as "not >= 0" so that NaN is rejected too
+        if not self.key_rate >= 0.0:
+            raise ValueError(
+                f"key rate is clamped at 0 and cannot be negative: {self.key_rate!r}"
+            )
+        if not self.diagnostics.chi_e >= 0.0:
+            raise ValueError(f"Holevo bound cannot be negative: {self.diagnostics.chi_e!r}")
 
 
 def aep_correction(p: CvProtocolParams) -> float:

@@ -204,13 +204,28 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
     Every slant starts on the ground at the one configured elevation, so
     all of them are integrated from one gamma grid, in process.  The
     atmosphere module, and with it numpy, is imported here on first use,
-    so that the other scenarios never load it.
+    so that the other scenarios never load it.  Errors are prefixed with
+    the elevation and the first slant that reproduces them on its own.
     """
-    from .atmosphere import slant_attenuation_spectra
+    from .atmosphere import SlantPathSpec, slant_attenuation_spectra
 
     freqs = cfg.sweep.frequencies_ghz()
     slants = cfg.sweep.slants_km()
-    att = slant_attenuation_spectra(cfg.sweep.elevation_deg, 0.0, slants, freqs)
+    elevation = cfg.sweep.elevation_deg
+    try:
+        att = slant_attenuation_spectra(elevation, 0.0, slants, freqs)
+    except ValueError as exc:
+        # an error no one slant's path causes (a frequency) is every slant's
+        culprit = slants[0]
+        for slant in slants:
+            try:
+                SlantPathSpec(elevation, 0.0, slant)
+            except ValueError:
+                culprit = slant
+                break
+        raise ValueError(
+            f"atmos-grid slant at elevation_deg={elevation!r}, slant_km={culprit!r}: {exc}"
+        ) from exc
     rows = [(f, s, a) for s, row in zip(slants, att.tolist()) for f, a in zip(freqs, row)]
     rows.sort(key=lambda r: (r[0], r[1]))
     return SweepTable("atmos-grid", ATMOS_COLUMNS, tuple(rows))

@@ -7,15 +7,20 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import qlinksim.atmosphere as atmosphere
+from oracle_gamma_expr import _gamma_grid
 from oracle_p676 import OXYGEN_LINES, WATER_LINES, specific_attenuation_db_km
 from qlinksim.atmosphere import (
+    TOP_ALTITUDE_KM,
     AtmosphericState,
     ReferenceAtmosphereProfile,
     SlantPathSpec,
     SpectralLineTable,
+    _gamma_blocks,
+    _line_factors,
     attenuation_spectrum,
     default_line_table,
     default_profile,
@@ -79,6 +84,10 @@ def test_atmospheric_state_validation():
         AtmosphericState(280.0, -1.0, 5.0)
     with pytest.raises(ValueError):
         AtmosphericState(280.0, 1000.0, -0.1)
+    with pytest.raises(ValueError, match="pressure must be >= 0 hPa: nan"):
+        AtmosphericState(290.0, math.nan, 1.0)
+    with pytest.raises(ValueError, match="water vapour density must be >= 0: nan"):
+        AtmosphericState(290.0, 1000.0, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +231,66 @@ def test_attenuation_spectrum_matches_scalar_calls():
 
 
 # ---------------------------------------------------------------------------
+# the blockwise gamma kernel against its expression form
+# ---------------------------------------------------------------------------
+
+_TABLE = default_line_table()
+# band edges and every exact line centre, where fi - f is exactly 0
+_EDGE_FREQS = (1.0, 1000.0, *_TABLE.oxygen[:, 0].tolist(), *_TABLE.water[:, 0].tolist())
+_TOP = default_profile().state_at(TOP_ALTITUDE_KM)
+
+
+def _blockwise(f, t, p, rho):
+    out = np.empty((len(f), len(t)))
+    for lo, gamma in _gamma_blocks(np.array(f), _line_factors(t, p, rho, _TABLE)):
+        out[lo : lo + gamma.shape[0]] = gamma
+    return out
+
+
+@given(
+    st.lists(
+        st.one_of(st.floats(min_value=1.0, max_value=1000.0), st.sampled_from(_EDGE_FREQS)),
+        min_size=1,
+        max_size=300,
+    ),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=150.0, max_value=330.0),
+            st.floats(min_value=0.0, max_value=1100.0),
+            st.floats(min_value=0.0, max_value=40.0),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+# dry air; total pressure at and below the vapour pressure (dry part clamped
+# to 0); the 100 km top of the reference profile
+@example(list(_EDGE_FREQS), [(288.15, 1013.25, 0.0)])
+@example(list(_EDGE_FREQS), [(300.0, 10.0, 30.0), (300.0, 30.0 * 300.0 / 216.7, 30.0)])
+@example(
+    list(_EDGE_FREQS),
+    [(_TOP.temperature_k, _TOP.pressure_hpa, _TOP.water_vapor_density_g_m3)],
+)
+def test_gamma_blocks_equal_the_expression_form_bit_for_bit(freqs, states):
+    t, p, rho = (list(column) for column in zip(*states))
+    # a vacuum state (P = 0, rho = 0) has Debye width d = 0, and its continuum
+    # term is then 0 * inf = NaN in both forms
+    with np.errstate(all="ignore"):
+        want = _gamma_grid(np.array(freqs), t, p, rho, _TABLE)
+        got = _blockwise(freqs, t, p, rho)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 125, 1000])
+def test_slant_spectra_bytes_do_not_depend_on_the_block_size(monkeypatch, block):
+    freqs = np.concatenate([np.linspace(1.0, 1000.0, 131), _TABLE.oxygen[:3, 0]])
+    want = slant_attenuation_spectra(45.0, 0.0, [1.0, 10.0, 28.0], freqs)
+    monkeypatch.setattr(atmosphere, "_FREQ_BLOCK", block)
+    got = slant_attenuation_spectra(45.0, 0.0, [1.0, 10.0, 28.0], freqs)
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # slant paths
 # ---------------------------------------------------------------------------
 
@@ -235,6 +304,10 @@ def test_slant_path_spec_validation():
         SlantPathSpec(elevation_deg=45.0, start_altitude_km=-1.0)
     with pytest.raises(ValueError):
         SlantPathSpec(elevation_deg=45.0, slant_distance_km=0.0)
+    with pytest.raises(ValueError, match="start altitude must be >= 0: nan"):
+        SlantPathSpec(45.0, math.nan, 1.0)
+    with pytest.raises(ValueError, match="start altitude must be >= 0: nan"):
+        slant_attenuation_spectra(45.0, math.nan, [1.0], np.array([10.0]))
 
 
 def test_slant_attenuation_microwave_is_small():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -363,12 +364,24 @@ def test_deep_loss_is_insecure_even_asymptotically():
     assert not result.secure
 
 
+@pytest.mark.parametrize("tau", [1e-315, 1e-320, 5e-324])
+def test_subnormal_transmissivity_raises_naming_tau(tau):
+    # tau * eta rounds to 0 at 5e-324; above it the excess noise overflows
+    with pytest.raises(ValueError, match=f"^tau={tau!r} is too small"):
+        composable_key_rate(ThermalLossChannel(tau, 9.31e-10), PARAMS, NOISE)
+    # the smallest normal double still evaluates
+    floor = ThermalLossChannel(sys.float_info.min, 9.31e-10)
+    assert composable_key_rate(floor, PARAMS, NOISE).key_rate == 0.0
+
+
 def test_result_validation():
     diag = CvDiagnostics(
         snr=1.0, i_ab=0.5, chi_e=0.1, nus=(1.0,) * 5, displacement_amplitude=1.0
     )
     with pytest.raises(ValueError):
         CvRateResult(key_rate=-0.1, classical_rate=0.5, secure=True, diagnostics=diag)
+    with pytest.raises(ValueError, match="cannot be negative: nan"):
+        CvRateResult(key_rate=math.nan, classical_rate=0.5, secure=True, diagnostics=diag)
     bad_diag = CvDiagnostics(
         snr=1.0, i_ab=0.5, chi_e=-0.1, nus=(1.0,) * 5, displacement_amplitude=1.0
     )

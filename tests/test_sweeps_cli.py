@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle_gamma_expr import _gamma_grid
 from qlinksim.atmosphere import (
     SlantPathSpec,
     TOP_ALTITUDE_KM,
-    _gamma_grid,
     _path_nodes,
     default_line_table,
     default_profile,
@@ -145,7 +145,8 @@ def test_atmos_grid_matches_direct_evaluation():
 def test_atmos_grid_fig4_is_bit_exact_per_slant():
     # 1000 frequencies span several gamma blocks, and the 1/10/19/28 km
     # slants have different node sets: every value must equal, bit for bit,
-    # the trapezoid over that slant's own nodes on one full gamma grid
+    # the trapezoid over that slant's own nodes on one full gamma grid of
+    # the expression-form kernel
     cfg = load_config(str(REPO_ROOT / "configs" / "fig4_attenuation.ini"))
     table = atmos_grid(cfg)
     freqs = np.array(cfg.sweep.frequencies_ghz())
@@ -248,6 +249,32 @@ def test_kernel_errors_name_their_row(monkeypatch):
         dv_sweep(SMALL_DV)
     assert str(info.value) == (
         "dv-sweep row at altitude_km=300.0, block_size=10000000000.0: kernel complaint"
+    )
+
+
+def test_atmos_grid_errors_name_their_slant(capsys):
+    # slants -5, 0, 5 km: the first one that fails on its own is named
+    cfg = load_config(overrides=[
+        *SMALL_ATMOS_OVERRIDES,
+        "sweep.slant_start_km=-5",
+        "sweep.slant_stop_km=5",
+        "sweep.slant_step_km=5",
+    ])
+    with pytest.raises(ValueError) as info:
+        atmos_grid(cfg)
+    assert str(info.value) == (
+        "atmos-grid slant at elevation_deg=45.0, slant_km=-5.0: "
+        "slant distance must be > 0: -5.0"
+    )
+    assert str(info.value.__cause__) == "slant distance must be > 0: -5.0"
+    # an error that no slant causes alone is reproduced by the first
+    cfg = load_config(overrides=[*SMALL_ATMOS_OVERRIDES, "sweep.freq_start_ghz=0.5"])
+    with pytest.raises(ValueError, match=r"^atmos-grid slant at elevation_deg=45\.0, slant_km=10\.0: freq"):
+        atmos_grid(cfg)
+    assert main(["atmos-grid", "--override", "sweep.slant_start_km=0"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: atmos-grid slant at elevation_deg=45.0, slant_km=0.0: "
+        "slant distance must be > 0: 0.0\n"
     )
 
 
