@@ -20,11 +20,11 @@ Run from the repository root:
 
     python3 scripts/calibrate_defaults.py
 
-Takes about a fifth of a second end to end (0.22 s median of 9 runs on
-a 2-core Xeon KVM host, numpy never imported).  Each grid point finds
-eight ceilings, one per protocol and block size, each the closed-form
-altitude of a secure threshold tau*, and reads the payload and classical
-rates from the one rate probe max_secure_altitude makes there.  The DV
+Takes about 60 ms end to end (61 ms median of 15 runs on a 2-core Xeon
+KVM host, numpy never imported).  Each grid point finds eight ceilings,
+one per protocol and block size, each the closed-form altitude of a
+secure threshold tau*, and reads the payload and classical rates from
+the one rate probe max_secure_altitude makes there.  The DV
 threshold depends on neither knob and the CV threshold only on the leak,
 so the 60 grid points need only 40 threshold bisections: 4 for DV and 4
 for each of the 9 distinct leaks.
@@ -32,7 +32,6 @@ for each of the 9 distinct leaks.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -61,10 +60,9 @@ THRESHOLDS = {}
 
 def cfg_with(jitter_urad: float, eps_classical: float):
     cfg = load_config()
-    return dataclasses.replace(
-        cfg,
-        channel=dataclasses.replace(cfg.channel, jitter_urad=jitter_urad),
-        cv_noise=dataclasses.replace(cfg.cv_noise, eps_classical=eps_classical),
+    return cfg.replace(
+        channel=cfg.channel.replace(jitter_urad=jitter_urad),
+        cv_noise=cfg.cv_noise.replace(eps_classical=eps_classical),
     )
 
 

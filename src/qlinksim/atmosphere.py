@@ -16,13 +16,13 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
 from .mathfn import thermal_photon_number
+from .record import Record
 
 __all__ = [
     "AtmosphericState",
@@ -46,25 +46,24 @@ FREQ_MAX_GHZ = 1000.0
 TOP_ALTITUDE_KM = 100.0
 
 
-@dataclass(frozen=True)
-class AtmosphericState:
+class AtmosphericState(Record):
     """Local thermodynamic state of moist air.
 
     Parameters
     ----------
     temperature_k : float
-        Temperature in kelvin, > 0.
+        Temperature in kelvin, finite and > 0.
     pressure_hpa : float
-        Total (dry + vapour) barometric pressure in hPa, >= 0.
+        Total (dry + vapour) barometric pressure in hPa, finite and >= 0.
     water_vapor_density_g_m3 : float
-        Water-vapour density in g/m^3, >= 0.
+        Water-vapour density in g/m^3, finite and >= 0.
     """
 
     temperature_k: float
     pressure_hpa: float
     water_vapor_density_g_m3: float
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         # written as "not inside" so that NaN is rejected too
         if not self.temperature_k > 0.0:
             raise ValueError(f"temperature must be > 0 K: {self.temperature_k!r}")
@@ -74,6 +73,10 @@ class AtmosphericState:
             raise ValueError(
                 f"water vapour density must be >= 0: {self.water_vapor_density_g_m3!r}"
             )
+        for name in ("temperature_k", "pressure_hpa", "water_vapor_density_g_m3"):
+            value = getattr(self, name)
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite: {value!r}")
 
 
 def _read_checked(name: str) -> bytes:
@@ -110,8 +113,7 @@ def _parse_line_table(raw: bytes, n_cols: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralLineTable:
+class SpectralLineTable(Record, eq=False):
     """Oxygen and water-vapour resonance-line coefficients.
 
     Each row holds a line center frequency (GHz) followed by the six
@@ -121,7 +123,7 @@ class SpectralLineTable:
     oxygen: np.ndarray
     water: np.ndarray
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.oxygen.shape != (44, 7):
             raise ValueError(f"expected 44 oxygen lines x 7 columns: {self.oxygen.shape}")
         if self.water.shape != (35, 7):
@@ -217,8 +219,7 @@ def _standard_t_p(h_km: float) -> tuple[float, float]:
     return t, p
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceAtmosphereProfile:
+class ReferenceAtmosphereProfile(Record, eq=False):
     """Layered altitude table of atmospheric state with interpolation.
 
     Temperature interpolates linearly in altitude between nodes; pressure
@@ -232,7 +233,7 @@ class ReferenceAtmosphereProfile:
     pressure_hpa: np.ndarray
     water_vapor_g_m3: np.ndarray
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         n = self.altitude_km.shape[0]
         for name in ("temperature_k", "pressure_hpa", "water_vapor_g_m3"):
             if getattr(self, name).shape != (n,):
@@ -476,8 +477,7 @@ def attenuation_spectrum(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlantPathSpec:
+class SlantPathSpec(Record):
     """Straight ray from a start altitude at a fixed elevation angle.
 
     The path altitude is h(s) = start + s * sin(elevation); contributions
@@ -488,7 +488,7 @@ class SlantPathSpec:
     start_altitude_km: float = 0.0
     slant_distance_km: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         # written as "not inside" so that NaN is rejected too
         if not 0.0 < self.elevation_deg <= 90.0:
             raise ValueError(f"elevation must lie in (0, 90] deg: {self.elevation_deg!r}")

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Callable
+from collections.abc import Callable
 
 from .cvqkd import CvProtocolParams, PhaseEncodingNoise
 from .dvqkd import DecoyProtocolParams, FiniteSizeConfig
 from .fso import FsoChannelParams
+from .record import Record
 
 __all__ = [
     "ConfigError",
@@ -33,8 +33,7 @@ class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or failed validation."""
 
 
-@dataclass(frozen=True)
-class SweepRanges:
+class SweepRanges(Record):
     """Grid definitions and orchestration choices for the batch runner.
 
     Altitude ranges drive dv-sweep/cv-sweep, the frequency range drives
@@ -60,7 +59,7 @@ class SweepRanges:
     temp_step_k: float = 5.0
     protocol: str = "dv"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         ranges = (
             ("altitude_start_km", "altitude_stop_km", "altitude_step_km"),
             ("freq_start_ghz", "freq_stop_ghz", "freq_step_ghz"),
@@ -68,6 +67,10 @@ class SweepRanges:
             ("temp_start_k", "temp_stop_k", "temp_step_k"),
         )
         for start_name, stop_name, step_name in ranges:
+            for name in (start_name, stop_name, step_name):
+                value = getattr(self, name)
+                if not math.isfinite(value):
+                    raise ConfigError(f"sweep.{name} must be finite: {value!r}")
             start = getattr(self, start_name)
             stop = getattr(self, stop_name)
             step = getattr(self, step_name)
@@ -105,8 +108,7 @@ def _inclusive_range(start: float, stop: float, step: float) -> tuple[float, ...
     return tuple(start + i * step for i in range(count))
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Record):
     """Fully resolved run configuration (defaults merged with file and overrides)."""
 
     channel: FsoChannelParams
@@ -118,7 +120,7 @@ class SimulationConfig:
 
     def dv_fs(self, block_size_n: float) -> FiniteSizeConfig:
         """Finite-size knobs with the block size swapped in."""
-        return replace(self.dv_finite, block_size_n=block_size_n)
+        return self.dv_finite.replace(block_size_n=block_size_n)
 
 
 def _parse_float(text: str) -> float:
@@ -150,24 +152,24 @@ def _parse_protocol(text: str) -> str:
 
 
 # (section, key) -> parser.  These key names are the external file format;
-# they deliberately mirror the dataclass field names one-to-one.
+# they deliberately mirror the record field names one-to-one.
 _SCHEMA: dict[str, dict[str, Callable]] = {
-    "channel": {f.name: _parse_float for f in fields(FsoChannelParams)},
+    "channel": {name: _parse_float for name in FsoChannelParams._fields},
     "dv": {
-        **{f.name: _parse_float for f in fields(DecoyProtocolParams)},
+        **{name: _parse_float for name in DecoyProtocolParams._fields},
         "epsilon": _parse_float,
         "p_mu": _parse_float,
         "p_nu": _parse_float,
     },
     "cv": {
-        **{f.name: (_parse_int if f.name == "d_bits" else _parse_float) for f in fields(CvProtocolParams)},
+        **{name: (_parse_int if name == "d_bits" else _parse_float) for name in CvProtocolParams._fields},
         "eps_classical": _parse_float,
     },
     "sweep": {
         **{
-            f.name: _parse_float
-            for f in fields(SweepRanges)
-            if f.name not in ("block_sizes", "protocol")
+            name: _parse_float
+            for name in SweepRanges._fields
+            if name not in ("block_sizes", "protocol")
         },
         "block_sizes": _parse_block_sizes,
         "protocol": _parse_protocol,
@@ -221,7 +223,7 @@ def load_config(path: str | None = None, overrides: list[str] | tuple[str, ...] 
 
     Overrides take the form 'section.key=value' and win over the file.
     Raises ConfigError for unknown keys, parse failures, or any value a
-    component dataclass rejects.
+    component record rejects.
     """
     values = _collect(path, overrides)
 

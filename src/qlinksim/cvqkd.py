@@ -22,9 +22,9 @@ All variances are in shot-noise units (SNU, vacuum = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .mathfn import ber_to_snr_amplitude, bosonic_entropy
+from .record import Record
 
 __all__ = [
     "CvProtocolParams",
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CvProtocolParams:
+class CvProtocolParams(Record):
     """Source, receiver and post-processing parameters of the CV protocol.
 
     eta_lo is the transmissivity equivalent of the local-oscillator
@@ -59,7 +58,7 @@ class CvProtocolParams:
     eps_hash: float = 1e-10
     d_bits: int = 5
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.v_mod > 0.0:
             raise ValueError(f"modulation variance must be > 0: {self.v_mod!r}")
         if self.v_el < 0.0:
@@ -85,8 +84,7 @@ class CvProtocolParams:
         return self.eta_det * self.eta_lo
 
 
-@dataclass(frozen=True)
-class PhaseEncodingNoise:
+class PhaseEncodingNoise(Record):
     """Excess noise left behind by the classical phase displacement.
 
     The receiver subtracts the known displacement before key
@@ -101,13 +99,12 @@ class PhaseEncodingNoise:
 
     eps_classical: float = 3.9e-5
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.eps_classical < 0.0:
             raise ValueError(f"excess noise fraction must be >= 0: {self.eps_classical!r}")
 
 
-@dataclass(frozen=True)
-class ThermalLossChannel:
+class ThermalLossChannel(Record):
     """Bosonic loss channel of transmissivity tau with a thermal environment.
 
     Output variance obeys V_out = tau V_in + (1 - tau)(2 n_thermal + 1)
@@ -117,7 +114,7 @@ class ThermalLossChannel:
     tau: float
     n_thermal: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"transmissivity must lie in [0, 1]: {self.tau!r}")
         if self.n_thermal < 0.0:
@@ -265,8 +262,7 @@ def _holevo(
     return max(chi, 0.0), (nu1, nu2) + nu_cond
 
 
-@dataclass(frozen=True)
-class CvDiagnostics:
+class CvDiagnostics(Record):
     """Per-point intermediates; nus is holevo_bound's (nu1, nu2, nu3, nu4, nu5)."""
 
     snr: float
@@ -276,14 +272,13 @@ class CvDiagnostics:
     displacement_amplitude: float
 
 
-@dataclass(frozen=True)
-class CvRateResult:
+class CvRateResult(Record):
     key_rate: float
     classical_rate: float
     secure: bool
     diagnostics: CvDiagnostics
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         # written as "not >= 0" so that NaN is rejected too
         if not self.key_rate >= 0.0:
             raise ValueError(

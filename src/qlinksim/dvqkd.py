@@ -12,9 +12,9 @@ fixed composable correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .mathfn import binary_entropy, hoeffding_delta
+from .record import Record
 
 __all__ = [
     "DecoyProtocolParams",
@@ -33,8 +33,7 @@ class NoSinglePhotonSignal(ValueError):
     """Raised when the decoy bound certifies no extractable single-photon yield."""
 
 
-@dataclass(frozen=True)
-class DecoyProtocolParams:
+class DecoyProtocolParams(Record):
     """Source, detector and post-processing parameters of the decoy protocol.
 
     mu, nu are mean photon numbers of the signal and weak-decoy pulses;
@@ -55,7 +54,7 @@ class DecoyProtocolParams:
     sift_q: float = 0.5  # symmetric-basis sifting
     check_fraction: float = 0.1
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.mu > self.nu > 0.0:
             raise ValueError("intensities must satisfy mu > nu > 0")
         for name in ("eta_receiver", "e0", "e_mis", "sift_q", "check_fraction"):
@@ -74,8 +73,7 @@ class DecoyProtocolParams:
         return self.y0_stray + self.y0_dark
 
 
-@dataclass(frozen=True)
-class FiniteSizeConfig:
+class FiniteSizeConfig(Record):
     """Block size, failure budget and intensity schedule of one run."""
 
     block_size_n: float = math.inf
@@ -83,7 +81,7 @@ class FiniteSizeConfig:
     p_mu: float = 0.5
     p_nu: float = 0.25
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.block_size_n > 0:
             raise ValueError(f"block size must be > 0: {self.block_size_n!r}")
         if not 0.0 < self.epsilon < 1.0:
@@ -100,22 +98,20 @@ class FiniteSizeConfig:
         return math.isinf(self.block_size_n)
 
 
-@dataclass(frozen=True)
-class DvDiagnostics:
+class DvDiagnostics(Record):
     q_mu: float
     e_mu: float
     y1_lower: float
     e1_upper: float
 
 
-@dataclass(frozen=True)
-class DvRateResult:
+class DvRateResult(Record):
     key_rate: float
     payload_rate: float
     secure: bool
     diagnostics: DvDiagnostics
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.key_rate < 0.0 or self.payload_rate < 0.0:
             raise ValueError("rates are clamped at 0 and cannot be negative")
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .mathfn import EARTH_RADIUS_KM
+from .record import Record
 
 __all__ = ["ChannelOutput", "FsoChannelParams", "slant_range"]
 
@@ -83,8 +83,7 @@ def _turbulence_moment(zenith_deg: float, hv_ground_cn2: float, hv_wind_m_s: flo
     )
 
 
-@dataclass(frozen=True)
-class ChannelOutput:
+class ChannelOutput(Record):
     """End-to-end optical channel: total transmissivity and its factors."""
 
     transmissivity: float
@@ -93,7 +92,7 @@ class ChannelOutput:
     slant_range_km: float
     long_term_beam_radius_m: float
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for name in ("transmissivity", "geometric_collection", "extinction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -103,8 +102,7 @@ class ChannelOutput:
             raise ValueError("transmissivity must equal the product of its components")
 
 
-@dataclass(frozen=True)
-class FsoChannelParams:
+class FsoChannelParams(Record):
     """Every downlink parameter except the satellite altitude.
 
     A Gaussian beam of wavelength wavelength_nm and exit waist w0_m,
@@ -124,7 +122,7 @@ class FsoChannelParams:
     jitter_urad: float = 2.91
     tau_zenith: float = 0.91
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for name in ("wavelength_nm", "w0_m", "aperture_m"):
             value = getattr(self, name)
             if not value > 0.0:

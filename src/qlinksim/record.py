@@ -1,0 +1,76 @@
+"""Immutable records: the one idiom for every parameter and result type.
+
+A record class lists its fields as annotated class attributes, in order,
+each with an optional default, and may define _validate(), which every
+construction runs, replace() included.  Record compiles two methods per
+class from one generated source: __init__, which sets each field, and
+_values(), the tuple of field values that equality, hashing and repr
+read.  Neither loops over field names.  Setting or deleting an attribute
+raises AttributeError.  Two records are equal only if they are of the
+same class and their fields are equal; a class declared with eq=False
+keeps identity equality and hashing.
+
+The module imports nothing, so a run pays for no record machinery
+beyond one exec per record class.
+"""
+
+from __future__ import annotations
+
+__all__ = ["Record"]
+
+_set = object.__setattr__
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return self._values() == other._values()
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(self._values())
+
+
+class Record:
+    """Base of the immutable records; see the module docstring."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        names = tuple(cls.__dict__.get("__annotations__", {}))
+        namespace = {"_set": _set}
+        params = []
+        for name in names:
+            if name in cls.__dict__:
+                namespace[f"_default_{name}"] = cls.__dict__[name]
+                params.append(f"{name}=_default_{name}")
+            else:
+                params.append(name)
+        lines = [f"def __init__(self, {', '.join(params)}):"]
+        lines += [f"    _set(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "_validate"):
+            lines.append("    self._validate()")
+        lines += ["def _values(self):", f"    return ({''.join(f'self.{n}, ' for n in names)})"]
+        exec("\n".join(lines), namespace)
+        for method in ("__init__", "_values"):
+            function = namespace[method]
+            function.__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, function)
+        if eq:
+            cls.__eq__ = _eq
+            cls.__hash__ = _hash
+        cls._fields = names
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes: object):
+        """A copy with the given fields changed, validated as a new record."""
+        return self.__class__(**{**dict(zip(self._fields, self._values())), **changes})

@@ -1,8 +1,8 @@
 """Batch sweeps over altitude/frequency/temperature grids, and secure ceilings.
 
-Rows are computed in process from immutable inputs (frozen
-dataclasses), then sorted by their grid coordinates, so output is
-byte-identical for identical configuration.
+Rows are computed in process from immutable records (see record.Record),
+then sorted by their grid coordinates, so output is byte-identical for
+identical configuration.
 
 Both protocols see the channel only through its transmissivity tau, and
 every rate here is evaluated through _rate_of_tau.  So the maximum secure
@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .config import SimulationConfig, resolved_items
 from .cvqkd import CvRateResult, ThermalLossChannel, composable_key_rate
 from .dvqkd import DvRateResult, finite_key_rate
 from .mathfn import thermal_photon_number
+from .record import Record
 
 __all__ = [
     "InfeasibleScenario",
@@ -69,8 +69,8 @@ MAX_ALT_COLUMNS = (
 # ALTITUDE_TOL_KM above every ceiling reported inside it
 ALTITUDE_BRACKET_KM = (100.0, 2000.0)
 ALTITUDE_TOL_KM = 1.0
-# resolution of the threshold bisection in ln(tau): about 3 cm of altitude
-# at the default ceilings
+# resolution of the threshold bisection in ln(tau): 17-43 cm of altitude
+# at the default ceilings (altitude_at(tau* e^-1e-6) - altitude_at(tau*))
 THRESHOLD_TOL_LN = 1e-6
 # the search for the lower end of the threshold bracket doubles -ln(tau)
 # from 1 and gives up below this ln(tau), tau = 4e-223
@@ -88,15 +88,14 @@ class InfeasibleScenario(RuntimeError):
     """No positive rate at the lower altitude bracket, or at any transmissivity."""
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(Record):
     """One scenario's worth of rows under a fixed column contract."""
 
     scenario: str
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(
@@ -108,8 +107,7 @@ class SweepTable:
         return tuple(row[idx] for row in self.rows)
 
 
-@dataclass(frozen=True)
-class SecureAltitudeResult:
+class SecureAltitudeResult(Record):
     """Highest altitude with a positive key rate.
 
     rate is the protocol's rate result probed at that altitude;
@@ -122,7 +120,7 @@ class SecureAltitudeResult:
     iterations: int
     unbounded: bool = False
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.rate.key_rate > 0.0:
             raise ValueError(f"rate at the reported altitude must be > 0: {self.rate.key_rate!r}")
         if self.iterations < 0:
@@ -308,8 +306,9 @@ def max_secure_altitude(
     at 2000 km, flagged unbounded, when the channel still passes tau*
     there; at 100 km when it passes less than tau* there, raising
     InfeasibleScenario if the rate is non-positive; otherwise at the
-    altitude where the channel delivers tau*, in closed form, within a
-    few centimetres below the exact crossing.  InfeasibleScenario is also
+    altitude where the channel delivers tau*, in closed form, within
+    half a metre below the exact crossing (17-43 cm at the default
+    ladders).  InfeasibleScenario is also
     raised when even tau = 1 gives no key.  iterations counts the rate
     probes this call made, the threshold's included.
     """
@@ -361,8 +360,7 @@ def max_altitude_table(cfg: SimulationConfig) -> SweepTable:
     return SweepTable("max-altitude", MAX_ALT_COLUMNS, tuple(rows))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """One CLI subcommand: its table builder, help line and golden table.
 
     golden names configs/<golden>.ini and data/<golden>.csv, the committed

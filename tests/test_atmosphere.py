@@ -88,6 +88,13 @@ def test_atmospheric_state_validation():
         AtmosphericState(290.0, math.nan, 1.0)
     with pytest.raises(ValueError, match="water vapour density must be >= 0: nan"):
         AtmosphericState(290.0, 1000.0, math.nan)
+    for args, name in (
+        ((math.inf, 1000.0, 1.0), "temperature_k"),
+        ((290.0, math.inf, 1.0), "pressure_hpa"),
+        ((290.0, 1000.0, math.inf), "water_vapor_density_g_m3"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be finite: inf"):
+            AtmosphericState(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -292,11 +292,11 @@ def _key_rate(protocol, tau, block_n, cfg):
 @pytest.mark.parametrize("protocol", ["dv", "cv"])
 def test_secure_threshold_brackets_the_crossing(protocol):
     cfg = load_config()
-    for block_n in (1e9, 1e11, math.inf):
+    for block_n in (1e9, 1e10, 1e11, math.inf):
         eta = secure_threshold(protocol, block_n, cfg)
         assert 0.0 < eta < 1.0
         assert _key_rate(protocol, eta, block_n, cfg) > 0.0
-        assert _key_rate(protocol, eta * (1.0 - 1e-5), block_n, cfg) <= 0.0
+        assert _key_rate(protocol, eta * math.exp(-THRESHOLD_TOL_LN), block_n, cfg) <= 0.0
     assert THRESHOLD_TOL_LN < 1e-5
 
 
@@ -584,6 +584,8 @@ def test_rate_path_loads_no_numpy():
         f"for args in {runs!r}:\n"
         "    assert main(args + ['--out', sys.argv[1]]) == 0, args\n"
         "assert 'numpy' not in sys.modules, 'numpy loaded by the rate path'\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses loaded by the rate path'\n"
+        "assert 'inspect' not in sys.modules, 'inspect loaded by the rate path'\n"
         "assert 'qlinksim.atmosphere' not in sys.modules\n"
         "assert qlinksim.AtmosphericState is qlinksim.atmosphere.AtmosphericState\n"
         "star = {}\n"
@@ -623,6 +625,11 @@ def test_rate_path_loads_no_numpy():
         (
             ["thermal-grid", "sweep.temp_start_k=0", "sweep.temp_stop_k=0"],
             "temperature must be > 0 K: 0.0",
+        ),
+        (["atmos-grid", "sweep.slant_stop_km=inf"], "sweep.slant_stop_km must be finite: inf"),
+        (
+            ["dv-sweep", "sweep.altitude_step_km=inf"],
+            "sweep.altitude_step_km must be finite: inf",
         ),
     ],
 )
