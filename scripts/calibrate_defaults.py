@@ -20,14 +20,15 @@ Run from the repository root:
 
     python3 scripts/calibrate_defaults.py
 
-Takes about 60 ms end to end (61 ms median of 15 runs on a 2-core Xeon
-KVM host, numpy never imported).  Each grid point finds eight ceilings,
+Takes about 150 ms end to end (146 ms median of 15 runs on a 2-core Xeon
+KVM host, interpreter start and compiling the package from source
+included, numpy never imported).  Each grid point finds eight ceilings,
 one per protocol and block size, each the closed-form altitude of a
 secure threshold tau*, and reads the payload and classical rates from
 the one rate probe max_secure_altitude makes there.  The DV
 threshold depends on neither knob and the CV threshold only on the leak,
-so the 60 grid points need only 40 threshold bisections: 4 for DV and 4
-for each of the 9 distinct leaks.
+so the 60 grid points need only 40 threshold solves, of 10-13 rate
+probes each: 4 for DV and 4 for each of the 9 distinct leaks.
 """
 
 from __future__ import annotations

@@ -44,6 +44,10 @@ FREQ_MAX_GHZ = 1000.0
 # integration ceiling: absorber densities above this altitude contribute
 # nothing at the accuracy targets of this model
 TOP_ALTITUDE_KM = 100.0
+# the line model raises theta = 300/T to powers up to 3.5; theta is finite
+# for any T > 1.7e-306 K, but below about 1e-36 K the water-vapour terms
+# overflow and the attenuation is NaN.  No atmosphere is near this floor
+MIN_TEMPERATURE_K = 1.0
 
 
 class AtmosphericState(Record):
@@ -52,7 +56,7 @@ class AtmosphericState(Record):
     Parameters
     ----------
     temperature_k : float
-        Temperature in kelvin, finite and > 0.
+        Temperature in kelvin, finite and >= MIN_TEMPERATURE_K.
     pressure_hpa : float
         Total (dry + vapour) barometric pressure in hPa, finite and >= 0.
     water_vapor_density_g_m3 : float
@@ -65,8 +69,10 @@ class AtmosphericState(Record):
 
     def _validate(self) -> None:
         # written as "not inside" so that NaN is rejected too
-        if not self.temperature_k > 0.0:
-            raise ValueError(f"temperature must be > 0 K: {self.temperature_k!r}")
+        if not self.temperature_k >= MIN_TEMPERATURE_K:
+            raise ValueError(
+                f"temperature must be >= {MIN_TEMPERATURE_K} K: {self.temperature_k!r}"
+            )
         if not self.pressure_hpa >= 0.0:
             raise ValueError(f"pressure must be >= 0 hPa: {self.pressure_hpa!r}")
         if not self.water_vapor_density_g_m3 >= 0.0:
@@ -240,14 +246,17 @@ class ReferenceAtmosphereProfile(Record, eq=False):
                 raise ValueError("profile columns must share one length")
         if n < 2:
             raise ValueError("profile needs at least two nodes")
+        for name in ("altitude_km", "temperature_k", "pressure_hpa", "water_vapor_g_m3"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"profile {name} values must be finite")
         if not np.all(np.diff(self.altitude_km) > 0.0):
             raise ValueError("profile altitudes must be strictly increasing")
         if self.altitude_km[0] != 0.0:
             raise ValueError("profile must start at altitude 0 km")
         if self.altitude_km[-1] < TOP_ALTITUDE_KM:
             raise ValueError(f"profile must reach {TOP_ALTITUDE_KM} km")
-        if not np.all(self.temperature_k > 0.0):
-            raise ValueError("profile temperatures must be > 0 K")
+        if not np.all(self.temperature_k >= MIN_TEMPERATURE_K):
+            raise ValueError(f"profile temperatures must be >= {MIN_TEMPERATURE_K} K")
         if np.any(self.pressure_hpa < 0.0) or np.any(self.water_vapor_g_m3 < 0.0):
             raise ValueError("profile pressures and densities must be >= 0")
         if np.any(np.diff(self.pressure_hpa) > 0.0):

@@ -33,6 +33,11 @@ class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or failed validation."""
 
 
+# the most points one sweep axis may have: far above the 1000-point fig4
+# axis, far below a grid that would exhaust memory before it is rejected
+MAX_AXIS_POINTS = 1_000_000
+
+
 class SweepRanges(Record):
     """Grid definitions and orchestration choices for the batch runner.
 
@@ -78,6 +83,15 @@ class SweepRanges(Record):
                 raise ConfigError(f"sweep.{step_name} must be > 0: {step!r}")
             if stop < start:
                 raise ConfigError(f"sweep.{stop_name} must be >= sweep.{start_name}: {stop!r}")
+            # counted as a float, which may be inf: never point by point
+            steps = _steps(start, stop, step)
+            if steps >= MAX_AXIS_POINTS:
+                axis = start_name.split("_")[0]
+                raise ConfigError(
+                    f"sweep.{axis} has {steps + 1.0:.7g} points, more than the "
+                    f"{MAX_AXIS_POINTS} one axis may have: {start!r} to {stop!r} "
+                    f"in steps of {step!r}"
+                )
         if not self.block_sizes:
             raise ConfigError("sweep.block_sizes must not be empty")
         for n in self.block_sizes:
@@ -101,10 +115,15 @@ class SweepRanges(Record):
         return _inclusive_range(self.temp_start_k, self.temp_stop_k, self.temp_step_k)
 
 
+def _steps(start: float, stop: float, step: float) -> float:
+    # the 1e-9 slack admits stops that are an exact multiple of step despite
+    # binary rounding
+    return (stop - start) / step + 1e-9
+
+
 def _inclusive_range(start: float, stop: float, step: float) -> tuple[float, ...]:
-    # index-based to avoid accumulation drift; the 1e-9 slack admits stops
-    # that are an exact multiple of step despite binary rounding
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    # index-based to avoid accumulation drift
+    count = int(math.floor(_steps(start, stop, step))) + 1
     return tuple(start + i * step for i in range(count))
 
 

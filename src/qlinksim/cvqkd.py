@@ -273,7 +273,15 @@ class CvDiagnostics(Record):
 
 
 class CvRateResult(Record):
+    """Rates of one CV evaluation.
+
+    signed_rate is the key rate before it is clamped at 0,
+    p_ec (n/N) times the bracket; it is -inf at tau = 0, where no finite
+    margin exists.
+    """
+
     key_rate: float
+    signed_rate: float
     classical_rate: float
     secure: bool
     diagnostics: CvDiagnostics
@@ -283,6 +291,11 @@ class CvRateResult(Record):
         if not self.key_rate >= 0.0:
             raise ValueError(
                 f"key rate is clamped at 0 and cannot be negative: {self.key_rate!r}"
+            )
+        if not self.key_rate == max(self.signed_rate, 0.0):
+            raise ValueError(
+                f"key rate {self.key_rate!r} is not the signed rate {self.signed_rate!r} "
+                "clamped at 0"
             )
         if not self.diagnostics.chi_e >= 0.0:
             raise ValueError(f"Holevo bound cannot be negative: {self.diagnostics.chi_e!r}")
@@ -326,7 +339,13 @@ def composable_key_rate(
         diag = CvDiagnostics(
             snr=0.0, i_ab=0.0, chi_e=0.0, nus=(1.0,) * 5, displacement_amplitude=math.inf
         )
-        return CvRateResult(key_rate=0.0, classical_rate=0.0, secure=False, diagnostics=diag)
+        return CvRateResult(
+            key_rate=0.0,
+            signed_rate=-math.inf,
+            classical_rate=0.0,
+            secure=False,
+            diagnostics=diag,
+        )
 
     # shared by the SNR, the Holevo bound and the displacement: computed once
     tau_total, background, sigma_bit_sq, residual, amp = _detection_noise(ch, p, noise)
@@ -356,6 +375,7 @@ def composable_key_rate(
     )
     return CvRateResult(
         key_rate=max(rate, 0.0),
+        signed_rate=rate,
         classical_rate=p.beta * i_raw,
         secure=bracket > 0.0,
         diagnostics=diag,

@@ -106,7 +106,16 @@ class DvDiagnostics(Record):
 
 
 class DvRateResult(Record):
+    """Rates of one decoy-protocol evaluation.
+
+    signed_rate is the key rate before it is clamped at 0: the key length
+    per signal pulse, or the asymptotic bracket.  It is -inf where the
+    decoy bound certifies no single-photon yield, so no finite margin
+    exists.
+    """
+
     key_rate: float
+    signed_rate: float
     payload_rate: float
     secure: bool
     diagnostics: DvDiagnostics
@@ -114,6 +123,11 @@ class DvRateResult(Record):
     def _validate(self) -> None:
         if self.key_rate < 0.0 or self.payload_rate < 0.0:
             raise ValueError("rates are clamped at 0 and cannot be negative")
+        if not self.key_rate == max(self.signed_rate, 0.0):
+            raise ValueError(
+                f"key rate {self.key_rate!r} is not the signed rate {self.signed_rate!r} "
+                "clamped at 0"
+            )
 
 
 def gains_and_qber(
@@ -189,6 +203,7 @@ def _insecure(eta_total: float, params: DecoyProtocolParams) -> DvRateResult:
     gain_mu, qber_mu = gains_and_qber(eta_total, params, params.mu)
     return DvRateResult(
         key_rate=0.0,
+        signed_rate=-math.inf,
         payload_rate=qsdc_payload_rate(eta_total, params),
         secure=False,
         diagnostics=DvDiagnostics(q_mu=gain_mu, e_mu=qber_mu, y1_lower=0.0, e1_upper=1.0),
@@ -234,6 +249,7 @@ def finite_key_rate(
         )
         return DvRateResult(
             key_rate=max(rate, 0.0),
+            signed_rate=rate,
             payload_rate=qsdc_payload_rate(eta_total, params),
             secure=rate > 0.0,
             diagnostics=DvDiagnostics(
@@ -280,6 +296,7 @@ def finite_key_rate(
     rate = params.sift_q * key_length / pulses_mu
     return DvRateResult(
         key_rate=max(rate, 0.0),
+        signed_rate=rate,
         payload_rate=qsdc_payload_rate(eta_total, params),
         secure=key_length > 0.0,
         diagnostics=DvDiagnostics(q_mu=gain_mu, e_mu=qber_mu, y1_lower=y1, e1_upper=e1_ph),

@@ -6,9 +6,10 @@ identical configuration.
 
 Both protocols see the channel only through its transmissivity tau, and
 every rate here is evaluated through _rate_of_tau.  So the maximum secure
-altitude splits in two: secure_threshold bisects the smallest tau with a
-positive key rate, using the protocol records alone, and
-FsoChannelParams.altitude_at maps that tau to an altitude in closed form.
+altitude splits in two: secure_threshold solves for the smallest tau with
+a positive key rate, by regula falsi on the signed rate in ln(tau), using
+the protocol records alone, and FsoChannelParams.altitude_at maps that tau
+to an altitude in closed form.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ MAX_ALT_COLUMNS = (
 # ALTITUDE_TOL_KM above every ceiling reported inside it
 ALTITUDE_BRACKET_KM = (100.0, 2000.0)
 ALTITUDE_TOL_KM = 1.0
-# resolution of the threshold bisection in ln(tau): 17-43 cm of altitude
-# at the default ceilings (altitude_at(tau* e^-1e-6) - altitude_at(tau*))
+# width in ln(tau) to which the threshold solve closes its bracket: 17-43 cm
+# of altitude at the default ceilings (altitude_at(tau* e^-1e-6) - altitude_at(tau*))
 THRESHOLD_TOL_LN = 1e-6
 # the search for the lower end of the threshold bracket doubles -ln(tau)
 # from 1 and gives up below this ln(tau), tau = 4e-223
@@ -245,42 +246,64 @@ def _solve_threshold(
 ) -> tuple[float, int]:
     """(smallest probed tau with a positive rate, number of probes).
 
-    Bisects in ln(tau) to THRESHOLD_TOL_LN, assuming the rate is
-    non-decreasing in tau.  The bracket is probed at both ends: tau = 1
-    must give a positive rate, and the lower end is found by doubling
-    -ln(tau) from 1 until the rate is <= 0.
+    Solves for the sign change of the signed rate in x = ln(tau), to
+    THRESHOLD_TOL_LN, assuming the sign changes once in tau.  The
+    bracket is probed at both ends: tau = 1 must give a positive rate, and
+    the lower end is found by doubling -ln(tau) from 1 until the rate is
+    <= 0.  Inside it, each probe is an Illinois (regula falsi) step on the
+    signed rate, or a bisection step while the lower end's signed rate is
+    -inf (no finite margin) or 0 (a rate that has rounded to zero, which
+    points the secant at that end whatever the crossing).  Every probe
+    stays at least half the tolerance inside the bracket, so a step that
+    lands next to the crossing is followed by one that closes the bracket.
     """
     probes = 0
 
-    def positive(tau: float) -> bool:
+    def signed_rate(tau: float) -> float:
         nonlocal probes
         probes += 1
         try:
-            return rate_of(tau).key_rate > 0.0
+            return rate_of(tau).signed_rate
         except ValueError as exc:
             raise ValueError(
                 f"{protocol} threshold probe at tau={tau!r}, block_size={block_n!r}: {exc}"
             ) from exc
 
-    if not positive(1.0):
+    f_hi = signed_rate(1.0)
+    if not f_hi > 0.0:
         raise InfeasibleScenario(
             f"{protocol} rate is non-positive even at tau=1 (block_size={block_n:g})"
         )
     hi, tau_hi, lo = 0.0, 1.0, -1.0
-    while positive(math.exp(lo)):
+    f_lo = signed_rate(math.exp(lo))
+    while f_lo > 0.0:
         if lo <= _THRESHOLD_FLOOR_LN:
             raise ValueError(
                 f"{protocol} rate stays positive down to tau={math.exp(lo)!r} "
                 f"(block_size={block_n!r})"
             )
-        hi, tau_hi, lo = lo, math.exp(lo), 2.0 * lo
+        hi, tau_hi, f_hi, lo = lo, math.exp(lo), f_lo, 2.0 * lo
+        f_lo = signed_rate(math.exp(lo))
+    half_tol = 0.5 * THRESHOLD_TOL_LN
+    side = 0  # +1 after the upper end moved, -1 after the lower end moved
     while hi - lo > THRESHOLD_TOL_LN:
-        mid = 0.5 * (lo + hi)
-        tau_mid = math.exp(mid)
-        if positive(tau_mid):
-            hi, tau_hi = mid, tau_mid
+        if -math.inf < f_lo < 0.0:
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            x = min(max(x, lo + half_tol), hi - half_tol)
         else:
-            lo = mid
+            x = 0.5 * (lo + hi)
+        tau_x = math.exp(x)
+        f_x = signed_rate(tau_x)
+        if f_x > 0.0:
+            hi, tau_hi, f_hi = x, tau_x, f_x
+            if side == 1:
+                f_lo *= 0.5  # Illinois: the lower end stayed twice
+            side = 1
+        else:
+            lo, f_lo = x, f_x
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
     return tau_hi, probes
 
 
@@ -289,8 +312,9 @@ def secure_threshold(protocol: str, block_n: float, cfg: SimulationConfig) -> fl
 
     The rate is positive at the returned tau and non-positive at
     tau * exp(-THRESHOLD_TOL_LN).  No channel parameter enters: only the
-    protocol records of cfg.  Raises InfeasibleScenario when even tau = 1
-    gives no key.
+    protocol records of cfg, whose signed rate _solve_threshold drives to
+    zero in 10-13 probes at the defaults.  Raises InfeasibleScenario when
+    even tau = 1 gives no key.
     """
     return _solve_threshold(_rate_of_tau(protocol, block_n, cfg), protocol, block_n)[0]
 
@@ -308,23 +332,38 @@ def max_secure_altitude(
     InfeasibleScenario if the rate is non-positive; otherwise at the
     altitude where the channel delivers tau*, in closed form, within
     half a metre below the exact crossing (17-43 cm at the default
-    ladders).  InfeasibleScenario is also
-    raised when even tau = 1 gives no key.  iterations counts the rate
-    probes this call made, the threshold's included.
+    ladders).  That closed-form altitude is computed first: the channel
+    is evaluated at 100 km and 2000 km only when it lies within
+    ALTITUDE_TOL_KM of either, or when no altitude gives tau*, so a
+    ceiling inside the bracket evaluates the channel once, at the probe.
+    InfeasibleScenario is also raised when even tau = 1 gives no key.
+    iterations counts the rate probes this call made, the threshold's
+    included.
     """
     rate_of = _rate_of_tau(protocol, block_n, cfg)
     probes = 0
     if threshold is None:
         threshold, probes = _solve_threshold(rate_of, protocol, block_n)
     lo, hi = ALTITUDE_BRACKET_KM
-    unbounded = threshold <= cfg.channel.at_altitude(hi).transmissivity
-    # at the floor the crossing lies below 100 km, or above it closer than
-    # the threshold's resolution
-    floor = not unbounded and threshold >= cfg.channel.at_altitude(lo).transmissivity
+    try:
+        altitude, no_altitude = cfg.channel.altitude_at(threshold), None
+    except ValueError as exc:
+        altitude, no_altitude = None, exc
+    if no_altitude is None and min(abs(altitude - lo), abs(altitude - hi)) > ALTITUDE_TOL_KM:
+        # tau falls with altitude, so a closed-form altitude this far from both
+        # ends places tau* against tau(100 km) and tau(2000 km) unread
+        unbounded, floor = altitude > hi, altitude < lo
+    else:
+        unbounded = threshold <= cfg.channel.at_altitude(hi).transmissivity
+        # at the floor the crossing lies below 100 km, or above it closer
+        # than the threshold's resolution
+        floor = not unbounded and threshold >= cfg.channel.at_altitude(lo).transmissivity
     if unbounded or floor:
         altitude, steps = (hi if unbounded else lo), 1
+    elif no_altitude is not None:
+        raise no_altitude
     else:
-        altitude, steps = cfg.channel.altitude_at(threshold), _CEILING_STEPS
+        steps = _CEILING_STEPS
     for _ in range(steps):
         rate = _rate_at_altitude("max-altitude", rate_of, altitude, block_n, cfg)[1]
         probes += 1

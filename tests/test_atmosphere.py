@@ -95,6 +95,13 @@ def test_atmospheric_state_validation():
     ):
         with pytest.raises(ValueError, match=f"{name} must be finite: inf"):
             AtmosphericState(*args)
+    # theta = 300/T is finite here, yet the line model gave NaN at this state
+    with pytest.raises(ValueError, match=r"temperature must be >= 1\.0 K: 1e-300"):
+        AtmosphericState(1e-300, 1000.0, 1.0)
+    with pytest.raises(ValueError, match=r"temperature must be >= 1\.0 K: 5e-324"):
+        AtmosphericState(5e-324, 1000.0, 1.0)
+    coldest = AtmosphericState(1.0, 1000.0, 1.0)
+    assert np.all(np.isfinite(attenuation_spectrum(np.array([10.0, 60.0]), coldest)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +160,19 @@ def test_profile_validation_rejects_bad_tables():
         _profile([(1.0, 288.0, 1000.0, 5.0), (100.0, 280.0, 900.0, 4.0)])
     with pytest.raises(ValueError, match="must reach"):
         _profile([(0.0, 288.0, 1000.0, 5.0), (50.0, 280.0, 900.0, 4.0)])
+    # every node value is finite: an infinite surface vapour density gave NaN
+    # attenuation
+    good = [(0.0, 288.0, 1000.0, 5.0), (100.0, 280.0, 900.0, 4.0)]
+    for column, name in enumerate(
+        ("altitude_km", "temperature_k", "pressure_hpa", "water_vapor_g_m3")
+    ):
+        for bad in (math.inf, math.nan):
+            rows = [list(row) for row in good]
+            rows[0][column] = bad
+            with pytest.raises(ValueError, match=f"^profile {name} values must be finite$"):
+                _profile(rows)
+    with pytest.raises(ValueError, match=r"temperatures must be >= 1\.0 K"):
+        _profile([(0.0, 1e-300, 1000.0, 5.0), (100.0, 280.0, 900.0, 4.0)])
 
 
 def test_states_at_rejects_out_of_range_altitudes():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from qlinksim.config import (
+    MAX_AXIS_POINTS,
     ConfigError,
     SimulationConfig,
     SweepRanges,
@@ -125,6 +126,16 @@ def test_inclusive_grid_expansion():
     # a stop that is an exact multiple of step is included despite rounding
     two_temps = SweepRanges(temp_start_k=293.15, temp_stop_k=298.15, temp_step_k=5.0)
     assert two_temps.temperatures_k() == (293.15, 298.15)
+
+
+def test_axis_point_count_is_capped():
+    # the largest axis passes without being expanded; one point more is an error
+    SweepRanges(freq_start_ghz=1.0, freq_stop_ghz=float(MAX_AXIS_POINTS), freq_step_ghz=1.0)
+    with pytest.raises(ConfigError, match=r"^sweep\.freq has 1000001 points, more than the 1000000 "):
+        SweepRanges(freq_start_ghz=0.0, freq_stop_ghz=float(MAX_AXIS_POINTS), freq_step_ghz=1.0)
+    # a span too wide to count is counted as inf, not expanded
+    with pytest.raises(ConfigError, match=r"^sweep\.slant has inf points"):
+        SweepRanges(slant_start_km=-1e308, slant_stop_km=1e308)
 
 
 def test_block_size_parsing_variants():

@@ -378,12 +378,20 @@ def test_result_validation():
     diag = CvDiagnostics(
         snr=1.0, i_ab=0.5, chi_e=0.1, nus=(1.0,) * 5, displacement_amplitude=1.0
     )
+    rest = {"classical_rate": 0.5, "secure": True, "diagnostics": diag}
     with pytest.raises(ValueError):
-        CvRateResult(key_rate=-0.1, classical_rate=0.5, secure=True, diagnostics=diag)
+        CvRateResult(key_rate=-0.1, signed_rate=-0.1, **rest)
     with pytest.raises(ValueError, match="cannot be negative: nan"):
-        CvRateResult(key_rate=math.nan, classical_rate=0.5, secure=True, diagnostics=diag)
+        CvRateResult(key_rate=math.nan, signed_rate=math.nan, **rest)
+    # the key rate is the signed rate clamped at 0, and nothing else
+    with pytest.raises(ValueError, match="is not the signed rate"):
+        CvRateResult(key_rate=0.1, signed_rate=0.2, **rest)
+    with pytest.raises(ValueError, match="is not the signed rate"):
+        CvRateResult(key_rate=0.0, signed_rate=math.nan, **rest)
     bad_diag = CvDiagnostics(
         snr=1.0, i_ab=0.5, chi_e=-0.1, nus=(1.0,) * 5, displacement_amplitude=1.0
     )
     with pytest.raises(ValueError):
-        CvRateResult(key_rate=0.1, classical_rate=0.5, secure=True, diagnostics=bad_diag)
+        CvRateResult(
+            key_rate=0.1, signed_rate=0.1, classical_rate=0.5, secure=True, diagnostics=bad_diag
+        )

@@ -212,8 +212,15 @@ def test_params_validation():
 
 def test_result_rejects_negative_rates():
     diag = DvDiagnostics(q_mu=0.1, e_mu=0.01, y1_lower=0.5, e1_upper=0.02)
+    rest = {"payload_rate": 0.0, "secure": False, "diagnostics": diag}
     with pytest.raises(ValueError):
-        DvRateResult(key_rate=-1e-9, payload_rate=0.0, secure=False, diagnostics=diag)
+        DvRateResult(key_rate=-1e-9, signed_rate=-1e-9, **rest)
+    # the key rate is the signed rate clamped at 0, and nothing else
+    DvRateResult(key_rate=0.0, signed_rate=-math.inf, **rest)
+    with pytest.raises(ValueError, match="is not the signed rate"):
+        DvRateResult(key_rate=0.0, signed_rate=1e-9, **rest)
+    with pytest.raises(ValueError, match="is not the signed rate"):
+        DvRateResult(key_rate=1e-9, signed_rate=-1e-9, **rest)
 
 
 def test_asymptotic_rate_reference_point():

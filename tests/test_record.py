@@ -11,7 +11,7 @@ from qlinksim import atmosphere, config, cvqkd, dvqkd, fso, sweeps
 from qlinksim.record import Record
 
 _DV_DIAG = dvqkd.DvDiagnostics(q_mu=0.1, e_mu=0.02, y1_lower=0.3, e1_upper=0.04)
-_DV_RATE = dvqkd.DvRateResult(1e-5, 1e-3, True, _DV_DIAG)
+_DV_RATE = dvqkd.DvRateResult(1e-5, 1e-5, 1e-3, True, _DV_DIAG)
 _CV_DIAG = cvqkd.CvDiagnostics(1.0, 0.5, 0.2, (1.0, 1.0, 1.0, 1.0, 1.0), 3.0)
 
 # every record class: (a valid record, a change that _validate rejects, or
@@ -32,7 +32,7 @@ RECORDS = {
     ),
     cvqkd.CvDiagnostics: (lambda: _CV_DIAG, None),
     cvqkd.CvRateResult: (
-        lambda: cvqkd.CvRateResult(0.1, 0.4, True, _CV_DIAG), {"key_rate": -1.0}
+        lambda: cvqkd.CvRateResult(0.1, 0.1, 0.4, True, _CV_DIAG), {"key_rate": -1.0}
     ),
     config.SweepRanges: (config.SweepRanges, {"altitude_step_km": 0.0}),
     config.SimulationConfig: (config.load_config, None),

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracle_gamma_expr import _gamma_grid
 from qlinksim.atmosphere import (
@@ -21,8 +23,13 @@ from qlinksim.atmosphere import (
 )
 from qlinksim.cli import main
 from qlinksim.config import load_config
-from qlinksim.cvqkd import ThermalLossChannel, composable_key_rate
-from qlinksim.dvqkd import finite_key_rate
+from qlinksim.cvqkd import (
+    CvProtocolParams,
+    PhaseEncodingNoise,
+    ThermalLossChannel,
+    composable_key_rate,
+)
+from qlinksim.dvqkd import DecoyProtocolParams, finite_key_rate
 from qlinksim.sweeps import (
     ALTITUDE_BRACKET_KM,
     ALTITUDE_TOL_KM,
@@ -307,6 +314,110 @@ def test_secure_threshold_reads_no_channel_parameter():
     assert secure_threshold("cv", 1e10, cfg) == secure_threshold("cv", 1e10, other)
 
 
+_BLOCK_SIZES = st.one_of(
+    st.just(math.inf), st.floats(min_value=6.0, max_value=12.0).map(lambda e: 10.0**e)
+)
+_DV_RECORDS = st.builds(
+    lambda mu, nu_share, **kw: DecoyProtocolParams(mu=mu, nu=mu * nu_share, **kw),
+    mu=st.floats(min_value=0.05, max_value=1.0),
+    nu_share=st.floats(min_value=0.01, max_value=0.99),
+    eta_receiver=st.floats(min_value=0.01, max_value=1.0),
+    e_mis=st.floats(min_value=0.0, max_value=0.1),
+    y0_stray=st.floats(min_value=0.0, max_value=1e-3),
+    y0_dark=st.floats(min_value=0.0, max_value=1e-5),
+    f_ec=st.floats(min_value=1.0, max_value=1.5),
+    sift_q=st.floats(min_value=0.05, max_value=1.0),
+)
+_CV_RECORDS = st.tuples(
+    st.builds(
+        CvProtocolParams,
+        v_mod=st.floats(min_value=0.5, max_value=30.0),
+        v_el=st.floats(min_value=0.0, max_value=0.3),
+        eta_det=st.floats(min_value=0.1, max_value=1.0),
+        n_bg=st.floats(min_value=0.0, max_value=1e-2),
+        p_ec=st.floats(min_value=0.5, max_value=1.0),
+        beta=st.floats(min_value=0.85, max_value=1.0),
+    ),
+    st.builds(PhaseEncodingNoise, eps_classical=st.floats(min_value=0.0, max_value=1e-4)),
+)
+# bits/use: a few ulps of the entropies chi_E is the difference of, which
+# stay below 64 bits here.  Where the rate crosses zero this close to 0 its
+# sign is rounding, and no solve can place the crossing to THRESHOLD_TOL_LN
+_RATE_ROUNDING = 1e-13
+
+
+def _check_signed_rate_and_threshold(protocol, block_n, cfg):
+    """The signed rate clamps to the key rate, and the threshold is a crossing of it.
+
+    The signed rate is not monotone in tau, and for some decoy records its
+    sign changes more than once (see the FOUND lines in CHANGES.md).  So
+    the solve is held to what it guarantees for any rate: the returned tau
+    has a positive rate, and one tolerance step below it the rate is not
+    positive, unless rounding decides the sign there.
+    """
+    for k in range(25):
+        res = _rate(protocol, math.exp(-k), block_n, cfg)
+        assert res.key_rate == max(res.signed_rate, 0.0)
+    try:
+        eta = secure_threshold(protocol, block_n, cfg)
+    except InfeasibleScenario:
+        assert not _rate(protocol, 1.0, block_n, cfg).signed_rate > 0.0
+        return
+    except ValueError as exc:
+        # no key deficit anywhere down to the floor of the search
+        assert str(exc).startswith(f"{protocol} rate stays positive down to tau="), exc
+        return
+    assert _key_rate(protocol, eta, block_n, cfg) > 0.0
+    below = _rate(protocol, eta * math.exp(-THRESHOLD_TOL_LN), block_n, cfg).signed_rate
+    assert below < _RATE_ROUNDING
+
+
+@given(_DV_RECORDS, _BLOCK_SIZES)
+def test_dv_threshold_is_a_crossing_of_the_signed_rate(dv, block_n):
+    _check_signed_rate_and_threshold("dv", block_n, load_config().replace(dv=dv))
+
+
+@given(_CV_RECORDS, _BLOCK_SIZES)
+# noiseless: below tau ~ e^-33 the signed rate rounds to exactly 0, where a
+# secant step would point at the lower end and a division by zero followed
+@example(
+    (
+        CvProtocolParams(v_mod=0.5, v_el=0.0, eta_det=1.0, n_bg=0.0, p_ec=1.0, beta=1.0),
+        PhaseEncodingNoise(eps_classical=0.0),
+    ),
+    math.inf,
+)
+def test_cv_threshold_is_a_crossing_of_the_signed_rate(records, block_n):
+    cv, noise = records
+    cfg = load_config().replace(cv=cv, cv_noise=noise)
+    _check_signed_rate_and_threshold("cv", block_n, cfg)
+
+
+def test_threshold_solve_bisects_while_the_lower_end_certifies_nothing():
+    from qlinksim import sweeps
+
+    cfg = load_config()
+    # at N = 1e8 the doubling ends at tau = e^-4, where the decoy bound
+    # certifies no single-photon yield: no finite margin to interpolate
+    rate_of = sweeps._rate_of_tau("dv", 1e8, cfg)
+    probed = []
+
+    def recorded(tau):
+        res = rate_of(tau)
+        probed.append((tau, res.signed_rate))
+        return res
+
+    eta, probes = sweeps._solve_threshold(recorded, "dv", 1e8)
+    assert probes == len(probed)
+    assert [tau for tau, _ in probed[:4]] == [1.0] + [math.exp(x) for x in (-1.0, -2.0, -4.0)]
+    assert probed[3][1] == -math.inf
+    # the next probe is the midpoint in ln(tau), not a secant step
+    assert probed[4][0] == math.exp(-3.0)
+    assert eta == secure_threshold("dv", 1e8, cfg)
+    assert _key_rate("dv", eta, 1e8, cfg) > 0.0
+    assert _key_rate("dv", eta * math.exp(-THRESHOLD_TOL_LN), 1e8, cfg) <= 0.0
+
+
 @pytest.mark.parametrize("protocol", ["dv", "cv"])
 def test_ceiling_is_the_altitude_of_the_threshold(protocol):
     cfg = load_config()
@@ -323,7 +434,8 @@ def test_ceiling_is_the_altitude_of_the_threshold(protocol):
         given = max_secure_altitude(protocol, block_n, cfg, eta)
         assert given.max_secure_altitude_km == res.max_secure_altitude_km
         assert given.iterations == 1
-        assert res.iterations > 20
+        # 10-13 threshold probes, and the one at the ceiling
+        assert res.iterations <= 16
         above = cfg.channel.at_altitude(res.max_secure_altitude_km + ALTITUDE_TOL_KM)
         assert _key_rate(protocol, above.transmissivity, block_n, cfg) == 0.0
 
@@ -371,6 +483,49 @@ def test_each_ceiling_exit_probes_the_rate_once(protocol, monkeypatch):
     with pytest.raises(InfeasibleScenario, match="non-positive at the 100 km bracket"):
         max_secure_altitude(protocol, 1e9, load_config(overrides=["channel.jitter_urad=50"]), eta)
     assert len(calls) == 1
+
+
+def test_the_channel_is_read_at_the_bracket_ends_only_next_to_them(monkeypatch):
+    from qlinksim.fso import FsoChannelParams
+
+    cfg = load_config()
+    eta = secure_threshold("dv", 1e9, cfg)
+    lo, hi = ALTITUDE_BRACKET_KM
+    tau_lo = cfg.channel.at_altitude(lo).transmissivity
+    wide = load_config(overrides=[
+        "channel.aperture_m=5", "channel.zenith_deg=0", "channel.jitter_urad=0"
+    ])
+    narrow = load_config(overrides=["channel.jitter_urad=50"])
+    real = FsoChannelParams.at_altitude
+    altitudes = []
+
+    def counted(self, altitude_km):
+        altitudes.append(altitude_km)
+        return real(self, altitude_km)
+
+    monkeypatch.setattr(FsoChannelParams, "at_altitude", counted)
+    # (config, threshold, channel evaluations): the closed-form altitude
+    # decides alone when it lies more than ALTITUDE_TOL_KM from both ends
+    cases = [
+        (cfg, eta, [cfg.channel.altitude_at(eta)]),  # 355 km: the probe only
+        (wide, eta, [hi]),  # 30,000 km: unbounded, probed at the top
+        (cfg, tau_lo, [hi, lo, lo]),  # 100 km to rounding: both ends read
+    ]
+    for c, threshold, want in cases:
+        altitudes.clear()
+        max_secure_altitude("dv", 1e9, c, threshold)
+        assert altitudes == want
+    # 15 km: the floor, without reading either end; the probe there fails
+    altitudes.clear()
+    with pytest.raises(InfeasibleScenario):
+        max_secure_altitude("dv", 1e9, narrow, eta)
+    assert altitudes == [lo]
+    # a threshold that no altitude gives (altitude_at rejects the extinction
+    # itself) is placed by reading both ends
+    eta_ext = cfg.channel.at_altitude(lo).extinction
+    altitudes.clear()
+    assert max_secure_altitude("dv", 1e9, cfg, eta_ext).max_secure_altitude_km == lo
+    assert altitudes == [hi, lo, lo]
 
 
 def test_a_threshold_below_the_protocols_is_rejected():
@@ -630,6 +785,10 @@ def test_rate_path_loads_no_numpy():
         (
             ["dv-sweep", "sweep.altitude_step_km=inf"],
             "sweep.altitude_step_km must be finite: inf",
+        ),
+        (
+            ["thermal-grid", "sweep.temp_step_k=1e-300", "sweep.temp_stop_k=300"],
+            "sweep.temp has 5e+300 points, more than the 1000000 one axis may have",
         ),
     ],
 )
