@@ -13,11 +13,14 @@ SHA-256 digests are verified at load time against a bundled manifest.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import math
-from collections.abc import Iterator, Sequence
+import os
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from importlib import resources
+from threading import Thread
 
 import numpy as np
 
@@ -315,11 +318,24 @@ def default_profile() -> ReferenceAtmosphereProfile:
 
 
 # frequencies per gamma block: _gamma_blocks' four buffers are (block x nodes),
-# and they stay allocated for the whole call.  At 250, fig4's in-process peak
-# RSS was 1.3 MB above the expression-form kernel's, with its per-line
-# temporaries freed as it went; at 125 it is 0.9 MB below, at the same speed.
-# The bytes do not depend on the block (fig4 at 64, 125 and 250 agree).
-_FREQ_BLOCK = 125
+# and they stay allocated for the whole call, one set per thread of
+# _each_block.  The in-process fig4 + fig5 pass on 2 CPUs (2-core Xeon KVM
+# host, medians of 4 x 30 passes) read, in peak RSS and time per pass,
+# against 38.05 MB and 0.227 s for the one-thread kernel at block 125 with
+# the continuum as an expression: block 125 +1.1 MB, 0.146 s; 100 +0.6 MB,
+# 0.150 s; 84 +0.2 MB, 0.155 s; 72 -0.1 MB, 0.168 s; 64 -0.4 MB, 0.173 s.
+# 84 keeps the peak within 0.5% and most of the speed; it cuts fig4's 1000
+# frequencies into 12 blocks, 6 per thread.
+# The bytes do not depend on the block (fig4 at 1, 7, 125 and 1000 agree).
+_FREQ_BLOCK = 84
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: one thread of _each_block per CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _line_factors(
@@ -330,18 +346,27 @@ def _line_factors(
 ) -> tuple:
     """State-only factors of the line-by-line model, each of shape (1, len(states)).
 
-    Returns ``(theta, e, p, oxygen, water)``: the inverse temperature
-    300/T, the vapour and dry-air partial pressures, and per line the
-    centre frequency with the factors that do not depend on frequency,
+    Returns ``(p, theta2, d, nitrogen, oxygen, water)``: the dry-air
+    partial pressure, theta^2 with theta = 300/T, the Debye width of the
+    continuum (1.0 where it is 0, see below), the pressure-induced
+    nitrogen numerator 1.4e-12 p theta^1.5, and per line the centre
+    frequency with the factors that do not depend on frequency,
     ``(fi, si, df, delta, df*df)`` for oxygen and ``(fi, si, df, df*df)``
-    for water vapour.  Computed once per call and shared by every
-    frequency block of _gamma_blocks.
+    for water vapour.  Computed once per call and shared, read-only, by
+    every frequency block and every thread of _each_block.
     """
     t = np.asarray(t_k, dtype=float)[None, :]  # (1, ns)
     theta = 300.0 / t
     e = np.asarray(rho_g_m3, dtype=float)[None, :] * t / 216.7
     # the recommendation parametrizes widths with the dry-air partial pressure
     p = np.maximum(np.asarray(p_total_hpa, dtype=float)[None, :] - e, 0.0)
+
+    # the Debye width is 0 where p + e is (vacuum) or underflows with it; the
+    # continuum's prefactor f p is then 0 or subnormal, and a width of 1 makes
+    # the term 0 or negligible instead of 0 * inf = NaN.  Where d > 0, no byte
+    # changes
+    d = 5.6e-4 * (p + e) * theta**0.8
+    d = np.where(d > 0.0, d, 1.0)
 
     oxygen = []
     for fi, a1, a2, a3, a4, a5, a6 in table.oxygen:
@@ -358,7 +383,7 @@ def _line_factors(
         df = 0.535 * df + np.sqrt(0.217 * df * df + 2.1316e-12 * fi * fi / theta)
         water.append((fi, si, df, df * df))
 
-    return theta, e, p, oxygen, water
+    return p, theta**2, d, 1.4e-12 * p * theta**1.5, oxygen, water
 
 
 def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.ndarray]]:
@@ -372,16 +397,17 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
 
     gamma and its work buffers are allocated once per call and
     overwritten by the next block, so consume gamma before advancing.
-    Every full-size operation is a correctly rounded +, -, x or / taken
-    in the per-element order of the expression form, which keeps every
-    output byte independent of the block size.
+    Every full-size operation, the continuum's included, is a correctly
+    rounded +, -, x or / taken in the per-element order of the
+    expression form, which keeps every output byte independent of the
+    block size and of the thread that computes the block.  One call
+    touches only its own buffers, so calls may run in parallel threads.
     """
-    theta, e, p, oxygen, water = factors
+    p, theta2, d, nitrogen, oxygen, water = factors
     f_all = np.asarray(f_ghz, dtype=float).reshape(-1, 1)  # (nf, 1)
     rows = min(_FREQ_BLOCK, f_all.shape[0])
-    grids = [np.empty((rows, theta.shape[1])) for _ in range(4)]
+    grids = [np.empty((rows, p.shape[1])) for _ in range(4)]
     columns = [np.empty((rows, 1)) for _ in range(5)]
-    d = 5.6e-4 * (p + e) * theta**0.8
 
     for lo in range(0, f_all.shape[0], _FREQ_BLOCK):
         f = f_all[lo : lo + _FREQ_BLOCK]
@@ -408,16 +434,23 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
             np.multiply(y, x, out=y)
             np.add(n_total, y, out=n_total)
 
-        # dry continuum: Debye spectrum of oxygen plus pressure-induced nitrogen
-        n_total += (
-            f
-            * p
-            * theta**2
-            * (
-                6.14e-5 / (d * (1.0 + (f / d) ** 2))
-                + 1.4e-12 * p * theta**1.5 / (1.0 + 1.9e-5 * f**1.5)
-            )
-        )
+        # dry continuum: Debye spectrum of oxygen plus pressure-induced nitrogen,
+        # n_total += f p theta^2 (6.14e-5 / (d (1 + (f/d)^2))
+        #                         + 1.4e-12 p theta^1.5 / (1 + 1.9e-5 f^1.5))
+        np.multiply(f, p, out=x)
+        np.multiply(x, theta2, out=x)
+        np.divide(f, d, out=y)
+        np.square(y, out=y)
+        np.add(1.0, y, out=y)
+        np.multiply(d, y, out=y)
+        np.divide(6.14e-5, y, out=y)
+        np.power(f, 1.5, out=below)
+        np.multiply(1.9e-5, below, out=below)
+        np.add(1.0, below, out=below)
+        np.divide(nitrogen, below, out=z)
+        np.add(y, z, out=y)
+        np.multiply(x, y, out=x)
+        np.add(n_total, x, out=n_total)
 
         for fi, si, df, df2 in water:
             _offsets(fi, f, cols)
@@ -433,6 +466,57 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
 
         np.multiply(0.1820 * f, n_total, out=n_total)
         yield lo, np.maximum(n_total, 0.0, out=n_total)
+
+
+def _each_block(
+    f_ghz: np.ndarray, factors: tuple, consume: Callable[[int, np.ndarray], None]
+) -> None:
+    """Hand every gamma block of _gamma_blocks to ``consume(lo, gamma)``, on all CPUs.
+
+    The frequency axis is cut at multiples of _FREQ_BLOCK into one
+    contiguous run of whole blocks per usable CPU, at most one run per
+    block.  The calling thread computes the first run; each other run
+    gets a thread of its own, which drives its own _gamma_blocks, with
+    its own buffers, and calls ``consume`` from that thread.  numpy
+    releases the GIL inside its loops, so the runs overlap.  ``consume``
+    must write only what belongs to rows ``lo : lo + len(gamma)``; then
+    no two threads write the same element, and since the blocks are the
+    single-threaded ones, the bytes do not depend on the thread count.
+
+    Each thread runs in a copy of the caller's context, so numpy's error
+    state (``np.errstate``) holds in all of them.  Every thread is joined
+    before this returns; the first exception, in frequency order, is then
+    re-raised in the caller.
+    """
+    f = np.asarray(f_ghz, dtype=float).reshape(-1)
+    n_blocks = -(-f.shape[0] // _FREQ_BLOCK)
+    if n_blocks == 0:
+        return
+    n_runs = min(_cpu_count(), n_blocks)
+    cuts = [min(n_blocks * k // n_runs * _FREQ_BLOCK, f.shape[0]) for k in range(n_runs + 1)]
+    errors: list[BaseException | None] = [None] * n_runs
+
+    def run(k: int) -> None:
+        start = cuts[k]
+        try:
+            for lo, gamma in _gamma_blocks(f[start : cuts[k + 1]], factors):
+                consume(start + lo, gamma)
+        except BaseException as exc:  # re-raised in the caller
+            errors[k] = exc
+
+    threads = [
+        Thread(target=contextvars.copy_context().run, args=(run, k)) for k in range(1, n_runs)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _offsets(fi: float, f: np.ndarray, columns: list[np.ndarray]) -> None:
@@ -476,8 +560,11 @@ def attenuation_spectrum(
     states = ([state.temperature_k], [state.pressure_hpa], [state.water_vapor_density_g_m3])
     f = np.asarray(frequency_ghz, dtype=float)
     out = np.empty(f.size)
-    for lo, gamma in _gamma_blocks(f, _line_factors(*states, table or default_line_table())):
+
+    def consume(lo: int, gamma: np.ndarray) -> None:
         out[lo : lo + gamma.shape[0]] = gamma[:, 0]
+
+    _each_block(f, _line_factors(*states, table or default_line_table()), consume)
     return out.reshape(f.shape)
 
 
@@ -542,10 +629,12 @@ def slant_attenuation_spectra(
 
     gamma is evaluated once, on the union of the slants' path-length
     nodes: its state-only line factors in one pass, then blockwise over
-    frequency in buffers reused by every block.  Each slant is integrated
-    by the trapezoid rule over its own nodes, at most 0.1 km apart below
-    10 km altitude and 1 km above (times ``step_scale``, which tests use
-    for convergence checks).
+    frequency in buffers reused by every block, the blocks split over the
+    usable CPUs by _each_block.  Each slant is integrated by the trapezoid
+    rule over its own nodes, at most 0.1 km apart below 10 km altitude and
+    1 km above (times ``step_scale``, which tests use for convergence
+    checks), block by block on the thread that computed the block.  The
+    bytes depend neither on the block size nor on the thread count.
     """
     _check_freq(frequency_ghz)
     if not step_scale > 0.0:
@@ -564,7 +653,8 @@ def slant_attenuation_spectra(
     idx = np.split(inverse, np.cumsum([len(n) for n in nodes[:-1]]))
     h = start_altitude_km + union * math.sin(math.radians(elevation_deg))
     factors = _line_factors(*profile.states_at(np.clip(h, 0.0, TOP_ALTITUDE_KM)), table)
-    for lo, gamma in _gamma_blocks(f, factors):
+
+    def consume(lo: int, gamma: np.ndarray) -> None:
         for j in range(len(paths)):
             # the copy keeps the one-path summation order: numpy sums the
             # non-contiguous fancy-indexed slice differently, which moved
@@ -572,6 +662,8 @@ def slant_attenuation_spectra(
             out[j, lo : lo + gamma.shape[0]] = np.trapezoid(
                 np.ascontiguousarray(gamma[:, idx[j]]), nodes[j], axis=1
             )
+
+    _each_block(f, factors, consume)
     return out
 
 

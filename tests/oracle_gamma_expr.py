@@ -2,7 +2,8 @@
 
 This is the package's specific-attenuation kernel as it stood before the
 kernel was split into state-only line factors and a frequency-block loop
-over reused buffers.  Every full-size operation of both forms is a
+over reused buffers, plus the guard on a zero Debye width that both forms
+have since taken.  Every full-size operation of both forms is a
 correctly rounded +, -, x or / in the same per-element order, so the two
 must agree bit for bit; tests compare them with ``tobytes()``.  Only used
 by tests.
@@ -47,6 +48,9 @@ def _gamma_grid(
 
     # dry continuum: Debye spectrum of oxygen plus pressure-induced nitrogen
     d = 5.6e-4 * (p + e) * theta**0.8
+    # a vacuum state (p + e = 0) has d = 0 and a prefactor f p = 0; a width of
+    # 1 makes its continuum 0 instead of 0 * inf = NaN, as in the package
+    d = np.where(d > 0.0, d, 1.0)
     n_total += (
         f
         * p

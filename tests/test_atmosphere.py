@@ -3,7 +3,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
+import sys
+import threading
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,10 @@ from qlinksim.atmosphere import (
     specific_attenuation,
     thermal_photon_number,
 )
+from qlinksim.config import load_config
+from qlinksim.sweeps import atmos_grid
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SEA_LEVEL = AtmosphericState(
     temperature_k=288.15, pressure_hpa=1013.25, water_vapor_density_g_m3=7.5
@@ -300,12 +308,16 @@ def _blockwise(f, t, p, rho):
 )
 def test_gamma_blocks_equal_the_expression_form_bit_for_bit(freqs, states):
     t, p, rho = (list(column) for column in zip(*states))
-    # a vacuum state (P = 0, rho = 0) has Debye width d = 0, and its continuum
-    # term is then 0 * inf = NaN in both forms
-    with np.errstate(all="ignore"):
-        want = _gamma_grid(np.array(freqs), t, p, rho, _TABLE)
-        got = _blockwise(freqs, t, p, rho)
+    want = _gamma_grid(np.array(freqs), t, p, rho, _TABLE)
+    got = _blockwise(freqs, t, p, rho)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_vacuum_attenuates_nothing():
+    # the Debye width is 0 in a vacuum; the continuum must read 0, not 0 * inf
+    f = np.array([1.0, 10.0, 60.0, 118.750343, 557.0, 1000.0])
+    assert attenuation_spectrum(f, AtmosphericState(290.0, 0.0, 0.0)).tolist() == [0.0] * 6
 
 
 @pytest.mark.parametrize("block", [1, 7, 125, 1000])
@@ -315,6 +327,105 @@ def test_slant_spectra_bytes_do_not_depend_on_the_block_size(monkeypatch, block)
     monkeypatch.setattr(atmosphere, "_FREQ_BLOCK", block)
     got = slant_attenuation_spectra(45.0, 0.0, [1.0, 10.0, 28.0], freqs)
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# frequency blocks on several threads
+# ---------------------------------------------------------------------------
+
+# fig4's slants and 13 blocks, the last one short: with 2 and 3 threads the
+# runs are 6 + 7 and 4 + 4 + 5 blocks
+_THREAD_FREQS = np.linspace(1.0, 1000.0, 12 * atmosphere._FREQ_BLOCK + 5)
+_FIG4_SLANTS = [1.0, 10.0, 19.0, 28.0]
+
+
+def _spectra_and_spectrum():
+    return (
+        slant_attenuation_spectra(45.0, 0.0, _FIG4_SLANTS, _THREAD_FREQS).tobytes(),
+        attenuation_spectrum(_THREAD_FREQS, SEA_LEVEL).tobytes(),
+    )
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_bytes_do_not_depend_on_the_thread_count(monkeypatch, cpus):
+    monkeypatch.setattr(atmosphere, "_cpu_count", lambda: 1)
+    want = _spectra_and_spectrum()
+    monkeypatch.setattr(atmosphere, "_cpu_count", lambda: cpus)
+    # switch threads often, so that a write to another thread's rows would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = _spectra_and_spectrum()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def _raising_off_the_caller(monkeypatch):
+    """Make _gamma_blocks raise in every thread but the calling one; count threads."""
+    real, started = atmosphere._gamma_blocks, []
+
+    def gamma_blocks(f, factors):
+        if threading.current_thread() is not threading.main_thread():
+            started.append(float(f[0]))
+            raise ValueError(f"worker failed from {float(f[0])!r} GHz")
+        yield from real(f, factors)
+
+    monkeypatch.setattr(atmosphere, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(atmosphere, "_gamma_blocks", gamma_blocks)
+    return started
+
+
+def test_a_worker_threads_error_reaches_the_caller(monkeypatch):
+    started = _raising_off_the_caller(monkeypatch)
+    before = threading.active_count()
+    # the first error in frequency order is raised, after every thread is joined
+    second_run = float(_THREAD_FREQS[4 * atmosphere._FREQ_BLOCK])
+    with pytest.raises(ValueError, match=f"^{re.escape(f'worker failed from {second_run!r} GHz')}$"):
+        slant_attenuation_spectra(45.0, 0.0, _FIG4_SLANTS, _THREAD_FREQS)
+    assert threading.active_count() == before
+    assert len(started) == 2
+    with pytest.raises(ValueError, match="^worker failed"):
+        attenuation_spectrum(_THREAD_FREQS, SEA_LEVEL)
+    assert threading.active_count() == before
+
+
+def test_atmos_grid_names_the_slant_of_a_worker_threads_error(monkeypatch):
+    _raising_off_the_caller(monkeypatch)
+    before = threading.active_count()
+    cfg = load_config(str(REPO_ROOT / "configs" / "fig4_attenuation.ini"))
+    with pytest.raises(ValueError) as info:
+        atmos_grid(cfg)
+    assert str(info.value).startswith(
+        "atmos-grid slant at elevation_deg=45.0, slant_km=1.0: worker failed from "
+    )
+    assert threading.active_count() == before
+
+
+def test_worker_threads_keep_the_callers_error_state(monkeypatch):
+    real, seen = atmosphere._gamma_blocks, []
+
+    def gamma_blocks(f, factors):
+        seen.append(np.geterr()["divide"])
+        yield from real(f, factors)
+
+    monkeypatch.setattr(atmosphere, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(atmosphere, "_gamma_blocks", gamma_blocks)
+    with np.errstate(divide="raise"):
+        attenuation_spectrum(_THREAD_FREQS, SEA_LEVEL)
+    assert seen == ["raise"] * 3
+
+
+def test_a_single_block_or_none_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(atmosphere, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(atmosphere, "Thread", no_thread)
+    assert specific_attenuation(60.0, SEA_LEVEL) > 0.0
+    assert attenuation_spectrum(np.array([]), SEA_LEVEL).shape == (0,)
+    freqs = _THREAD_FREQS[: atmosphere._FREQ_BLOCK]
+    assert slant_attenuation_spectra(45.0, 0.0, _FIG4_SLANTS, freqs).shape == (4, freqs.size)
 
 
 # ---------------------------------------------------------------------------
