@@ -39,7 +39,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qlinksim.config import load_config
+from qlinksim.config import SECTIONS, load_config
 from qlinksim.sweeps import max_secure_altitude, secure_threshold
 
 # Published maximum secure altitudes (km) per block size.
@@ -53,9 +53,10 @@ PAYLOAD_BAND = (2e-4, 4e-3)
 ALT_WINDOW = 0.20
 CLS_FACTOR = 2.0
 
-# secure thresholds tau* solved during one run of main(), keyed by
-# (protocol, block size, protocol records); kept in the script, not in
-# qlinksim, so that no solve outlives the run that needed it
+# secure thresholds tau* solved during one run of main(), keyed by the
+# protocol, the block size and the records of config.SECTIONS[protocol];
+# kept in the script, not in qlinksim, so that no solve outlives the run
+# that needed it
 THRESHOLDS = {}
 
 
@@ -69,8 +70,7 @@ def cfg_with(jitter_urad: float, eps_classical: float):
 
 def ceiling(protocol: str, n: float, cfg):
     """max_secure_altitude, with each threshold solved once per scan."""
-    records = (cfg.dv, cfg.dv_finite) if protocol == "dv" else (cfg.cv, cfg.cv_noise)
-    key = (protocol, n, records)
+    key = (protocol, n, *(getattr(cfg, field) for field, _ in SECTIONS[protocol]))
     if key not in THRESHOLDS:
         THRESHOLDS[key] = secure_threshold(protocol, n, cfg)
     return max_secure_altitude(protocol, n, cfg, THRESHOLDS[key])

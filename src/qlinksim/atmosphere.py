@@ -540,21 +540,13 @@ def _check_freq(frequency_ghz: np.ndarray | float) -> None:
         )
 
 
-def specific_attenuation(
-    frequency_ghz: float,
-    state: AtmosphericState,
-    table: SpectralLineTable | None = None,
-) -> float:
+def specific_attenuation(frequency_ghz: float, state: AtmosphericState) -> float:
     """Gaseous specific attenuation gamma(f) in dB/km at one state point."""
     _check_freq(frequency_ghz)
-    return float(attenuation_spectrum(np.array([frequency_ghz]), state, table)[0])
+    return float(attenuation_spectrum(np.array([frequency_ghz]), state)[0])
 
 
-def attenuation_spectrum(
-    frequency_ghz: np.ndarray,
-    state: AtmosphericState,
-    table: SpectralLineTable | None = None,
-) -> np.ndarray:
+def attenuation_spectrum(frequency_ghz: np.ndarray, state: AtmosphericState) -> np.ndarray:
     """Vectorized gamma(f) in dB/km at a fixed state."""
     _check_freq(frequency_ghz)
     states = ([state.temperature_k], [state.pressure_hpa], [state.water_vapor_density_g_m3])
@@ -564,7 +556,7 @@ def attenuation_spectrum(
     def consume(lo: int, gamma: np.ndarray) -> None:
         out[lo : lo + gamma.shape[0]] = gamma[:, 0]
 
-    _each_block(f, _line_factors(*states, table or default_line_table()), consume)
+    _each_block(f, _line_factors(*states, default_line_table()), consume)
     return out.reshape(f.shape)
 
 
@@ -621,8 +613,6 @@ def slant_attenuation_spectra(
     start_altitude_km: float,
     slants_km: Sequence[float],
     frequency_ghz: np.ndarray,
-    profile: ReferenceAtmosphereProfile | None = None,
-    table: SpectralLineTable | None = None,
     step_scale: float = 1.0,
 ) -> np.ndarray:
     """Total gas attenuation (dB) of slants along one ray, shape (slants, f).
@@ -642,8 +632,6 @@ def slant_attenuation_spectra(
     if len(slants_km) == 0:
         raise ValueError("need at least one slant distance")
     paths = [SlantPathSpec(elevation_deg, start_altitude_km, s) for s in slants_km]
-    profile = profile or default_profile()
-    table = table or default_line_table()
     f = np.asarray(frequency_ghz, dtype=float).reshape(-1)
     out = np.zeros((len(paths), f.shape[0]))
     if start_altitude_km >= TOP_ALTITUDE_KM:
@@ -652,7 +640,9 @@ def slant_attenuation_spectra(
     union, inverse = np.unique(np.concatenate(nodes), return_inverse=True)
     idx = np.split(inverse, np.cumsum([len(n) for n in nodes[:-1]]))
     h = start_altitude_km + union * math.sin(math.radians(elevation_deg))
-    factors = _line_factors(*profile.states_at(np.clip(h, 0.0, TOP_ALTITUDE_KM)), table)
+    factors = _line_factors(
+        *default_profile().states_at(np.clip(h, 0.0, TOP_ALTITUDE_KM)), default_line_table()
+    )
 
     def consume(lo: int, gamma: np.ndarray) -> None:
         for j in range(len(paths)):
@@ -668,28 +658,15 @@ def slant_attenuation_spectra(
 
 
 def slant_attenuation_spectrum(
-    path: SlantPathSpec,
-    frequency_ghz: np.ndarray,
-    profile: ReferenceAtmosphereProfile | None = None,
-    table: SpectralLineTable | None = None,
-    step_scale: float = 1.0,
+    path: SlantPathSpec, frequency_ghz: np.ndarray, step_scale: float = 1.0
 ) -> np.ndarray:
     """Total gas attenuation (dB) along one path, vectorized over frequency."""
     return slant_attenuation_spectra(
         path.elevation_deg, path.start_altitude_km, [path.slant_distance_km],
-        frequency_ghz, profile, table, step_scale,
+        frequency_ghz, step_scale,
     )[0]
 
 
-def slant_attenuation(
-    path: SlantPathSpec,
-    frequency_ghz: float,
-    profile: ReferenceAtmosphereProfile | None = None,
-    table: SpectralLineTable | None = None,
-    step_scale: float = 1.0,
-) -> float:
+def slant_attenuation(path: SlantPathSpec, frequency_ghz: float, step_scale: float = 1.0) -> float:
     """Total gas attenuation in dB along a slant path at one frequency."""
-    result = slant_attenuation_spectrum(
-        path, np.array([frequency_ghz]), profile, table, step_scale
-    )
-    return float(result[0])
+    return float(slant_attenuation_spectrum(path, np.array([frequency_ghz]), step_scale)[0])

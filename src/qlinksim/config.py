@@ -3,17 +3,19 @@
 A run is described by four sections: [channel] (optical downlink),
 [dv] (decoy-state protocol plus finite-size knobs), [cv] (modulated
 coherent-state protocol plus excess-noise knob) and [sweep] (grid
-ranges and orchestration choices).  Every key has a default, so an
-empty or missing file is a valid configuration.  Unknown sections or
-keys raise ConfigError naming the offender; silent typos in physics
-parameters are the dominant failure mode this guards against.
+ranges and orchestration choices).  SECTIONS is the one place that says
+which record holds which key: the key schema, each key's parser, the
+record build and the resolved provenance block are all read from it.
+Every key has a default, so an empty or missing file is a valid
+configuration.  Unknown sections or keys raise ConfigError naming the
+offender; silent typos in physics parameters are the dominant failure
+mode this guards against.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from collections.abc import Callable
 
 from .cvqkd import CvProtocolParams, PhaseEncodingNoise
 from .dvqkd import DecoyProtocolParams, FiniteSizeConfig
@@ -22,6 +24,7 @@ from .record import Record
 
 __all__ = [
     "ConfigError",
+    "SECTIONS",
     "SweepRanges",
     "SimulationConfig",
     "load_config",
@@ -51,7 +54,6 @@ class SweepRanges(Record):
     altitude_start_km: float = 100.0
     altitude_stop_km: float = 700.0
     altitude_step_km: float = 10.0
-    block_sizes: tuple[float, ...] = (1e9, 1e10, 1e11, math.inf)
     freq_start_ghz: float = 1.0
     freq_stop_ghz: float = 1000.0
     freq_step_ghz: float = 1.0
@@ -62,6 +64,7 @@ class SweepRanges(Record):
     temp_start_k: float = 295.0
     temp_stop_k: float = 295.0
     temp_step_k: float = 5.0
+    block_sizes: tuple[float, ...] = (1e9, 1e10, 1e11, math.inf)
     protocol: str = "dv"
 
     def _validate(self) -> None:
@@ -94,9 +97,11 @@ class SweepRanges(Record):
                 )
         if not self.block_sizes:
             raise ConfigError("sweep.block_sizes must not be empty")
-        for n in self.block_sizes:
+        for i, n in enumerate(self.block_sizes):
             if not (math.isinf(n) or n >= 1.0):
                 raise ConfigError(f"sweep.block_sizes entries must be >= 1 or inf: {n!r}")
+            if n in self.block_sizes[:i]:
+                raise ConfigError(f"sweep.block_sizes must not repeat an entry: {n!r}")
         if self.protocol not in ("dv", "cv"):
             raise ConfigError(f"sweep.protocol must be 'dv' or 'cv': {self.protocol!r}")
         if not 0.0 < self.elevation_deg <= 90.0:
@@ -149,10 +154,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_block_sizes(text: str) -> tuple[float, ...]:
     sizes = []
     for token in text.split(","):
@@ -170,45 +171,44 @@ def _parse_protocol(text: str) -> str:
     return text.strip().lower()
 
 
-# (section, key) -> parser.  These key names are the external file format;
-# they deliberately mirror the record field names one-to-one.
-_SCHEMA: dict[str, dict[str, Callable]] = {
-    "channel": {name: _parse_float for name in FsoChannelParams._fields},
-    "dv": {
-        **{name: _parse_float for name in DecoyProtocolParams._fields},
-        "epsilon": _parse_float,
-        "p_mu": _parse_float,
-        "p_nu": _parse_float,
-    },
-    "cv": {
-        **{name: (_parse_int if name == "d_bits" else _parse_float) for name in CvProtocolParams._fields},
-        "eps_classical": _parse_float,
-    },
-    "sweep": {
-        **{
-            name: _parse_float
-            for name in SweepRanges._fields
-            if name not in ("block_sizes", "protocol")
-        },
-        "block_sizes": _parse_block_sizes,
-        "protocol": _parse_protocol,
-    },
+# INI section -> the (SimulationConfig field, record class) pairs that hold
+# its keys, in header order.  The key names are the external file format:
+# a section's keys are its records' field names, less block_size_n, which
+# every run takes from sweep.block_sizes.
+SECTIONS = {
+    "channel": (("channel", FsoChannelParams),),
+    "dv": (("dv", DecoyProtocolParams), ("dv_finite", FiniteSizeConfig)),
+    "cv": (("cv", CvProtocolParams), ("cv_noise", PhaseEncodingNoise)),
+    "sweep": (("sweep", SweepRanges),),
 }
 
-_DV_FINITE_KEYS = ("epsilon", "p_mu", "p_nu")
+# each key is parsed by the type of its default
+_PARSERS = {float: _parse_float, int: int, tuple: _parse_block_sizes, str: _parse_protocol}
+
+# section -> key -> (SimulationConfig field, parser)
+_SCHEMA = {
+    section: {
+        key: (field, _PARSERS[type(getattr(record, key))])
+        for field, record in holders
+        for key in record._fields
+        if key != "block_size_n"
+    }
+    for section, holders in SECTIONS.items()
+}
 
 
 def _collect(path: str | None, overrides: list[str] | tuple[str, ...]) -> dict[str, dict[str, object]]:
-    """Parse file + overrides into {section: {key: typed value}} with strict checks."""
-    values: dict[str, dict[str, object]] = {section: {} for section in _SCHEMA}
+    """Parse file + overrides into {field: {key: typed value}} with strict checks."""
+    values: dict[str, dict[str, object]] = {field: {} for field in SimulationConfig._fields}
 
     def assign(section: str, key: str, raw: str, where: str) -> None:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section '{section}' in {where}")
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key '{section}.{key}' in {where}")
+        field, parse = _SCHEMA[section][key]
         try:
-            values[section][key] = _SCHEMA[section][key](raw)
+            values[field][key] = parse(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for '{section}.{key}' in {where}: {exc}") from exc
 
@@ -245,26 +245,14 @@ def load_config(path: str | None = None, overrides: list[str] | tuple[str, ...] 
     component record rejects.
     """
     values = _collect(path, overrides)
-
-    dv_kwargs = {k: v for k, v in values["dv"].items() if k not in _DV_FINITE_KEYS}
-    fs_kwargs = {k: v for k, v in values["dv"].items() if k in _DV_FINITE_KEYS}
-    cv_kwargs = {k: v for k, v in values["cv"].items() if k != "eps_classical"}
-    noise_kwargs = {k: v for k, v in values["cv"].items() if k == "eps_classical"}
-
-    def build(factory, kwargs, section):
-        try:
-            return factory(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [{section}] settings: {exc}") from exc
-
-    return SimulationConfig(
-        channel=build(FsoChannelParams, values["channel"], "channel"),
-        dv=build(DecoyProtocolParams, dv_kwargs, "dv"),
-        dv_finite=build(FiniteSizeConfig, fs_kwargs, "dv"),
-        cv=build(CvProtocolParams, cv_kwargs, "cv"),
-        cv_noise=build(PhaseEncodingNoise, noise_kwargs, "cv"),
-        sweep=build(SweepRanges, values["sweep"], "sweep"),
-    )
+    records = {}
+    for section, holders in SECTIONS.items():
+        for field, record in holders:
+            try:
+                records[field] = record(**values[field])
+            except ValueError as exc:
+                raise ConfigError(f"invalid [{section}] settings: {exc}") from exc
+    return SimulationConfig(**records)
 
 
 def _format_value(value: object) -> str:
@@ -284,21 +272,8 @@ def resolved_items(cfg: SimulationConfig) -> tuple[tuple[str, str, str], ...]:
     it must be deterministic and complete: re-running with the printed
     values reproduces the table byte for byte.
     """
-    holders = {
-        "channel": (cfg.channel,),
-        "dv": (cfg.dv, cfg.dv_finite),
-        "cv": (cfg.cv, cfg.cv_noise),
-        "sweep": (cfg.sweep,),
-    }
-    items = []
-    for section, schema in _SCHEMA.items():
-        for key in schema:
-            value = None
-            for holder in holders[section]:
-                if hasattr(holder, key):
-                    value = getattr(holder, key)
-                    break
-            else:
-                raise AssertionError(f"schema key {section}.{key} has no holder")
-            items.append((section, key, _format_value(value)))
-    return tuple(items)
+    return tuple(
+        (section, key, _format_value(getattr(getattr(cfg, field), key)))
+        for section, schema in _SCHEMA.items()
+        for key, (field, _) in schema.items()
+    )

@@ -132,8 +132,8 @@ def _rate_of_tau(protocol: str, block_n: float, cfg: SimulationConfig) -> RateOf
     """The protocol's rate result as a function of the channel transmissivity alone.
 
     The one place that knows how each protocol is evaluated.  Reads only
-    the protocol records (cfg.dv and cfg.dv_finite, or cfg.cv and
-    cfg.cv_noise); the finite-size record is built once, here.
+    the records of the protocol's config section, config.SECTIONS[protocol];
+    the finite-size record is built once, here.
     """
     if protocol == "dv":
         dv, fs = cfg.dv, cfg.dv_fs(block_n)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from qlinksim.config import (
     MAX_AXIS_POINTS,
+    SECTIONS,
     ConfigError,
     SimulationConfig,
     SweepRanges,
@@ -143,6 +145,10 @@ def test_block_size_parsing_variants():
     assert cfg.sweep.block_sizes == (1e9, 1e10, math.inf)
     with pytest.raises(ConfigError, match=re.escape("bad value for 'sweep.block_sizes'")):
         load_config(overrides=["sweep.block_sizes=1e9; inf"])
+    for repeated, value in (("1e9,1e9", "1000000000.0"), ("1e9,1e9,inf", "1000000000.0"), ("inf,1e10,inf", "inf")):
+        message = f"invalid [sweep] settings: sweep.block_sizes must not repeat an entry: {value}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(overrides=[f"sweep.block_sizes={repeated}"])
     with pytest.raises(ConfigError, match=re.escape("invalid [sweep] settings")):
         load_config(overrides=["sweep.block_sizes=0.5"])
 
@@ -174,6 +180,23 @@ def test_resolved_items_cover_every_key():
         if key != "block_sizes"
     ] + ["sweep.block_sizes=" + triples[("sweep", "block_sizes")]]
     assert load_config(overrides=overrides) == cfg
+
+
+def test_sections_are_the_one_declaration():
+    fields = [field for holders in SECTIONS.values() for field, _ in holders]
+    assert tuple(fields) == SimulationConfig._fields
+    header = {}
+    for section, key, _ in resolved_items(load_config()):
+        header.setdefault(section, []).append(key)
+    assert list(header) == list(SECTIONS)
+    for section, holders in SECTIONS.items():
+        records = [record for _, record in holders]
+        keys = [key for record in records for key in record._fields if key != "block_size_n"]
+        assert header[section] == keys
+        # each key's parser comes from the type of its default
+        for record in records:
+            params = inspect.signature(record).parameters.values()
+            assert all(p.default is not inspect.Parameter.empty for p in params), record
 
 
 def test_resolved_items_track_overrides():
