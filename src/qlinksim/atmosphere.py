@@ -319,13 +319,14 @@ def default_profile() -> ReferenceAtmosphereProfile:
 
 # frequencies per gamma block: _gamma_blocks' four buffers are (block x nodes),
 # and they stay allocated for the whole call, one set per thread of
-# _each_block.  The in-process fig4 + fig5 pass on 2 CPUs (2-core Xeon KVM
-# host, medians of 4 x 30 passes) read, in peak RSS and time per pass,
-# against 38.05 MB and 0.227 s for the one-thread kernel at block 125 with
-# the continuum as an expression: block 125 +1.1 MB, 0.146 s; 100 +0.6 MB,
-# 0.150 s; 84 +0.2 MB, 0.155 s; 72 -0.1 MB, 0.168 s; 64 -0.4 MB, 0.173 s.
-# 84 keeps the peak within 0.5% and most of the speed; it cuts fig4's 1000
-# frequencies into 12 blocks, 6 per thread.
+# _each_block.  With fig4's 158 nested nodes (262 before the slants of a ray
+# shared one grid), the in-process fig4 + fig5 pass on 2 CPUs (2-core KVM
+# host, medians of 30 passes, 4-7 rounds per block) read, in time per pass
+# and peak RSS: block 84 0.158 s, 36.0-36.2 MB; 100 0.156 s, 36.3-36.4 MB;
+# 125 0.138 s, 36.4-36.9 MB; 168 0.127 s, 37.2-37.4 MB (the 262-node kernel
+# at 84: 0.193 s, 38.0-38.1 MB).  The larger blocks are faster but none
+# keeps the peak of block 84, so 84 stays; it cuts fig4's 1000 frequencies
+# into 12 blocks, 6 per thread.
 # The bytes do not depend on the block (fig4 at 1, 7, 125 and 1000 agree).
 _FREQ_BLOCK = 84
 
@@ -439,10 +440,14 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
         #                         + 1.4e-12 p theta^1.5 / (1 + 1.9e-5 f^1.5))
         np.multiply(f, p, out=x)
         np.multiply(x, theta2, out=x)
-        np.divide(f, d, out=y)
-        np.square(y, out=y)
-        np.add(1.0, y, out=y)
-        np.multiply(d, y, out=y)
+        # below about 1e-151 f[GHz] hPa of dry plus vapour pressure, f/d or its
+        # square overflows to inf and the Debye term reads its limit, an exact 0;
+        # that overflow is the answer, not an error.  No byte changes
+        with np.errstate(over="ignore"):
+            np.divide(f, d, out=y)
+            np.square(y, out=y)
+            np.add(1.0, y, out=y)
+            np.multiply(d, y, out=y)
         np.divide(6.14e-5, y, out=y)
         np.power(f, 1.5, out=below)
         np.multiply(1.9e-5, below, out=below)
@@ -592,20 +597,35 @@ _FINE_REGION_TOP_KM = 10.0
 
 
 def _path_nodes(path: SlantPathSpec, step_scale: float) -> np.ndarray:
-    """Integration nodes in path length, fine near the ground (start < 100 km)."""
+    """Integration nodes in path length: the ray's grid points below the end, then the end.
+
+    The grid belongs to the ray (elevation and start altitude, which must
+    be below 100 km): k * _FINE_STEP_KM * step_scale up to the path
+    length where the ray crosses 10 km altitude, that crossing itself,
+    then that crossing plus k * _COARSE_STEP_KM * step_scale.  The end is
+    the slant distance, or the 100 km crossing if that comes first.  Each
+    grid point is computed from its own k, so the slants of one ray nest:
+    a shorter slant's nodes are a longer one's below its end, then its end.
+    """
     sin_el = math.sin(math.radians(path.elevation_deg))
-    s_top = (TOP_ALTITUDE_KM - path.start_altitude_km) / sin_el
-    s_end = min(path.slant_distance_km, s_top)
-    segments = []
-    s_lo = 0.0
-    if path.start_altitude_km < _FINE_REGION_TOP_KM:
-        s_lo = min(s_end, (_FINE_REGION_TOP_KM - path.start_altitude_km) / sin_el)
-        n = max(2, int(math.ceil(s_lo / (_FINE_STEP_KM * step_scale))) + 1)
-        segments.append(np.linspace(0.0, s_lo, n))
-    if s_end > s_lo:
-        n = max(2, int(math.ceil((s_end - s_lo) / (_COARSE_STEP_KM * step_scale))) + 1)
-        segments.append(np.linspace(s_lo, s_end, n))
-    return np.unique(np.concatenate(segments))
+    start = path.start_altitude_km
+
+    def reach(h_km: float) -> float:
+        # path length up to altitude h_km > start; a ray so shallow that its
+        # sine underflows to 0 never gets there
+        return (h_km - start) / sin_el if sin_el > 0.0 else math.inf
+
+    def grid(origin: float, limit: float, step_km: float) -> np.ndarray:
+        # origin + k * step_km for every k >= 0 that stays below limit
+        points = origin + np.arange(math.ceil((limit - origin) / step_km) + 1) * step_km
+        return points[points < limit]
+
+    s_end = min(path.slant_distance_km, reach(TOP_ALTITUDE_KM))
+    s_fine = reach(_FINE_REGION_TOP_KM) if start < _FINE_REGION_TOP_KM else 0.0
+    segments = [grid(0.0, min(s_end, s_fine), _FINE_STEP_KM * step_scale)]
+    if s_end > s_fine:
+        segments.append(grid(s_fine, s_end, _COARSE_STEP_KM * step_scale))
+    return np.concatenate([*segments, [s_end]])
 
 
 def slant_attenuation_spectra(
@@ -617,14 +637,19 @@ def slant_attenuation_spectra(
 ) -> np.ndarray:
     """Total gas attenuation (dB) of slants along one ray, shape (slants, f).
 
-    gamma is evaluated once, on the union of the slants' path-length
-    nodes: its state-only line factors in one pass, then blockwise over
-    frequency in buffers reused by every block, the blocks split over the
-    usable CPUs by _each_block.  Each slant is integrated by the trapezoid
-    rule over its own nodes, at most 0.1 km apart below 10 km altitude and
-    1 km above (times ``step_scale``, which tests use for convergence
-    checks), block by block on the thread that computed the block.  The
-    bytes depend neither on the block size nor on the thread count.
+    The slants share one grid along the ray (_path_nodes): points at most
+    0.1 km apart in path length up to the 10 km-altitude crossing, which
+    is a point too, and 1 km apart above it (times ``step_scale``, which
+    tests use for convergence checks).  Each slant's nodes are the grid
+    points below its end, then its end, so gamma is evaluated once, on
+    the longest slant's nodes plus the other slants' ends: its state-only
+    line factors in one pass, then blockwise over frequency in buffers
+    reused by every block, the blocks split over the usable CPUs by
+    _each_block.  Each slant is integrated by the trapezoid rule over its
+    own nodes, block by block on the thread that computed the block.  A
+    slant's nodes depend on the ray and that slant alone, so its bytes do
+    not depend on the other slants, nor on the block size or the thread
+    count.
     """
     _check_freq(frequency_ghz)
     if not step_scale > 0.0:
@@ -637,6 +662,7 @@ def slant_attenuation_spectra(
     if start_altitude_km >= TOP_ALTITUDE_KM:
         return out
     nodes = [_path_nodes(path, step_scale) for path in paths]
+    # the nodes nest, so the union is the longest slant's plus the other ends
     union, inverse = np.unique(np.concatenate(nodes), return_inverse=True)
     idx = np.split(inverse, np.cumsum([len(n) for n in nodes[:-1]]))
     h = start_altitude_km + union * math.sin(math.radians(elevation_deg))

@@ -25,6 +25,7 @@ from qlinksim.atmosphere import (
     SpectralLineTable,
     _gamma_blocks,
     _line_factors,
+    _path_nodes,
     attenuation_spectrum,
     default_line_table,
     default_profile,
@@ -320,6 +321,18 @@ def test_vacuum_attenuates_nothing():
     assert attenuation_spectrum(f, AtmosphericState(290.0, 0.0, 0.0)).tolist() == [0.0] * 6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pressure_hpa", [1e-150, 1e-310])
+def test_tiny_pressures_attenuate_without_overflow_warnings(pressure_hpa):
+    # the continuum's f/d, or its square, overflows here; the Debye term reads
+    # its limit 0, and gamma is the oxygen lines' one, linear in the pressure
+    f = np.array([1.0, 10.0, 60.0, 118.750343, 557.0, 1000.0])
+    gamma = attenuation_spectrum(f, AtmosphericState(290.0, pressure_hpa, 0.0))
+    linear = attenuation_spectrum(f, AtmosphericState(290.0, 1e-140, 0.0)) * (pressure_hpa / 1e-140)
+    assert np.all(gamma > 0.0)
+    np.testing.assert_allclose(gamma, linear, rtol=1e-9, atol=1e-320)
+
+
 @pytest.mark.parametrize("block", [1, 7, 125, 1000])
 def test_slant_spectra_bytes_do_not_depend_on_the_block_size(monkeypatch, block):
     freqs = np.concatenate([np.linspace(1.0, 1000.0, 131), _TABLE.oxygen[:3, 0]])
@@ -489,6 +502,57 @@ def test_slant_attenuation_step_convergence():
         assert coarse == pytest.approx(fine, rel=5e-3)
     with pytest.raises(ValueError):
         slant_attenuation(path, 10.0, step_scale=0.0)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=90.0, exclude_min=True),
+    st.floats(min_value=0.0, max_value=100.0, exclude_max=True),
+    st.lists(st.floats(min_value=1e-3, max_value=200.0), min_size=1, max_size=8),
+    st.sampled_from([0.5, 1.0, 2.0]),
+)
+@example(45.0, 0.0, [1.0, 10.0, 19.0, 28.0], 1.0)
+# rays so shallow that the sine underflows to 0 never leave their start altitude
+@example(5e-324, 5.0, [3.0, 1.5], 1.0)
+@example(5e-324, 50.0, [3.0, 1.5], 1.0)
+def test_slants_of_one_ray_take_nested_nodes(elevation, start, slants, step_scale):
+    nodes = [_path_nodes(SlantPathSpec(elevation, start, s), step_scale) for s in slants]
+    longest = nodes[int(np.argmax(slants))]
+    for own in nodes:
+        # the longest slant's nodes below this slant's end, then its end
+        end = own[-1]
+        assert own.tobytes() == np.append(longest[longest < end], end).tobytes()
+    assert np.unique(np.concatenate(nodes)).size <= len(longest) + len(slants) - 1
+    # steps: 0.1 km below the 10 km-altitude crossing, which is a node, 1 km above
+    sin_el = math.sin(math.radians(elevation))
+    crossing = 0.0
+    if start < 10.0:
+        crossing = (10.0 - start) / sin_el if sin_el > 0.0 else math.inf
+    if crossing < longest[-1]:
+        assert crossing in longest
+    steps = np.diff(longest)
+    assert longest[0] == 0.0 and np.all(steps > 0.0)
+    below = longest[1:] <= crossing
+    assert np.all(steps[below] <= 0.1 * step_scale * (1.0 + 1e-9))
+    assert np.all(steps[~below] <= 1.0 * step_scale * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("config, union", [("fig4_attenuation.ini", 158), ("default.ini", 174)])
+def test_slant_grids_evaluate_gamma_on_the_nested_nodes_only(config, union):
+    cfg = load_config(str(REPO_ROOT / "configs" / config))
+    elevation = cfg.sweep.elevation_deg
+    nodes = [_path_nodes(SlantPathSpec(elevation, 0.0, s), 1.0) for s in cfg.sweep.slants_km()]
+    assert np.unique(np.concatenate(nodes)).size == union
+
+
+def test_slant_quadrature_error_is_bounded():
+    # fig4's slants at every 50th frequency of its grid, against ten times finer
+    # steps: the nested nodes must not buy their speed with a coarser integral
+    cfg = load_config(str(REPO_ROOT / "configs" / "fig4_attenuation.ini"))
+    freqs = np.array(cfg.sweep.frequencies_ghz())[::50]
+    slants = cfg.sweep.slants_km()
+    got = slant_attenuation_spectra(cfg.sweep.elevation_deg, 0.0, slants, freqs)
+    fine = slant_attenuation_spectra(cfg.sweep.elevation_deg, 0.0, slants, freqs, step_scale=0.1)
+    assert np.max(np.abs(got - fine) / fine) <= 3e-4
 
 
 def test_slant_spectrum_matches_scalar_and_respects_band():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -873,3 +874,22 @@ def test_regen_script_rejects_missing_and_unknown_names():
         assert proc.returncode == 2, (names, proc.stdout, proc.stderr)
         assert tables in proc.stderr
     assert snapshot() == before
+
+
+def test_regen_script_reports_the_largest_change_per_column(capsys):
+    path = REPO_ROOT / "scripts" / "regen_figure_data.py"
+    spec = importlib.util.spec_from_file_location("regen_figure_data", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    old = "# scenario = cv-sweep\nkm,block,rate\n1,inf,0.5\n2,inf,0.25\n"
+    regen._report_changes("t.csv", old, old.replace("0.5", "0.5005").replace("0.25", "0.2505"))
+    regen._report_changes("u.csv", old, old.replace(",0.25", ",0.25\n3,inf,0"))
+    regen._report_changes("v.csv", None, old)
+    assert capsys.readouterr().err == (
+        "t.csv: largest relative change per column\n"
+        "  km: 0\n"
+        "  block: 0\n"
+        "  rate: 0.002 at line 4: 2,inf,0.2505\n"
+        "u.csv: columns or row count changed, no per-column comparison\n"
+        "v.csv: no earlier table to compare with\n"
+    )
