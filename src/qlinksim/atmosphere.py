@@ -594,6 +594,14 @@ class SlantPathSpec(Record):
 _FINE_STEP_KM = 0.1  # below 10 km altitude
 _COARSE_STEP_KM = 1.0  # above 10 km altitude
 _FINE_REGION_TOP_KM = 10.0
+# at most this many integration nodes per slant.  Per node, _line_factors
+# keeps 4 + 4 * 44 + 3 * 35 = 285 float64 factors (2.3 kB) for the whole call,
+# and each thread of _each_block four _FREQ_BLOCK-row buffers, 4 * 84 = 336
+# float64 (2.7 kB).  On 2 threads that is 7.7 kB per node, so 50000 nodes
+# hold about 0.38 GB, and each further thread adds 0.13 GB.  A slant through
+# the whole atmosphere fits down to about 0.22 deg of elevation; the default
+# grid's longest slant takes 169 nodes
+_MAX_PATH_NODES = 50_000
 
 
 def _path_nodes(path: SlantPathSpec, step_scale: float) -> np.ndarray:
@@ -606,6 +614,8 @@ def _path_nodes(path: SlantPathSpec, step_scale: float) -> np.ndarray:
     the slant distance, or the 100 km crossing if that comes first.  Each
     grid point is computed from its own k, so the slants of one ray nest:
     a shorter slant's nodes are a longer one's below its end, then its end.
+    Raises ValueError, before any node is allocated, for a slant of more
+    than _MAX_PATH_NODES nodes.
     """
     sin_el = math.sin(math.radians(path.elevation_deg))
     start = path.start_altitude_km
@@ -622,9 +632,19 @@ def _path_nodes(path: SlantPathSpec, step_scale: float) -> np.ndarray:
 
     s_end = min(path.slant_distance_km, reach(TOP_ALTITUDE_KM))
     s_fine = reach(_FINE_REGION_TOP_KM) if start < _FINE_REGION_TOP_KM else 0.0
-    segments = [grid(0.0, min(s_end, s_fine), _FINE_STEP_KM * step_scale)]
+    fine, coarse = _FINE_STEP_KM * step_scale, _COARSE_STEP_KM * step_scale
+    # counted as floats, which may be inf, and never node by node
+    count = min(s_end, s_fine) / fine + 2.0
     if s_end > s_fine:
-        segments.append(grid(s_fine, s_end, _COARSE_STEP_KM * step_scale))
+        count += (s_end - s_fine) / coarse
+    if not count <= _MAX_PATH_NODES:
+        raise ValueError(
+            f"the slant needs about {count:.3g} integration nodes, more than the "
+            f"{_MAX_PATH_NODES} one slant may have"
+        )
+    segments = [grid(0.0, min(s_end, s_fine), fine)]
+    if s_end > s_fine:
+        segments.append(grid(s_fine, s_end, coarse))
     return np.concatenate([*segments, [s_end]])
 
 

@@ -98,7 +98,7 @@ class SweepRanges(Record):
         if not self.block_sizes:
             raise ConfigError("sweep.block_sizes must not be empty")
         for i, n in enumerate(self.block_sizes):
-            if not (math.isinf(n) or n >= 1.0):
+            if not n >= 1.0:
                 raise ConfigError(f"sweep.block_sizes entries must be >= 1 or inf: {n!r}")
             if n in self.block_sizes[:i]:
                 raise ConfigError(f"sweep.block_sizes must not repeat an entry: {n!r}")
@@ -155,16 +155,7 @@ def _parse_float(text: str) -> float:
 
 
 def _parse_block_sizes(text: str) -> tuple[float, ...]:
-    sizes = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token.lower() == "inf":
-            sizes.append(math.inf)
-        else:
-            sizes.append(_parse_float(token))
-    return tuple(sizes)
+    return tuple(_parse_float(token) for token in text.split(",") if token.strip())
 
 
 def _parse_protocol(text: str) -> str:
@@ -258,11 +249,8 @@ def load_config(path: str | None = None, overrides: list[str] | tuple[str, ...] 
 def _format_value(value: object) -> str:
     if isinstance(value, tuple):
         return ", ".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
-    return str(value)
+    # repr keeps an infinity's sign: "inf" or "-inf"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def resolved_items(cfg: SimulationConfig) -> tuple[tuple[str, str, str], ...]:

@@ -151,22 +151,6 @@ def _detection_noise(
     return tau_total, background, sigma_bit_sq, leak * sigma_bit_sq, amp
 
 
-def _displacement(
-    p: CvProtocolParams, tau_total: float, sigma_bit_sq: float, amp: float
-) -> float:
-    if p.ber_target == 0.5:
-        return 0.0
-    if tau_total == 0.0:
-        return math.inf
-    return amp * math.sqrt(sigma_bit_sq / tau_total)
-
-
-def _snr(p: CvProtocolParams, tau_total: float, background: float, residual: float) -> float:
-    """Quadrature SNR after the trusted receiver; of the displacement only its residual is noise."""
-    base = 1.0 + p.v_el + background + residual
-    return tau_total * p.v_mod / base
-
-
 def _conditional_entropy_bits(
     tau: float, u: float, v: float, w: float, g: float, det: float, chi_hom: float
 ) -> tuple[float, tuple[float, float, float]]:
@@ -349,10 +333,14 @@ def composable_key_rate(
 
     # shared by the SNR, the Holevo bound and the displacement: computed once
     tau_total, background, sigma_bit_sq, residual, amp = _detection_noise(ch, p, noise)
-    snr = _snr(p, tau_total, background, residual)
+    # quadrature SNR after the trusted receiver: of the displacement only its
+    # residual is noise
+    snr = tau_total * p.v_mod / (1.0 + p.v_el + background + residual)
     i_raw = 0.5 * math.log2(1.0 + snr)
-    chi_e, nus = _holevo(ch, p, residual)
-    delta = _displacement(p, tau_total, sigma_bit_sq, amp)
+    chi_e, nus = _holevo(ch, p, residual)  # raises where tau_total is 0
+    # at ber_target 0.5 no displacement is sent (amp = 0); the guard keeps
+    # 0 * inf = NaN out where a subnormal tau_total overflows the quotient
+    delta = amp * math.sqrt(sigma_bit_sq / tau_total) if amp > 0.0 else 0.0
 
     bracket = p.beta * i_raw - chi_e
     if math.isinf(block_size_n):

@@ -4,16 +4,17 @@ Channel model: Poissonian sources of signal/weak/vacuum intensity over a
 transmissivity eta_total (optical channel times receiver efficiency),
 with an intensity-independent background yield Y0 and misalignment
 error.  Single-photon yield and error are bounded by the standard
-two-decoy estimates; the finite-size recipe shifts each observed count
-by a Hoeffding deviation in its worst-case direction and subtracts a
-fixed composable correction.
+two-decoy estimates.  One key-rate formula covers every block size: it
+shifts each observed frequency by a Hoeffding deviation in its
+worst-case direction and subtracts a composable correction, and both
+are exactly 0 for an infinite block.
 """
 
 from __future__ import annotations
 
 import math
 
-from .mathfn import binary_entropy, hoeffding_delta
+from .mathfn import binary_entropy, hoeffding_deviation
 from .record import Record
 
 __all__ = [
@@ -57,11 +58,9 @@ class DecoyProtocolParams(Record):
     def _validate(self) -> None:
         if not self.mu > self.nu > 0.0:
             raise ValueError("intensities must satisfy mu > nu > 0")
-        for name in ("eta_receiver", "e0", "e_mis", "sift_q", "check_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]: {value!r}")
-        for name in ("y0_stray", "y0_dark"):
+        for name in (
+            "eta_receiver", "e0", "e_mis", "sift_q", "check_fraction", "y0_stray", "y0_dark"
+        ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]: {value!r}")
@@ -93,10 +92,6 @@ class FiniteSizeConfig(Record):
         if not self.p_mu + self.p_nu < 1.0:
             raise ValueError(f"p_mu + p_nu must be < 1: {self.p_mu + self.p_nu!r}")
 
-    @property
-    def is_asymptotic(self) -> bool:
-        return math.isinf(self.block_size_n)
-
 
 class DvDiagnostics(Record):
     q_mu: float
@@ -109,9 +104,8 @@ class DvRateResult(Record):
     """Rates of one decoy-protocol evaluation.
 
     signed_rate is the key rate before it is clamped at 0: the key length
-    per signal pulse, or the asymptotic bracket.  It is -inf where the
-    decoy bound certifies no single-photon yield, so no finite margin
-    exists.
+    per signal pulse.  It is -inf where the decoy bound certifies no
+    single-photon yield, so no finite margin exists.
     """
 
     key_rate: float
@@ -187,6 +181,17 @@ def decoy_bounds(
     return y1, e1
 
 
+def _payload(gain: float, qber: float, params: DecoyProtocolParams) -> float:
+    payload = (1.0 - params.check_fraction) * gain * (1.0 - params.f_ec * binary_entropy(qber))
+    return max(payload, 0.0)
+
+
+def _sample(pulses: float, fraction: float) -> float:
+    # the pulses that click (or carry one photon): none if the fraction is 0,
+    # even out of an infinite block, where the product would be NaN
+    return pulses * fraction if fraction > 0.0 else 0.0
+
+
 def qsdc_payload_rate(eta_total: float, params: DecoyProtocolParams) -> float:
     """Net direct-transmission payload in bits per use.
 
@@ -194,20 +199,7 @@ def qsdc_payload_rate(eta_total: float, params: DecoyProtocolParams) -> float:
     at 0.  This is a throughput model for the message-carrying mode of
     the protocol, not a security bound.
     """
-    gain, qber = gains_and_qber(eta_total, params, params.mu)
-    payload = (1.0 - params.check_fraction) * gain * (1.0 - params.f_ec * binary_entropy(qber))
-    return max(payload, 0.0)
-
-
-def _insecure(eta_total: float, params: DecoyProtocolParams) -> DvRateResult:
-    gain_mu, qber_mu = gains_and_qber(eta_total, params, params.mu)
-    return DvRateResult(
-        key_rate=0.0,
-        signed_rate=-math.inf,
-        payload_rate=qsdc_payload_rate(eta_total, params),
-        secure=False,
-        diagnostics=DvDiagnostics(q_mu=gain_mu, e_mu=qber_mu, y1_lower=0.0, e1_upper=1.0),
-    )
+    return _payload(*gains_and_qber(eta_total, params, params.mu), params)
 
 
 def finite_key_rate(
@@ -215,89 +207,51 @@ def finite_key_rate(
     params: DecoyProtocolParams,
     fs: FiniteSizeConfig,
 ) -> DvRateResult:
-    """Composable finite-size key rate in bits per signal pulse.
+    """Composable key rate in bits per signal pulse, for any block size N.
 
-    Observed gains are shifted by Hoeffding deviations in the worst-case
-    direction before entering the decoy bounds: the weak-decoy gain down
-    and signal gain up (per-intensity pulse counts), the weak-decoy QBER
-    up (over its detected sample), and the single-photon phase error up
-    (over the bounded single-photon sample).  The background yield Y0 is
-    a device-characterized constant and is not shifted.  The key length
+    Observed frequencies are shifted by the per-sample Hoeffding deviation
+    sqrt(ln(1/eps) / 2n) in the worst-case direction before entering the
+    decoy bounds: the signal gain up and the weak-decoy gain down (over
+    their pulses), the weak-decoy QBER up (over its detections), and the
+    single-photon phase error up (over the bounded single-photon sample),
+    capped at 1/2, where it certifies nothing.  The background yield Y0
+    is a device-characterized constant and is not shifted.  The key
+    length per signal pulse is
 
-        l = n_mu_1 (1 - h(e1_ph)) - f_ec n_mu h(E_mu) - 6 log2(19/eps)
+        rate = sift_q * (Q1 (1 - h(e1_ph)) - Q_mu f_ec h(E_mu)
+                         - 6 log2(19/eps) / (N p_mu))
 
-    is normalized per signal pulse: rate = sift_q * l / (N p_mu), which
-    reduces to sift_q * (Q1 (1 - h(e1)) - f_ec Q_mu h(E_mu)) as N grows.
-    The asymptotic configuration evaluates that limit directly.
+    At N = inf every shift and the composable term are exactly 0, so
+    the asymptotic rate is this formula's zero-shift case, not a second
+    one.  Where the decoy bound certifies no single-photon yield, the
+    rate is -inf, with Y1 = 0 and e1 = 1 reported.
     """
     gain_mu, qber_mu = gains_and_qber(eta_total, params, params.mu)
     gain_nu, qber_nu = gains_and_qber(eta_total, params, params.nu)
-    y0 = params.y0  # vacuum-intensity gain: Q_0 = Y0 exactly in this model
-
-    if fs.is_asymptotic:
-        try:
-            y1, e1 = decoy_bounds(gain_mu, gain_nu, y0, qber_nu, params)
-        except NoSinglePhotonSignal:
-            return _insecure(eta_total, params)
-        q1 = y1 * params.mu * math.exp(-params.mu)
-        # a phase-error bound above 1/2 certifies nothing; cap it there so the
-        # privacy term cannot turn positive again through h's symmetry
-        e1_eff = min(e1, 0.5)
-        rate = params.sift_q * (
-            q1 * (1.0 - binary_entropy(e1_eff))
-            - gain_mu * params.f_ec * binary_entropy(qber_mu)
-        )
-        return DvRateResult(
-            key_rate=max(rate, 0.0),
-            signed_rate=rate,
-            payload_rate=qsdc_payload_rate(eta_total, params),
-            secure=rate > 0.0,
-            diagnostics=DvDiagnostics(
-                q_mu=gain_mu, e_mu=qber_mu, y1_lower=y1, e1_upper=e1
-            ),
-        )
-
-    n_total = fs.block_size_n
     eps = fs.epsilon
-    pulses_mu = n_total * fs.p_mu
-    pulses_nu = n_total * fs.p_nu
+    pulses_mu = fs.block_size_n * fs.p_mu
+    pulses_nu = fs.block_size_n * fs.p_nu
 
-    # worst-case gain shifts over the per-intensity pulse samples
-    d_gain_mu = hoeffding_delta(pulses_mu, eps) / pulses_mu
-    d_gain_nu = hoeffding_delta(pulses_nu, eps) / pulses_nu
-    gain_mu_hi = min(gain_mu + d_gain_mu, 1.0)
-    gain_nu_lo = max(gain_nu - d_gain_nu, 0.0)
-
-    # QBER shift over the weak-decoy detected sample
-    detections_nu = pulses_nu * gain_nu
-    if detections_nu > 0.0:
-        qber_nu_hi = min(qber_nu + hoeffding_delta(detections_nu, eps) / detections_nu, 1.0)
-    else:
-        qber_nu_hi = 1.0
-
+    gain_mu_hi = min(gain_mu + hoeffding_deviation(pulses_mu, eps), 1.0)
+    gain_nu_lo = max(gain_nu - hoeffding_deviation(pulses_nu, eps), 0.0)
+    qber_nu_hi = min(qber_nu + hoeffding_deviation(_sample(pulses_nu, gain_nu), eps), 1.0)
     try:
-        y1, e1 = decoy_bounds(gain_mu_hi, gain_nu_lo, y0, qber_nu_hi, params)
+        # Y0 stands in for the vacuum-intensity gain: Q_0 = Y0 exactly here
+        y1, e1 = decoy_bounds(gain_mu_hi, gain_nu_lo, params.y0, qber_nu_hi, params)
     except NoSinglePhotonSignal:
-        return _insecure(eta_total, params)
-
-    n_mu = pulses_mu * gain_mu
-    n_mu_1 = pulses_mu * params.mu * math.exp(-params.mu) * y1
-    if n_mu_1 <= 0.0:
-        return _insecure(eta_total, params)
-    e1_ph = e1 + hoeffding_delta(n_mu_1, eps) / n_mu_1
-    e1_ph = min(max(e1_ph, 0.0), 0.5)
-
-    delta_comp = 6.0 * math.log2(19.0 / eps)
-    key_length = (
-        n_mu_1 * (1.0 - binary_entropy(e1_ph))
-        - params.f_ec * n_mu * binary_entropy(qber_mu)
-        - delta_comp
-    )
-    rate = params.sift_q * key_length / pulses_mu
+        y1, e1_ph, rate = 0.0, 1.0, -math.inf
+    else:
+        q1 = y1 * params.mu * math.exp(-params.mu)
+        e1_ph = min(max(e1 + hoeffding_deviation(_sample(pulses_mu, q1), eps), 0.0), 0.5)
+        rate = params.sift_q * (
+            q1 * (1.0 - binary_entropy(e1_ph))
+            - gain_mu * params.f_ec * binary_entropy(qber_mu)
+            - 6.0 * math.log2(19.0 / eps) / pulses_mu
+        )
     return DvRateResult(
         key_rate=max(rate, 0.0),
         signed_rate=rate,
-        payload_rate=qsdc_payload_rate(eta_total, params),
-        secure=key_length > 0.0,
+        payload_rate=_payload(gain_mu, qber_mu, params),
+        secure=rate > 0.0,
         diagnostics=DvDiagnostics(q_mu=gain_mu, e_mu=qber_mu, y1_lower=y1, e1_upper=e1_ph),
     )

@@ -23,7 +23,7 @@ __all__ = [
     "gaussian_tail_ber",
     "ber_to_snr_amplitude",
     "erfc_inverse",
-    "hoeffding_delta",
+    "hoeffding_deviation",
     "thermal_photon_number",
 ]
 
@@ -209,26 +209,26 @@ def ber_to_snr_amplitude(ber: float) -> float:
     return math.sqrt(2.0) * erfc_inverse(2.0 * ber)
 
 
-def hoeffding_delta(n_samples: float, epsilon: float) -> float:
-    """Hoeffding deviation (in counts) at failure probability epsilon.
+def hoeffding_deviation(n_samples: float, epsilon: float) -> float:
+    """Hoeffding deviation of an observed frequency at failure probability epsilon.
 
-    delta = sqrt(n_samples * ln(1/epsilon) / 2).  Shifting an observed
-    count of n_samples Bernoulli trials by delta covers the true mean
-    except with probability epsilon.  n_samples = 0 returns 0 (no
-    samples, no deviation).
+    delta = sqrt(ln(1/epsilon) / (2 n_samples)).  Shifting the observed
+    frequency of n_samples Bernoulli trials by delta covers the true
+    mean except with probability epsilon.  n_samples = 0 returns inf (no
+    samples bound nothing) and n_samples = inf returns exactly 0.
 
     Raises
     ------
     ValueError
-        If n_samples < 0 or epsilon is outside (0, 1).
+        If n_samples is negative or NaN, or epsilon is outside (0, 1).
     """
-    if n_samples < 0:
+    if not n_samples >= 0:
         raise ValueError(f"sample count must be non-negative: {n_samples!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"failure probability must lie in (0, 1): {epsilon!r}")
     if n_samples == 0:
-        return 0.0
-    return math.sqrt(n_samples * math.log(1.0 / epsilon) / 2.0)
+        return math.inf
+    return math.sqrt(math.log(1.0 / epsilon) / (2.0 * n_samples))
 
 
 def thermal_photon_number(frequency_hz: float, temperature_k: float) -> float:

@@ -206,7 +206,7 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
     so that the other scenarios never load it.  Errors are prefixed with
     the elevation and the first slant that reproduces them on its own.
     """
-    from .atmosphere import SlantPathSpec, slant_attenuation_spectra
+    from .atmosphere import SlantPathSpec, _path_nodes, slant_attenuation_spectra
 
     freqs = cfg.sweep.frequencies_ghz()
     slants = cfg.sweep.slants_km()
@@ -218,7 +218,7 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
         culprit = slants[0]
         for slant in slants:
             try:
-                SlantPathSpec(elevation, 0.0, slant)
+                _path_nodes(SlantPathSpec(elevation, 0.0, slant), 1.0)
             except ValueError:
                 culprit = slant
                 break
@@ -440,9 +440,8 @@ def run_scenario(scenario: str, cfg: SimulationConfig) -> SweepTable:
 
 def _format_cell(value: float) -> str:
     f = float(value)
-    if math.isinf(f):
-        return "inf"
-    if f == int(f) and abs(f) < 1e16:
+    # infinities are not integers, and repr keeps their sign
+    if f.is_integer() and abs(f) < 1e16:
         return str(int(f))
     return repr(f)
 

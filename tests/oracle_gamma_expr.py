@@ -51,15 +51,18 @@ def _gamma_grid(
     # a vacuum state (p + e = 0) has d = 0 and a prefactor f p = 0; a width of
     # 1 makes its continuum 0 instead of 0 * inf = NaN, as in the package
     d = np.where(d > 0.0, d, 1.0)
-    n_total += (
-        f
-        * p
-        * theta**2
-        * (
-            6.14e-5 / (d * (1.0 + (f / d) ** 2))
-            + 1.4e-12 * p * theta**1.5 / (1.0 + 1.9e-5 * f**1.5)
+    # below about 1e-151 f[GHz] hPa, (f / d)^2 overflows to inf and the Debye
+    # term reads its limit 0, as in the package, which ignores that overflow too
+    with np.errstate(over="ignore"):
+        n_total += (
+            f
+            * p
+            * theta**2
+            * (
+                6.14e-5 / (d * (1.0 + (f / d) ** 2))
+                + 1.4e-12 * p * theta**1.5 / (1.0 + 1.9e-5 * f**1.5)
+            )
         )
-    )
 
     for fi, b1, b2, b3, b4, b5, b6 in table.water:
         si = b1 * 1e-1 * e * theta**3.5 * np.exp(b2 * (1.0 - theta))

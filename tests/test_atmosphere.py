@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -534,6 +535,25 @@ def test_slants_of_one_ray_take_nested_nodes(elevation, start, slants, step_scal
     below = longest[1:] <= crossing
     assert np.all(steps[below] <= 0.1 * step_scale * (1.0 + 1e-9))
     assert np.all(steps[~below] <= 1.0 * step_scale * (1.0 + 1e-9))
+
+
+# a long slant at a shallow elevation: 6.16e6 nodes (49 MB of nodes alone,
+# tens of GB of line factors), and one just over the cap, 6e4 nodes (480 kB)
+@pytest.mark.parametrize("elevation, slant", [(0.001, 1e6), (0.01, 6000.0)])
+def test_a_slant_over_the_node_cap_raises_before_any_allocation(elevation, slant):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"more than the 50000 one slant may have$"):
+            slant_attenuation_spectra(elevation, 0.0, [slant], np.array([100.0]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_a_slant_under_the_node_cap_is_built():
+    # 4000 km at 0.01 deg stays below 10 km altitude: 0.1 km steps, 40001 nodes
+    assert _path_nodes(SlantPathSpec(0.01, 0.0, 4000.0), 1.0).size == 40_001
 
 
 @pytest.mark.parametrize("config, union", [("fig4_attenuation.ini", 158), ("default.ini", 174)])

@@ -151,6 +151,11 @@ def test_block_size_parsing_variants():
             load_config(overrides=[f"sweep.block_sizes={repeated}"])
     with pytest.raises(ConfigError, match=re.escape("invalid [sweep] settings")):
         load_config(overrides=["sweep.block_sizes=0.5"])
+    # only +inf is the asymptotic block; -inf is no block size at all
+    for negative in ("-inf", "1e9,-inf"):
+        message = "invalid [sweep] settings: sweep.block_sizes entries must be >= 1 or inf: -inf"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(overrides=[f"sweep.block_sizes={negative}"])
 
 
 def test_dv_finite_block_swap():

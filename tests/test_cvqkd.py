@@ -118,6 +118,9 @@ def _displacement(ch, p=PARAMS):
 
 def test_displacement_amplitude_behaviour():
     assert _displacement(ThermalLossChannel(0.5), CvProtocolParams(ber_target=0.5)) == 0.0
+    # no displacement is sent at BER 1/2, even where a subnormal tau * eta
+    # overflows sigma_bit^2 / tau_total and 0 * inf would read NaN
+    assert _displacement(ThermalLossChannel(1e-309), CvProtocolParams(ber_target=0.5)) == 0.0
     assert _displacement(ThermalLossChannel(0.0)) == math.inf
     assert _displacement(ThermalLossChannel(0.1, 9.31e-10)) == pytest.approx(
         26.234988953294614, rel=1e-12

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qlinksim.dvqkd import (
@@ -18,6 +18,7 @@ from qlinksim.dvqkd import (
     gains_and_qber,
     qsdc_payload_rate,
 )
+from qlinksim.mathfn import binary_entropy
 
 PARAMS = DecoyProtocolParams()
 ASYMPTOTIC = FiniteSizeConfig()
@@ -191,8 +192,6 @@ def test_config_validation():
         FiniteSizeConfig(epsilon=1.0)
     with pytest.raises(ValueError):
         FiniteSizeConfig(p_mu=0.7, p_nu=0.3)
-    assert FiniteSizeConfig().is_asymptotic
-    assert not FiniteSizeConfig(block_size_n=1e9).is_asymptotic
 
 
 def test_params_validation():
@@ -300,3 +299,85 @@ def test_small_block_at_low_transmissivity_is_insecure():
     assert not small.secure
     assert small.key_rate == 0.0
     assert asym.secure
+
+
+# ---------------------------------------------------------------------------
+# one formula for every block size
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def decoy_params(draw):
+    nu = draw(st.floats(min_value=0.01, max_value=0.5))
+    return DecoyProtocolParams(
+        mu=draw(st.floats(min_value=nu * 1.01, max_value=1.5)),
+        nu=nu,
+        e0=draw(st.floats(min_value=0.0, max_value=1.0)),
+        # background yields small enough that every gain stays a probability
+        y0_stray=draw(st.floats(min_value=0.0, max_value=1e-2)),
+        y0_dark=draw(st.floats(min_value=0.0, max_value=1e-4)),
+        f_ec=draw(st.floats(min_value=1.0, max_value=2.0)),
+        e_mis=draw(st.floats(min_value=0.0, max_value=0.5)),
+        sift_q=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0)),
+        check_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
+    )
+
+
+def asymptotic_reference(eta: float, params: DecoyProtocolParams) -> float:
+    """The asymptotic key rate as its own expression, on the unshifted gains.
+
+    sift_q (Q1 (1 - h(min(e1, 1/2))) - Q_mu f_ec h(E_mu)), -inf where the
+    decoy bound certifies no single-photon yield.
+    """
+    gain_mu, qber_mu = gains_and_qber(eta, params, params.mu)
+    gain_nu, qber_nu = gains_and_qber(eta, params, params.nu)
+    try:
+        y1, e1 = decoy_bounds(gain_mu, gain_nu, params.y0, qber_nu, params)
+    except NoSinglePhotonSignal:
+        return -math.inf
+    q1 = y1 * params.mu * math.exp(-params.mu)
+    return params.sift_q * (
+        q1 * (1.0 - binary_entropy(min(e1, 0.5)))
+        - gain_mu * params.f_ec * binary_entropy(qber_mu)
+    )
+
+
+@given(decoy_params(), st.floats(min_value=0.0, max_value=1.0))
+@example(PARAMS, 0.01)
+@example(DecoyProtocolParams(y0_stray=0.0, y0_dark=0.0), 0.0)
+def test_infinite_block_is_the_asymptotic_expression_bit_for_bit(params, eta):
+    result = finite_key_rate(eta, params, ASYMPTOTIC)
+    reference = asymptotic_reference(eta, params)
+    assert result.signed_rate.hex() == reference.hex()
+    assert result.key_rate == max(reference, 0.0)
+    assert result.payload_rate == qsdc_payload_rate(eta, params)
+
+
+@given(
+    decoy_params(),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.just(math.inf) | st.floats(min_value=1.0, max_value=1e16),
+)
+# no sifted key: the rate is 0 for every block, so no block is secure
+@example(DecoyProtocolParams(sift_q=0.0), 0.1 * PARAMS.eta_receiver, 1e9)
+@example(DecoyProtocolParams(sift_q=0.0), 0.1 * PARAMS.eta_receiver, math.inf)
+def test_secure_exactly_when_the_key_rate_is_positive(params, eta, block_n):
+    result = finite_key_rate(eta, params, FiniteSizeConfig(block_size_n=block_n))
+    assert result.secure == (result.key_rate > 0.0)
+    if params.sift_q == 0.0:
+        assert not result.secure
+
+
+@pytest.mark.parametrize("block_n", [1e9, math.inf])
+def test_zero_detections_are_insecure_without_nan(block_n):
+    # no background and no light: no pulse clicks, even in an infinite block,
+    # where the detection count would be 0 * inf = NaN if it were formed
+    silent = DecoyProtocolParams(y0_stray=0.0, y0_dark=0.0)
+    result = finite_key_rate(0.0, silent, FiniteSizeConfig(block_size_n=block_n))
+    assert result == DvRateResult(
+        key_rate=0.0,
+        signed_rate=-math.inf,
+        payload_rate=0.0,
+        secure=False,
+        diagnostics=DvDiagnostics(q_mu=0.0, e_mu=silent.e0, y1_lower=0.0, e1_upper=1.0),
+    )

@@ -15,7 +15,7 @@ from qlinksim.mathfn import (
     bosonic_entropy,
     erfc_inverse,
     gaussian_tail_ber,
-    hoeffding_delta,
+    hoeffding_deviation,
 )
 
 
@@ -112,25 +112,28 @@ def test_erfc_inverse_far_tail_stays_finite_and_monotone():
     assert xs == sorted(xs)
 
 
-def test_hoeffding_delta_formula_and_edges():
-    assert hoeffding_delta(0, 0.1) == 0.0
+def test_hoeffding_deviation_formula_and_edges():
+    assert hoeffding_deviation(0, 0.1) == math.inf
+    assert hoeffding_deviation(math.inf, 0.1) == 0.0
     n, eps = 1e10, 1e-10
-    assert hoeffding_delta(n, eps) == pytest.approx(
-        math.sqrt(n * math.log(1.0 / eps) / 2.0), rel=1e-14
+    assert hoeffding_deviation(n, eps) == pytest.approx(
+        math.sqrt(math.log(1.0 / eps) / (2.0 * n)), rel=1e-14
     )
     with pytest.raises(ValueError):
-        hoeffding_delta(-1.0, 0.1)
+        hoeffding_deviation(-1.0, 0.1)
     with pytest.raises(ValueError):
-        hoeffding_delta(10.0, 0.0)
+        hoeffding_deviation(math.nan, 0.1)
     with pytest.raises(ValueError):
-        hoeffding_delta(10.0, 1.0)
+        hoeffding_deviation(10.0, 0.0)
+    with pytest.raises(ValueError):
+        hoeffding_deviation(10.0, 1.0)
 
 
 @given(
     st.floats(min_value=1.0, max_value=1e15),
     st.floats(min_value=1e-15, max_value=0.5),
 )
-def test_hoeffding_delta_monotonicity(n, eps):
-    # grows with sample count, shrinks with looser failure budget
-    assert hoeffding_delta(2.0 * n, eps) > hoeffding_delta(n, eps)
-    assert hoeffding_delta(n, min(2.0 * eps, 0.9)) <= hoeffding_delta(n, eps)
+def test_hoeffding_deviation_monotonicity(n, eps):
+    # shrinks with sample count, and with a looser failure budget
+    assert hoeffding_deviation(2.0 * n, eps) < hoeffding_deviation(n, eps)
+    assert hoeffding_deviation(n, min(2.0 * eps, 0.9)) <= hoeffding_deviation(n, eps)

@@ -284,6 +284,27 @@ def test_atmos_grid_errors_name_their_slant(capsys):
         "config error: atmos-grid slant at elevation_deg=45.0, slant_km=0.0: "
         "slant distance must be > 0: 0.0\n"
     )
+    # a slant with too many integration nodes is named, not the first slant
+    cfg = load_config(overrides=[
+        *SMALL_ATMOS_OVERRIDES,
+        "sweep.elevation_deg=0.01",
+        "sweep.slant_start_km=1000",
+        "sweep.slant_stop_km=6000",
+        "sweep.slant_step_km=5000",
+    ])
+    with pytest.raises(ValueError, match=r"^atmos-grid slant at elevation_deg=0\.01, slant_km=6000\.0: "):
+        atmos_grid(cfg)
+    assert main([
+        "atmos-grid",
+        "--override", "sweep.elevation_deg=0.001",
+        "--override", "sweep.slant_start_km=1e6",
+        "--override", "sweep.slant_stop_km=1e6",
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "config error: atmos-grid slant at elevation_deg=0.001, slant_km=1000000.0: "
+        "the slant needs about 6.16e+06 integration nodes, more than the 50000 one "
+        "slant may have\n"
+    )
 
 
 def _rate(protocol, tau, block_n, cfg):
