@@ -7,9 +7,9 @@ transmissivity), dvqkd (decoy-state rates with a direct-message
 payload), cvqkd (displaced coherent-state rates), config/sweeps/cli
 (batch orchestration).
 
-atmosphere is the only submodule that needs numpy.  It is imported on
-first use of one of its exports below (PEP 562), so importing the
-package, or running a rate scenario, never loads numpy.
+atmosphere is the only submodule that needs numpy, and the package
+does not import it, so importing the package, or running a rate
+scenario, never loads numpy.
 """
 
 from .config import ConfigError, SimulationConfig, SweepRanges, load_config
@@ -39,29 +39,7 @@ from .sweeps import (
 
 __version__ = "0.1.0"
 
-_ATMOSPHERE_EXPORTS = (
-    "AtmosphericState",
-    "ReferenceAtmosphereProfile",
-    "SlantPathSpec",
-    "slant_attenuation",
-    "specific_attenuation",
-)
-
-
-def __getattr__(name: str):
-    if name in _ATMOSPHERE_EXPORTS:
-        from . import atmosphere
-
-        return getattr(atmosphere, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "AtmosphericState",
-    "ReferenceAtmosphereProfile",
-    "SlantPathSpec",
-    "slant_attenuation",
-    "specific_attenuation",
     "thermal_photon_number",
     "ConfigError",
     "SimulationConfig",

@@ -3,9 +3,10 @@
 Implements the line-by-line specific attenuation of Rec. ITU-R P.676
 Annex 1 (44 oxygen lines, 35 water-vapour lines, dry-air continuum),
 numerical integration of that attenuation along straight slant rays
-through a mean annual global reference atmosphere (Rec. ITU-R P.835
-style).  The Bose-Einstein mean thermal photon occupancy lives in mathfn,
-which needs no numpy, and is re-exported here.
+from the ground through the one built-in mean annual global reference
+atmosphere (Rec. ITU-R P.835 style).  The Bose-Einstein mean thermal
+photon occupancy lives in mathfn, which needs no numpy, and is
+re-exported here.
 
 The spectroscopic coefficients ship as plain-text data files whose
 SHA-256 digests are verified at load time against a bundled manifest.
@@ -28,14 +29,9 @@ from .mathfn import thermal_photon_number
 from .record import Record
 
 __all__ = [
-    "AtmosphericState",
-    "ReferenceAtmosphereProfile",
     "SpectralLineTable",
     "SlantPathSpec",
     "default_line_table",
-    "specific_attenuation",
-    "attenuation_spectrum",
-    "slant_attenuation",
     "slant_attenuation_spectrum",
     "slant_attenuation_spectra",
     "thermal_photon_number",
@@ -47,45 +43,6 @@ FREQ_MAX_GHZ = 1000.0
 # integration ceiling: absorber densities above this altitude contribute
 # nothing at the accuracy targets of this model
 TOP_ALTITUDE_KM = 100.0
-# the line model raises theta = 300/T to powers up to 3.5; theta is finite
-# for any T > 1.7e-306 K, but below about 1e-36 K the water-vapour terms
-# overflow and the attenuation is NaN.  No atmosphere is near this floor
-MIN_TEMPERATURE_K = 1.0
-
-
-class AtmosphericState(Record):
-    """Local thermodynamic state of moist air.
-
-    Parameters
-    ----------
-    temperature_k : float
-        Temperature in kelvin, finite and >= MIN_TEMPERATURE_K.
-    pressure_hpa : float
-        Total (dry + vapour) barometric pressure in hPa, finite and >= 0.
-    water_vapor_density_g_m3 : float
-        Water-vapour density in g/m^3, finite and >= 0.
-    """
-
-    temperature_k: float
-    pressure_hpa: float
-    water_vapor_density_g_m3: float
-
-    def _validate(self) -> None:
-        # written as "not inside" so that NaN is rejected too
-        if not self.temperature_k >= MIN_TEMPERATURE_K:
-            raise ValueError(
-                f"temperature must be >= {MIN_TEMPERATURE_K} K: {self.temperature_k!r}"
-            )
-        if not self.pressure_hpa >= 0.0:
-            raise ValueError(f"pressure must be >= 0 hPa: {self.pressure_hpa!r}")
-        if not self.water_vapor_density_g_m3 >= 0.0:
-            raise ValueError(
-                f"water vapour density must be >= 0: {self.water_vapor_density_g_m3!r}"
-            )
-        for name in ("temperature_k", "pressure_hpa", "water_vapor_density_g_m3"):
-            value = getattr(self, name)
-            if value == math.inf:
-                raise ValueError(f"{name} must be finite: {value!r}")
 
 
 def _read_checked(name: str) -> bytes:
@@ -228,13 +185,12 @@ def _standard_t_p(h_km: float) -> tuple[float, float]:
     return t, p
 
 
-class ReferenceAtmosphereProfile(Record, eq=False):
-    """Layered altitude table of atmospheric state with interpolation.
+class _ReferenceProfile(Record, eq=False):
+    """Altitude table of the reference atmosphere, built by default_profile().
 
     Temperature interpolates linearly in altitude between nodes; pressure
-    and water-vapour density interpolate exponentially (linearly in log)
-    wherever the node values are strictly positive, falling back to
-    linear interpolation otherwise.
+    and water-vapour density, positive at every node, interpolate
+    exponentially (linearly in log).
     """
 
     altitude_km: np.ndarray
@@ -242,74 +198,38 @@ class ReferenceAtmosphereProfile(Record, eq=False):
     pressure_hpa: np.ndarray
     water_vapor_g_m3: np.ndarray
 
-    def _validate(self) -> None:
-        n = self.altitude_km.shape[0]
-        for name in ("temperature_k", "pressure_hpa", "water_vapor_g_m3"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError("profile columns must share one length")
-        if n < 2:
-            raise ValueError("profile needs at least two nodes")
-        for name in ("altitude_km", "temperature_k", "pressure_hpa", "water_vapor_g_m3"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"profile {name} values must be finite")
-        if not np.all(np.diff(self.altitude_km) > 0.0):
-            raise ValueError("profile altitudes must be strictly increasing")
-        if self.altitude_km[0] != 0.0:
-            raise ValueError("profile must start at altitude 0 km")
-        if self.altitude_km[-1] < TOP_ALTITUDE_KM:
-            raise ValueError(f"profile must reach {TOP_ALTITUDE_KM} km")
-        if not np.all(self.temperature_k >= MIN_TEMPERATURE_K):
-            raise ValueError(f"profile temperatures must be >= {MIN_TEMPERATURE_K} K")
-        if np.any(self.pressure_hpa < 0.0) or np.any(self.water_vapor_g_m3 < 0.0):
-            raise ValueError("profile pressures and densities must be >= 0")
-        if np.any(np.diff(self.pressure_hpa) > 0.0):
-            raise ValueError("profile pressure must be non-increasing with altitude")
-
-    @classmethod
-    def mean_annual_global(cls) -> "ReferenceAtmosphereProfile":
-        """Reference profile with 1 km nodes from 0 to 100 km.
-
-        Surface values 288.15 K, 1013.25 hPa, 7.5 g/m^3; water vapour
-        decays with a 2 km scale height down to a mixing-ratio floor of
-        e/P = 2e-6.
-        """
-        alts = np.arange(0.0, TOP_ALTITUDE_KM + 0.5, 1.0)
-        t = np.empty_like(alts)
-        p = np.empty_like(alts)
-        rho = np.empty_like(alts)
-        for i, h in enumerate(alts):
-            t[i], p[i] = _standard_t_p(float(h))
-            rho_exp = SURFACE_WATER_VAPOR_G_M3 * math.exp(-h / _WATER_SCALE_HEIGHT_KM)
-            rho_floor = 216.7 * _MIN_MIXING_RATIO * p[i] / t[i]
-            rho[i] = max(rho_exp, rho_floor)
-        return cls(altitude_km=alts, temperature_k=t, pressure_hpa=p, water_vapor_g_m3=rho)
-
     def states_at(self, h_km: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized (T, P, rho) at the requested altitudes."""
         h = np.asarray(h_km, dtype=float)
         if np.any(h < 0.0) or np.any(h > self.altitude_km[-1]):
             raise ValueError("altitude outside profile range")
         t = np.interp(h, self.altitude_km, self.temperature_k)
-
-        def _interp_pos(values: np.ndarray) -> np.ndarray:
-            if np.all(values > 0.0):
-                return np.exp(np.interp(h, self.altitude_km, np.log(values)))
-            return np.interp(h, self.altitude_km, values)
-
-        return t, _interp_pos(self.pressure_hpa), _interp_pos(self.water_vapor_g_m3)
-
-    def state_at(self, h_km: float) -> AtmosphericState:
-        t, p, rho = self.states_at(np.array([h_km]))
-        return AtmosphericState(
-            temperature_k=float(t[0]),
-            pressure_hpa=float(p[0]),
-            water_vapor_density_g_m3=float(rho[0]),
+        p, rho = (
+            np.exp(np.interp(h, self.altitude_km, np.log(values)))
+            for values in (self.pressure_hpa, self.water_vapor_g_m3)
         )
+        return t, p, rho
 
 
 @lru_cache(maxsize=1)
-def default_profile() -> ReferenceAtmosphereProfile:
-    return ReferenceAtmosphereProfile.mean_annual_global()
+def default_profile() -> _ReferenceProfile:
+    """Mean annual global profile with 1 km nodes from 0 to 100 km.
+
+    Surface values 288.15 K, 1013.25 hPa, 7.5 g/m^3; water vapour decays
+    with a 2 km scale height down to a mixing-ratio floor of e/P = 2e-6.
+    """
+    alts = np.arange(0.0, TOP_ALTITUDE_KM + 0.5, 1.0)
+    t = np.empty_like(alts)
+    p = np.empty_like(alts)
+    rho = np.empty_like(alts)
+    for i, h in enumerate(alts):
+        t[i], p[i] = _standard_t_p(float(h))
+        rho_exp = SURFACE_WATER_VAPOR_G_M3 * math.exp(-h / _WATER_SCALE_HEIGHT_KM)
+        rho_floor = 216.7 * _MIN_MIXING_RATIO * p[i] / t[i]
+        rho[i] = max(rho_exp, rho_floor)
+    return _ReferenceProfile(
+        altitude_km=alts, temperature_k=t, pressure_hpa=p, water_vapor_g_m3=rho
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -545,48 +465,25 @@ def _check_freq(frequency_ghz: np.ndarray | float) -> None:
         )
 
 
-def specific_attenuation(frequency_ghz: float, state: AtmosphericState) -> float:
-    """Gaseous specific attenuation gamma(f) in dB/km at one state point."""
-    _check_freq(frequency_ghz)
-    return float(attenuation_spectrum(np.array([frequency_ghz]), state)[0])
-
-
-def attenuation_spectrum(frequency_ghz: np.ndarray, state: AtmosphericState) -> np.ndarray:
-    """Vectorized gamma(f) in dB/km at a fixed state."""
-    _check_freq(frequency_ghz)
-    states = ([state.temperature_k], [state.pressure_hpa], [state.water_vapor_density_g_m3])
-    f = np.asarray(frequency_ghz, dtype=float)
-    out = np.empty(f.size)
-
-    def consume(lo: int, gamma: np.ndarray) -> None:
-        out[lo : lo + gamma.shape[0]] = gamma[:, 0]
-
-    _each_block(f, _line_factors(*states, default_line_table()), consume)
-    return out.reshape(f.shape)
-
-
 # ---------------------------------------------------------------------------
 # slant-path integration
 # ---------------------------------------------------------------------------
 
 
 class SlantPathSpec(Record):
-    """Straight ray from a start altitude at a fixed elevation angle.
+    """Straight ray from the ground at a fixed elevation angle.
 
-    The path altitude is h(s) = start + s * sin(elevation); contributions
-    above 100 km are clipped to zero.
+    The path altitude is h(s) = s * sin(elevation); contributions above
+    100 km are clipped to zero.
     """
 
     elevation_deg: float
-    start_altitude_km: float = 0.0
     slant_distance_km: float = 1.0
 
     def _validate(self) -> None:
         # written as "not inside" so that NaN is rejected too
         if not 0.0 < self.elevation_deg <= 90.0:
             raise ValueError(f"elevation must lie in (0, 90] deg: {self.elevation_deg!r}")
-        if not self.start_altitude_km >= 0.0:
-            raise ValueError(f"start altitude must be >= 0: {self.start_altitude_km!r}")
         if not self.slant_distance_km > 0.0:
             raise ValueError(f"slant distance must be > 0: {self.slant_distance_km!r}")
 
@@ -607,10 +504,10 @@ _MAX_PATH_NODES = 50_000
 def _path_nodes(path: SlantPathSpec, step_scale: float) -> np.ndarray:
     """Integration nodes in path length: the ray's grid points below the end, then the end.
 
-    The grid belongs to the ray (elevation and start altitude, which must
-    be below 100 km): k * _FINE_STEP_KM * step_scale up to the path
-    length where the ray crosses 10 km altitude, that crossing itself,
-    then that crossing plus k * _COARSE_STEP_KM * step_scale.  The end is
+    The grid belongs to the ray, which starts on the ground at the path's
+    elevation: k * _FINE_STEP_KM * step_scale up to the path length where
+    the ray crosses 10 km altitude, that crossing itself, then that
+    crossing plus k * _COARSE_STEP_KM * step_scale.  The end is
     the slant distance, or the 100 km crossing if that comes first.  Each
     grid point is computed from its own k, so the slants of one ray nest:
     a shorter slant's nodes are a longer one's below its end, then its end.
@@ -618,12 +515,11 @@ def _path_nodes(path: SlantPathSpec, step_scale: float) -> np.ndarray:
     than _MAX_PATH_NODES nodes.
     """
     sin_el = math.sin(math.radians(path.elevation_deg))
-    start = path.start_altitude_km
 
     def reach(h_km: float) -> float:
-        # path length up to altitude h_km > start; a ray so shallow that its
-        # sine underflows to 0 never gets there
-        return (h_km - start) / sin_el if sin_el > 0.0 else math.inf
+        # path length up to altitude h_km; a ray so shallow that its sine
+        # underflows to 0 never gets there
+        return h_km / sin_el if sin_el > 0.0 else math.inf
 
     def grid(origin: float, limit: float, step_km: float) -> np.ndarray:
         # origin + k * step_km for every k >= 0 that stays below limit
@@ -631,7 +527,7 @@ def _path_nodes(path: SlantPathSpec, step_scale: float) -> np.ndarray:
         return points[points < limit]
 
     s_end = min(path.slant_distance_km, reach(TOP_ALTITUDE_KM))
-    s_fine = reach(_FINE_REGION_TOP_KM) if start < _FINE_REGION_TOP_KM else 0.0
+    s_fine = reach(_FINE_REGION_TOP_KM)
     fine, coarse = _FINE_STEP_KM * step_scale, _COARSE_STEP_KM * step_scale
     # counted as floats, which may be inf, and never node by node
     count = min(s_end, s_fine) / fine + 2.0
@@ -650,12 +546,11 @@ def _path_nodes(path: SlantPathSpec, step_scale: float) -> np.ndarray:
 
 def slant_attenuation_spectra(
     elevation_deg: float,
-    start_altitude_km: float,
     slants_km: Sequence[float],
     frequency_ghz: np.ndarray,
     step_scale: float = 1.0,
 ) -> np.ndarray:
-    """Total gas attenuation (dB) of slants along one ray, shape (slants, f).
+    """Total gas attenuation (dB) of slants along one ray from the ground, shape (slants, f).
 
     The slants share one grid along the ray (_path_nodes): points at most
     0.1 km apart in path length up to the 10 km-altitude crossing, which
@@ -676,16 +571,14 @@ def slant_attenuation_spectra(
         raise ValueError("step_scale must be > 0")
     if len(slants_km) == 0:
         raise ValueError("need at least one slant distance")
-    paths = [SlantPathSpec(elevation_deg, start_altitude_km, s) for s in slants_km]
+    paths = [SlantPathSpec(elevation_deg, s) for s in slants_km]
     f = np.asarray(frequency_ghz, dtype=float).reshape(-1)
     out = np.zeros((len(paths), f.shape[0]))
-    if start_altitude_km >= TOP_ALTITUDE_KM:
-        return out
     nodes = [_path_nodes(path, step_scale) for path in paths]
     # the nodes nest, so the union is the longest slant's plus the other ends
     union, inverse = np.unique(np.concatenate(nodes), return_inverse=True)
     idx = np.split(inverse, np.cumsum([len(n) for n in nodes[:-1]]))
-    h = start_altitude_km + union * math.sin(math.radians(elevation_deg))
+    h = union * math.sin(math.radians(elevation_deg))
     factors = _line_factors(
         *default_profile().states_at(np.clip(h, 0.0, TOP_ALTITUDE_KM)), default_line_table()
     )
@@ -708,11 +601,5 @@ def slant_attenuation_spectrum(
 ) -> np.ndarray:
     """Total gas attenuation (dB) along one path, vectorized over frequency."""
     return slant_attenuation_spectra(
-        path.elevation_deg, path.start_altitude_km, [path.slant_distance_km],
-        frequency_ghz, step_scale,
+        path.elevation_deg, [path.slant_distance_km], frequency_ghz, step_scale
     )[0]
-
-
-def slant_attenuation(path: SlantPathSpec, frequency_ghz: float, step_scale: float = 1.0) -> float:
-    """Total gas attenuation in dB along a slant path at one frequency."""
-    return float(slant_attenuation_spectrum(path, np.array([frequency_ghz]), step_scale)[0])

@@ -64,6 +64,14 @@ class DecoyProtocolParams(Record):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]: {value!r}")
+        # the signal gain at eta = 1, as gains_and_qber forms it, bounds every
+        # gain, so no gain can pass 1
+        gain = self.y0 + -math.expm1(-self.mu)
+        if not gain <= 1.0:
+            raise ValueError(
+                f"y0_stray + y0_dark + 1 - exp(-mu), the signal gain at eta = 1, "
+                f"must be <= 1: {gain!r}"
+            )
         if self.f_ec < 1.0:
             raise ValueError(f"error-correction efficiency must be >= 1: {self.f_ec!r}")
 

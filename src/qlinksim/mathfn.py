@@ -237,7 +237,14 @@ def thermal_photon_number(frequency_hz: float, temperature_k: float) -> float:
         raise ValueError(f"frequency must be > 0 Hz: {frequency_hz!r}")
     if not temperature_k > 0.0:
         raise ValueError(f"temperature must be > 0 K: {temperature_k!r}")
-    x = PLANCK_CONSTANT * frequency_hz / (BOLTZMANN_CONSTANT * temperature_k)
+    hf = PLANCK_CONSTANT * frequency_hz
+    kt = BOLTZMANN_CONSTANT * temperature_k
+    if hf == 0.0 or kt == 0.0:
+        raise ValueError(
+            f"h*f or k*T underflows to 0 at frequency {frequency_hz!r} Hz, "
+            f"temperature {temperature_k!r} K"
+        )
+    x = hf / kt
     if x > 700.0:
         # expm1 would overflow; occupancy is exp(-x) to double precision
         return math.exp(-x)

@@ -154,7 +154,7 @@ def _rate_at_altitude(
     try:
         tau = cfg.channel.at_altitude(altitude_km).transmissivity
         return tau, rate_of(tau)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # OverflowError, ZeroDivisionError
         where = f"{scenario} row at altitude_km={altitude_km!r}, block_size={block_n!r}"
         if tau is not None:
             where += f", tau={tau!r}"
@@ -212,13 +212,13 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
     slants = cfg.sweep.slants_km()
     elevation = cfg.sweep.elevation_deg
     try:
-        att = slant_attenuation_spectra(elevation, 0.0, slants, freqs)
+        att = slant_attenuation_spectra(elevation, slants, freqs)
     except ValueError as exc:
         # an error no one slant's path causes (a frequency) is every slant's
         culprit = slants[0]
         for slant in slants:
             try:
-                _path_nodes(SlantPathSpec(elevation, 0.0, slant), 1.0)
+                _path_nodes(SlantPathSpec(elevation, slant), 1.0)
             except ValueError:
                 culprit = slant
                 break
@@ -264,7 +264,7 @@ def _solve_threshold(
         probes += 1
         try:
             return rate_of(tau).signed_rate
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:  # OverflowError, ZeroDivisionError
             raise ValueError(
                 f"{protocol} threshold probe at tau={tau!r}, block_size={block_n!r}: {exc}"
             ) from exc

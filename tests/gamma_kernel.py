@@ -1,0 +1,27 @@
+"""Specific attenuation at given states through the package's gamma kernel.
+
+The package integrates gamma only along slants; tests that pin gamma
+itself (line landmarks, the oracles, a vacuum, tiny pressures, block
+sizes, threads) evaluate it here, at arbitrary (T, P, rho), through the
+same _line_factors, _gamma_blocks and _each_block that every slant uses.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qlinksim.atmosphere import _each_block, _line_factors, default_line_table
+
+
+def gamma_at(f_ghz, t_k, p_hpa, rho_g_m3) -> np.ndarray:
+    """gamma in dB/km, shape (len(f), len(states)); each state column is a scalar or a sequence."""
+    f = np.asarray(f_ghz, dtype=float).reshape(-1)
+    states = (np.atleast_1d(np.asarray(column, dtype=float)) for column in (t_k, p_hpa, rho_g_m3))
+    factors = _line_factors(*states, default_line_table())
+    out = np.empty((f.size, factors[0].shape[1]))
+
+    def consume(lo: int, gamma: np.ndarray) -> None:
+        out[lo : lo + gamma.shape[0]] = gamma
+
+    _each_block(f, factors, consume)
+    return out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import example, given
@@ -207,6 +208,40 @@ def test_params_validation():
         DecoyProtocolParams(f_ec=0.9)
     with pytest.raises(ValueError):
         DecoyProtocolParams(y0_stray=-1e-4)
+    # each yield lies in [0, 1], but this pair gave Q_mu = 1.0512 at eta = 1
+    with pytest.raises(ValueError, match="signal gain at eta = 1, must be <= 1: 1.05119"):
+        DecoyProtocolParams(y0_stray=0.6)
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@pytest.mark.parametrize("mu", [0.01, 0.5, 0.6, 1.5, 5.0, 40.0])
+def test_background_yield_keeps_every_gain_a_probability(mu):
+    def accepts(bits: int) -> bool:
+        try:
+            DecoyProtocolParams(mu=mu, nu=mu / 3.0, y0_stray=_float(bits), y0_dark=0.0)
+        except ValueError:
+            return False
+        return True
+
+    # the largest y0_stray the record accepts, to the last bit, by bisection
+    # on the bit patterns of [0, 1]: 0 is accepted, 1 is not
+    lo, hi = _bits(0.0), _bits(1.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    y0 = _float(lo)
+    edge = DecoyProtocolParams(mu=mu, nu=mu / 3.0, y0_stray=y0, y0_dark=0.0)
+    with pytest.raises(ValueError):
+        edge.replace(y0_stray=math.nextafter(y0, 1.0))
+    for intensity in (edge.mu, edge.nu, 0.0):
+        assert gains_and_qber(1.0, edge, intensity)[0] <= 1.0
 
 
 def test_result_rejects_negative_rates():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import pytest
 
@@ -44,22 +43,16 @@ RECORDS = {
         {"iterations": -1},
     ),
     sweeps.Scenario: (lambda: sweeps.SCENARIOS["dv-sweep"], None),
-    atmosphere.AtmosphericState: (
-        lambda: atmosphere.AtmosphericState(290.0, 1000.0, 7.5), {"pressure_hpa": math.inf}
-    ),
     atmosphere.SpectralLineTable: (
         atmosphere.default_line_table, {"water": atmosphere.default_line_table().oxygen}
     ),
-    atmosphere.ReferenceAtmosphereProfile: (
-        atmosphere.ReferenceAtmosphereProfile.mean_annual_global,
-        {"altitude_km": -atmosphere.ReferenceAtmosphereProfile.mean_annual_global().altitude_km},
-    ),
+    atmosphere._ReferenceProfile: (atmosphere.default_profile, None),
     atmosphere.SlantPathSpec: (
-        lambda: atmosphere.SlantPathSpec(45.0, 0.0, 10.0), {"slant_distance_km": 0.0}
+        lambda: atmosphere.SlantPathSpec(45.0, 10.0), {"slant_distance_km": 0.0}
     ),
 }
 # the two numpy tables keep identity equality and hashing
-IDENTITY_EQ = (atmosphere.SpectralLineTable, atmosphere.ReferenceAtmosphereProfile)
+IDENTITY_EQ = (atmosphere.SpectralLineTable, atmosphere._ReferenceProfile)
 
 
 def test_every_record_class_is_covered():

@@ -19,7 +19,7 @@ from qlinksim.atmosphere import (
     _path_nodes,
     default_line_table,
     default_profile,
-    slant_attenuation,
+    slant_attenuation_spectrum,
     thermal_photon_number,
 )
 from qlinksim.cli import main
@@ -144,9 +144,9 @@ def test_atmos_grid_matches_direct_evaluation():
     # more path, more loss; the 60 GHz oxygen complex dwarfs 10 GHz
     assert att[1] > att[0] and att[3] > att[2]
     assert att[2] > 10.0 * att[0]
-    direct = slant_attenuation(
-        SlantPathSpec(elevation_deg=45.0, slant_distance_km=20.0), 10.0
-    )
+    direct = slant_attenuation_spectrum(
+        SlantPathSpec(elevation_deg=45.0, slant_distance_km=20.0), np.array([10.0])
+    )[0]
     assert att[1] == pytest.approx(direct, rel=1e-12)
 
 
@@ -746,7 +746,7 @@ def test_cli_run_starts_no_process_pool():
 
 def test_rate_path_loads_no_numpy():
     # every scenario but atmos-grid, on small grids; only the gas-attenuation
-    # layer may import numpy, and only when one of its names is used
+    # layer imports numpy, and the package binds none of its names
     runs = [
         ["dv-sweep", *_override_args(SMALL_DV_OVERRIDES)],
         ["cv-sweep", *_override_args(SMALL_CV_OVERRIDES)],
@@ -760,21 +760,17 @@ def test_rate_path_loads_no_numpy():
         "from qlinksim.cli import main\n"
         f"for args in {runs!r}:\n"
         "    assert main(args + ['--out', sys.argv[1]]) == 0, args\n"
+        "star = {}\n"
+        "exec('from qlinksim import *', star)\n"
+        "assert set(qlinksim.__all__) <= set(star), set(qlinksim.__all__) - set(star)\n"
         "assert 'numpy' not in sys.modules, 'numpy loaded by the rate path'\n"
         "assert 'dataclasses' not in sys.modules, 'dataclasses loaded by the rate path'\n"
         "assert 'inspect' not in sys.modules, 'inspect loaded by the rate path'\n"
         "assert 'qlinksim.atmosphere' not in sys.modules\n"
-        "assert qlinksim.AtmosphericState is qlinksim.atmosphere.AtmosphericState\n"
-        "star = {}\n"
-        "exec('from qlinksim import *', star)\n"
-        "assert set(qlinksim.__all__) <= set(star), set(qlinksim.__all__) - set(star)\n"
-        "assert star['slant_attenuation'] is qlinksim.atmosphere.slant_attenuation\n"
-        "try:\n"
-        "    qlinksim.no_such_name\n"
-        "except AttributeError as exc:\n"
-        "    assert 'no_such_name' in str(exc)\n"
-        "else:\n"
-        "    raise AssertionError('unknown attribute resolved')\n"
+        "assert '__getattr__' not in vars(qlinksim)\n"
+        "from qlinksim import atmosphere\n"
+        "own = {n for n in atmosphere.__all__ if getattr(atmosphere, n).__module__ == atmosphere.__name__}\n"
+        "assert own and not own & set(vars(qlinksim)), own & set(vars(qlinksim))\n"
         "print('ok')\n"
     )
     proc = subprocess.run(
@@ -811,6 +807,47 @@ def test_rate_path_loads_no_numpy():
         (
             ["thermal-grid", "sweep.temp_step_k=1e-300", "sweep.temp_stop_k=300"],
             "sweep.temp has 5e+300 points, more than the 1000000 one axis may have",
+        ),
+        # a value that overflows or divides by zero inside a kernel names its
+        # row or probe, as a ValueError there does
+        (
+            ["cv-sweep", "cv.d_bits=5000"],
+            "cv-sweep row at altitude_km=100.0, block_size=1000000000.0, tau=",
+        ),
+        (
+            ["max-altitude", "sweep.protocol=cv", "cv.d_bits=5000"],
+            "cv threshold probe at tau=1.0, block_size=1000000000.0: ",
+        ),
+        (
+            ["cv-sweep", "cv.v_mod=1e200"],
+            "cv-sweep row at altitude_km=100.0, block_size=1000000000.0, tau=",
+        ),
+        (
+            ["max-altitude", "sweep.protocol=cv", "cv.v_mod=1e200"],
+            "cv threshold probe at tau=1.0, block_size=1000000000.0: ",
+        ),
+        (
+            ["dv-sweep", "dv.mu=800", "dv.y0_stray=0", "dv.y0_dark=0"],
+            "dv-sweep row at altitude_km=100.0, block_size=1000000000.0, tau=",
+        ),
+        (
+            ["max-altitude", "dv.mu=800", "dv.y0_stray=0", "dv.y0_dark=0"],
+            "dv threshold probe at tau=1.0, block_size=1000000000.0: ",
+        ),
+        (
+            ["thermal-grid", "sweep.temp_start_k=1e-320", "sweep.temp_stop_k=1e-320"],
+            "h*f or k*T underflows to 0 at frequency 1000000000.0 Hz, temperature 1e-320 K",
+        ),
+        (
+            ["thermal-grid", "sweep.freq_start_ghz=1e-320", "sweep.freq_stop_ghz=1e-320"],
+            "h*f or k*T underflows to 0 at frequency 9.999888671827e-312 Hz, temperature 295.0 K",
+        ),
+        # each background yield lies in [0, 1], but the signal gain at eta = 1
+        # came to 1.0512, and the sweep exited 0
+        (
+            ["dv-sweep", "dv.y0_stray=0.6"],
+            "config error: invalid [dv] settings: y0_stray + y0_dark + 1 - exp(-mu), "
+            "the signal gain at eta = 1, must be <= 1: 1.0511907639059734",
         ),
     ],
 )
