@@ -59,8 +59,8 @@ class CvProtocolParams(Record):
     d_bits: int = 5
 
     def _validate(self) -> None:
-        if not self.v_mod > 0.0:
-            raise ValueError(f"modulation variance must be > 0: {self.v_mod!r}")
+        if not 0.0 < self.v_mod < math.inf:
+            raise ValueError(f"v_mod must be finite and > 0: {self.v_mod!r}")
         if self.v_el < 0.0:
             raise ValueError(f"electronic noise must be >= 0: {self.v_el!r}")
         for name in ("eta_det", "eta_lo", "p_ec", "beta"):
@@ -75,8 +75,9 @@ class CvProtocolParams(Record):
             raise ValueError(f"ber_target must lie in (0, 0.5]: {self.ber_target!r}")
         if self.n_bg < 0.0:
             raise ValueError(f"background occupancy must be >= 0: {self.n_bg!r}")
-        if not (isinstance(self.d_bits, int) and self.d_bits >= 1):
-            raise ValueError(f"d_bits must be a positive integer: {self.d_bits!r}")
+        # aep_correction forms 2 ** (d_bits / 2), which overflows from 2048
+        if not (isinstance(self.d_bits, int) and 1 <= self.d_bits < 2048):
+            raise ValueError(f"d_bits must be an integer in [1, 2047]: {self.d_bits!r}")
 
     @property
     def eta_receiver(self) -> float:
@@ -180,12 +181,11 @@ def _conditional_entropy_bits(
 
 
 def holevo_bound(
-    ch: ThermalLossChannel,
-    p: CvProtocolParams,
-    noise: PhaseEncodingNoise,
+    ch: ThermalLossChannel, p: CvProtocolParams, residual: float
 ) -> tuple[float, tuple[float, ...]]:
     """Holevo information chi_E in bits/use, plus (nu1, nu2, nu3, nu4, nu5).
 
+    residual is the detector-plane residual from _detection_noise.
     Channel-output covariance uses a = V = v_mod + 1,
     b = tau (V + chi_line), c = sqrt(tau (V^2 - 1)) with
     chi_line = (1 - tau)/tau (2 n_thermal + 1) + eps_in, so that
@@ -198,13 +198,6 @@ def holevo_bound(
     (nu1, nu2) of that state; her conditional entropy from the
     trusted-detector conditioning.  chi_E = 0 exactly for (tau=1, n=0, eps=0).
     """
-    return _holevo(ch, p, _detection_noise(ch, p, noise)[3])
-
-
-def _holevo(
-    ch: ThermalLossChannel, p: CvProtocolParams, residual: float
-) -> tuple[float, tuple[float, ...]]:
-    """holevo_bound with the detector-plane residual of _detection_noise given."""
     tau = ch.tau
     if not tau > 0.0:
         raise ValueError("holevo_bound requires tau > 0")
@@ -337,7 +330,7 @@ def composable_key_rate(
     # residual is noise
     snr = tau_total * p.v_mod / (1.0 + p.v_el + background + residual)
     i_raw = 0.5 * math.log2(1.0 + snr)
-    chi_e, nus = _holevo(ch, p, residual)  # raises where tau_total is 0
+    chi_e, nus = holevo_bound(ch, p, residual)  # raises where tau_total is 0
     # at ber_target 0.5 no displacement is sent (amp = 0); the guard keeps
     # 0 * inf = NaN out where a subnormal tau_total overflows the quotient
     delta = amp * math.sqrt(sigma_bit_sq / tau_total) if amp > 0.0 else 0.0

@@ -13,6 +13,7 @@ are exactly 0 for an infinite block.
 from __future__ import annotations
 
 import math
+import sys
 
 from .mathfn import binary_entropy, hoeffding_deviation
 from .record import Record
@@ -28,6 +29,10 @@ __all__ = [
     "finite_key_rate",
     "qsdc_payload_rate",
 ]
+
+
+# the largest argument for which math.exp is finite
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 class NoSinglePhotonSignal(ValueError):
@@ -58,6 +63,11 @@ class DecoyProtocolParams(Record):
     def _validate(self) -> None:
         if not self.mu > self.nu > 0.0:
             raise ValueError("intensities must satisfy mu > nu > 0")
+        # decoy_bounds weights the signal gain by exp(mu)
+        if not self.mu <= _MAX_EXP_ARG:
+            raise ValueError(
+                f"mu must be <= {_MAX_EXP_ARG!r} so that exp(mu) is finite: {self.mu!r}"
+            )
         for name in (
             "eta_receiver", "e0", "e_mis", "sift_q", "check_fraction", "y0_stray", "y0_dark"
         ):

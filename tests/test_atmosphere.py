@@ -120,7 +120,7 @@ def test_profile_interpolation_continuity():
 def test_profile_tropospheric_lapse_rate():
     t0, t5 = default_profile().states_at(np.array([0.0, 5.0]))[0]
     # about -6.5 K/km in the troposphere (geopotential correction is small)
-    assert (t0 - t5) / 5.0 == pytest.approx(6.5, rel=0.01)
+    assert (t0 - t5) / 5.0 == pytest.approx(6.5, rel=0.01, abs=0.0)
 
 
 def test_states_at_rejects_out_of_range_altitudes():
@@ -145,7 +145,7 @@ def test_specific_attenuation_agrees_with_oracle_at_random_points():
         t, p, rho = (float(column[0]) for column in prof.states_at(np.array([alt])))
         got = gamma_at(f, t, p, rho)[0, 0]
         want = specific_attenuation_db_km(f, t, p, rho)
-        assert got == pytest.approx(want, rel=0.10), (f, alt)
+        assert got == pytest.approx(want, rel=0.10, abs=0.0), (f, alt)
 
 
 def test_specific_attenuation_thz_window_maxima():
@@ -412,7 +412,7 @@ def test_slant_attenuation_saturates_above_atmosphere():
     # everything above 100 km contributes nothing
     att_a = _attenuation(SlantPathSpec(90.0, 150.0), 60.0)
     att_b = _attenuation(SlantPathSpec(90.0, 5000.0), 60.0)
-    assert att_a == pytest.approx(att_b, rel=1e-12)
+    assert att_a == pytest.approx(att_b, rel=1e-12, abs=0.0)
 
 
 def test_slant_attenuation_step_convergence():
@@ -420,7 +420,7 @@ def test_slant_attenuation_step_convergence():
     for f in (22.235, 557.0):
         coarse = _attenuation(path, f, step_scale=2.0)
         fine = _attenuation(path, f, step_scale=0.5)
-        assert coarse == pytest.approx(fine, rel=5e-3)
+        assert coarse == pytest.approx(fine, rel=5e-3, abs=0.0)
     with pytest.raises(ValueError):
         _attenuation(path, 10.0, step_scale=0.0)
 
@@ -522,7 +522,7 @@ def test_slant_spectra_match_one_path_integrals():
 
 def test_thermal_photon_number_reference_points():
     assert thermal_photon_number(1e12, 295.0) == pytest.approx(5.66, abs=0.01)
-    assert thermal_photon_number(100e9, 295.0) == pytest.approx(60.9694, rel=1e-4)
+    assert thermal_photon_number(100e9, 295.0) == pytest.approx(60.9694, rel=1e-4, abs=0.0)
 
 
 def test_thermal_photon_number_optical_band_negligible():

@@ -33,8 +33,8 @@ NO_LEAK = PhaseEncodingNoise(eps_classical=0.0)
 
 
 def test_receiver_efficiency_combines_detector_and_lo_loss():
-    assert PARAMS.eta_receiver == pytest.approx(0.5 * 10.0 ** (-0.063), rel=1e-15)
-    assert PARAMS.eta_receiver == pytest.approx(0.4324839593878466, rel=1e-12)
+    assert PARAMS.eta_receiver == pytest.approx(0.5 * 10.0 ** (-0.063), rel=1e-15, abs=0.0)
+    assert PARAMS.eta_receiver == pytest.approx(0.4324839593878466, rel=1e-12, abs=0.0)
 
 
 def test_params_validation():
@@ -71,7 +71,7 @@ def test_channel_validation_and_output_variance():
     # loss, (1 - tau) 2 n, reaches the detector as background
     ch = ThermalLossChannel(0.3, n_thermal=2.0)
     background = _detection_noise(ch, PARAMS, NOISE)[1]
-    assert background == pytest.approx(PARAMS.eta_receiver * 0.7 * 4.0, rel=1e-15)
+    assert background == pytest.approx(PARAMS.eta_receiver * 0.7 * 4.0, rel=1e-15, abs=0.0)
     assert _detection_noise(ThermalLossChannel(1.0, n_thermal=2.0), PARAMS, NOISE)[1] == 0.0
 
 
@@ -123,7 +123,7 @@ def test_displacement_amplitude_behaviour():
     assert _displacement(ThermalLossChannel(1e-309), CvProtocolParams(ber_target=0.5)) == 0.0
     assert _displacement(ThermalLossChannel(0.0)) == math.inf
     assert _displacement(ThermalLossChannel(0.1, 9.31e-10)) == pytest.approx(
-        26.234988953294614, rel=1e-12
+        26.234988953294614, rel=1e-12, abs=0.0
     )
 
 
@@ -147,7 +147,7 @@ def test_snr_and_mutual_information_are_consistent():
     result = composable_key_rate(ch, PARAMS, NOISE)
     assert result.diagnostics.snr == snr
     assert result.classical_rate == pytest.approx(
-        PARAMS.beta * 0.5 * math.log2(1.0 + snr), rel=1e-15
+        PARAMS.beta * 0.5 * math.log2(1.0 + snr), rel=1e-15, abs=0.0
     )
 
 
@@ -161,18 +161,20 @@ def test_snr_increases_with_transmissivity(tau):
 
 
 def test_holevo_identity_channel_leaks_nothing():
-    chi, _ = holevo_bound(ThermalLossChannel(1.0, 0.0), PARAMS, NO_LEAK)
+    chi, _ = holevo_bound(ThermalLossChannel(1.0, 0.0), PARAMS, 0.0)
     assert abs(chi) <= 1e-9
 
 
 def test_holevo_requires_transmission():
+    ch = ThermalLossChannel(0.0)
     with pytest.raises(ValueError):
-        holevo_bound(ThermalLossChannel(0.0), PARAMS, NOISE)
+        holevo_bound(ch, PARAMS, _detection_noise(ch, PARAMS, NOISE)[3])
 
 
 def test_holevo_reference_point():
-    chi, nus = holevo_bound(ThermalLossChannel(0.5, 0.0), PARAMS, NOISE)
-    assert chi == pytest.approx(0.3401908989665945, rel=1e-9)
+    ch = ThermalLossChannel(0.5, 0.0)
+    chi, nus = holevo_bound(ch, PARAMS, _detection_noise(ch, PARAMS, NOISE)[3])
+    assert chi == pytest.approx(0.3401908989665945, rel=1e-9, abs=0.0)
     assert len(nus) == 5  # (nu1, nu2) plus three conditioned modes
     assert all(nu >= 1.0 - 1e-9 for nu in nus)
 
@@ -182,8 +184,8 @@ def test_trusted_detector_reduces_to_ideal_closed_form():
     near = CvProtocolParams(eta_det=1.0 - 1e-9, eta_lo=1.0, v_el=0.0)
     for tau in (0.3, 0.7):
         ch = ThermalLossChannel(tau, 0.001)
-        chi_ideal, nus_ideal = holevo_bound(ch, ideal, NOISE)
-        chi_near, _ = holevo_bound(ch, near, NOISE)
+        chi_ideal, nus_ideal = holevo_bound(ch, ideal, _detection_noise(ch, ideal, NOISE)[3])
+        chi_near, _ = holevo_bound(ch, near, _detection_noise(ch, near, NOISE)[3])
         assert chi_ideal == pytest.approx(chi_near, abs=1e-6)
         # conditioning leaves a single mode away from the vacuum
         assert all(abs(nu - 1.0) <= NU_CLAMP_TOL for nu in nus_ideal[3:])
@@ -191,8 +193,9 @@ def test_trusted_detector_reduces_to_ideal_closed_form():
 
 def test_electronic_noise_needs_lossy_detector_model():
     bad = CvProtocolParams(eta_det=1.0, eta_lo=1.0, v_el=0.1)
+    ch = ThermalLossChannel(0.5)
     with pytest.raises(ValueError, match="receiver efficiency below 1"):
-        holevo_bound(ThermalLossChannel(0.5), bad, NOISE)
+        holevo_bound(ch, bad, _detection_noise(ch, bad, NOISE)[3])
 
 
 @given(
@@ -207,9 +210,8 @@ def test_electronic_noise_needs_lossy_detector_model():
 # as C^2 - 4D cancels there and pushes nu4 under 1 by about 2e-8
 @example(1 - 1e-12, 0.0, 0.0)
 def test_holevo_bound_never_negative(tau, n_thermal, eps):
-    chi, _ = holevo_bound(
-        ThermalLossChannel(tau, n_thermal), PARAMS, PhaseEncodingNoise(eps)
-    )
+    ch = ThermalLossChannel(tau, n_thermal)
+    chi, _ = holevo_bound(ch, PARAMS, _detection_noise(ch, PARAMS, PhaseEncodingNoise(eps))[3])
     assert chi >= 0.0
 
 
@@ -253,17 +255,16 @@ def test_holevo_bound_matches_conditioning_oracle(params, tau, n_thermal, eps):
         eta=params.eta_receiver,
         ber_target=params.ber_target,
     )
-    chi, nus = holevo_bound(
-        ThermalLossChannel(tau, n_thermal), params, PhaseEncodingNoise(eps)
-    )
+    ch = ThermalLossChannel(tau, n_thermal)
+    chi, nus = holevo_bound(ch, params, _detection_noise(ch, params, PhaseEncodingNoise(eps))[3])
     assert abs(chi - float(want_chi)) <= 1e-12
     want_nus = [float(nu) for nu in want_nu_ab + want_nu_cond]
-    assert nus == pytest.approx(want_nus, rel=1e-12)
+    assert nus == pytest.approx(want_nus, rel=1e-12, abs=0.0)
 
 
 def test_holevo_grows_with_thermal_occupancy():
     chis = [
-        holevo_bound(ThermalLossChannel(0.4, n), PARAMS, NO_LEAK)[0]
+        holevo_bound(ThermalLossChannel(0.4, n), PARAMS, 0.0)[0]
         for n in (0.0, 0.05, 0.2)
     ]
     assert chis[0] < chis[1] < chis[2]
@@ -279,10 +280,10 @@ def test_finite_size_correction_values():
         4.0
         * math.log2(2.0**2.5 + 2.0)
         * math.sqrt(math.log2(18.0 / (0.9**2 * 1e-40))),
-        rel=1e-12,
+        rel=1e-12, abs=0.0,
     )
-    assert aep_correction(PARAMS) == pytest.approx(137.67124315011603, rel=1e-12)
-    assert theta_correction(PARAMS) == pytest.approx(-65.5905649911923, rel=1e-12)
+    assert aep_correction(PARAMS) == pytest.approx(137.67124315011603, rel=1e-12, abs=0.0)
+    assert theta_correction(PARAMS) == pytest.approx(-65.5905649911923, rel=1e-12, abs=0.0)
 
 
 def test_dead_channel_short_circuits():
@@ -303,22 +304,22 @@ def test_asymptotic_reference_point():
     ch = ThermalLossChannel(0.1, 9.31e-10)
     result = composable_key_rate(ch, PARAMS, NOISE)
     assert result.secure
-    assert result.key_rate == pytest.approx(0.0141733153877701, rel=1e-9)
-    assert result.classical_rate == pytest.approx(0.12674894630090802, rel=1e-9)
+    assert result.key_rate == pytest.approx(0.0141733153877701, rel=1e-9, abs=0.0)
+    assert result.classical_rate == pytest.approx(0.12674894630090802, rel=1e-9, abs=0.0)
     # internal consistency of the reported diagnostics
     d = result.diagnostics
-    assert d.i_ab == pytest.approx(0.5 * math.log2(1.0 + d.snr), rel=1e-12)
+    assert d.i_ab == pytest.approx(0.5 * math.log2(1.0 + d.snr), rel=1e-12, abs=0.0)
     assert result.key_rate == pytest.approx(
-        PARAMS.p_ec * (PARAMS.beta * d.i_ab - d.chi_e), rel=1e-12
+        PARAMS.p_ec * (PARAMS.beta * d.i_ab - d.chi_e), rel=1e-12, abs=0.0
     )
-    assert result.classical_rate == pytest.approx(PARAMS.beta * d.i_ab, rel=1e-12)
+    assert result.classical_rate == pytest.approx(PARAMS.beta * d.i_ab, rel=1e-12, abs=0.0)
 
 
 def test_finite_block_reference_point():
     ch = ThermalLossChannel(0.1, 9.31e-10)
     result = composable_key_rate(ch, PARAMS, NOISE, block_size_n=1e9)
     assert result.secure
-    assert result.key_rate == pytest.approx(4.316136401318486e-3, rel=1e-9)
+    assert result.key_rate == pytest.approx(4.316136401318486e-3, rel=1e-9, abs=0.0)
     # half the rounds go to estimation and the AEP penalty dominates
     n_key = 5e8
     expected = 0.9 * 0.5 * (
@@ -327,7 +328,7 @@ def test_finite_block_reference_point():
         - aep_correction(PARAMS) / math.sqrt(n_key)
         - theta_correction(PARAMS) / n_key
     )
-    assert result.key_rate == pytest.approx(expected, rel=1e-12)
+    assert result.key_rate == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_finite_rates_increase_with_block_size():

@@ -55,16 +55,16 @@ def poisson_channel_oracle(
 
 def test_gain_dark_channel_is_background_only():
     gain, qber = gains_and_qber(0.0, PARAMS, PARAMS.mu)
-    assert gain == pytest.approx(PARAMS.y0, rel=1e-12)
-    assert qber == pytest.approx(0.5, rel=1e-12)
+    assert gain == pytest.approx(PARAMS.y0, rel=1e-12, abs=0.0)
+    assert qber == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 def test_gain_lossless_clean_source():
     clean = DecoyProtocolParams(y0_stray=0.0, y0_dark=0.0)
     gain, qber = gains_and_qber(1.0, clean, 0.6)
-    assert gain == pytest.approx(-math.expm1(-0.6), rel=1e-12)
-    assert gain == pytest.approx(0.4511883639059736, rel=1e-12)
-    assert qber == pytest.approx(clean.e_mis, rel=1e-12)
+    assert gain == pytest.approx(-math.expm1(-0.6), rel=1e-12, abs=0.0)
+    assert gain == pytest.approx(0.4511883639059736, rel=1e-12, abs=0.0)
+    assert qber == pytest.approx(clean.e_mis, rel=1e-12, abs=0.0)
 
 
 def test_gain_zero_everything_returns_e0():
@@ -78,7 +78,7 @@ def test_gain_ordering_by_intensity():
     gain_mu, _ = gains_and_qber(0.05, PARAMS, PARAMS.mu)
     gain_nu, _ = gains_and_qber(0.05, PARAMS, PARAMS.nu)
     gain_vac, _ = gains_and_qber(0.05, PARAMS, 0.0)
-    assert gain_mu > gain_nu > gain_vac == pytest.approx(PARAMS.y0, rel=1e-12)
+    assert gain_mu > gain_nu > gain_vac == pytest.approx(PARAMS.y0, rel=1e-12, abs=0.0)
 
 
 def test_gain_validation():
@@ -97,8 +97,8 @@ def test_gain_validation():
 def test_gain_matches_photon_number_expansion(eta, intensity):
     gain, qber = gains_and_qber(eta, PARAMS, intensity)
     oracle_gain, oracle_qber = poisson_channel_oracle(eta, PARAMS, intensity)
-    assert gain == pytest.approx(oracle_gain, rel=1e-9)
-    assert qber == pytest.approx(oracle_qber, rel=1e-9)
+    assert gain == pytest.approx(oracle_gain, rel=1e-9, abs=0.0)
+    assert qber == pytest.approx(oracle_qber, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_decoy_bounds_lossless_clean_source():
     gain_nu, qber_nu = gains_and_qber(1.0, clean, clean.nu)
     y1, e1 = decoy_bounds(gain_mu, gain_nu, clean.y0, qber_nu, clean)
     # true single-photon yield is 1; the two-decoy bound lands just below
-    assert y1 == pytest.approx(0.9754216858758499, rel=1e-12)
+    assert y1 == pytest.approx(0.9754216858758499, rel=1e-12, abs=0.0)
     assert 0.9 < y1 <= 1.0
     assert e1 == 0.0
 
@@ -168,7 +168,7 @@ def test_payload_clean_lossless_value():
     clean = DecoyProtocolParams(y0_stray=0.0, y0_dark=0.0)
     gain = -math.expm1(-clean.mu)
     expected = 0.9 * gain * (1.0 - 1.05 * (-(0.01 * math.log2(0.01)) - 0.99 * math.log2(0.99)))
-    assert qsdc_payload_rate(1.0, clean) == pytest.approx(expected, rel=1e-12)
+    assert qsdc_payload_rate(1.0, clean) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @given(st.floats(min_value=3e-3, max_value=0.99))
@@ -260,8 +260,8 @@ def test_result_rejects_negative_rates():
 def test_asymptotic_rate_reference_point():
     result = finite_key_rate(0.01, PARAMS, ASYMPTOTIC)
     assert result.secure
-    assert result.key_rate == pytest.approx(7.248252822529552e-4, rel=1e-9)
-    assert result.payload_rate == pytest.approx(4.5484585764362815e-3, rel=1e-9)
+    assert result.key_rate == pytest.approx(7.248252822529552e-4, rel=1e-9, abs=0.0)
+    assert result.payload_rate == pytest.approx(4.5484585764362815e-3, rel=1e-9, abs=0.0)
 
 
 def test_finite_rates_increase_with_block_size():
@@ -284,7 +284,7 @@ def test_huge_block_approaches_asymptotic():
         finite = finite_key_rate(
             eta, PARAMS, FiniteSizeConfig(block_size_n=1e15)
         ).key_rate
-        assert finite == pytest.approx(asym, rel=0.05)
+        assert finite == pytest.approx(asym, rel=0.05, abs=0.0)
         checked += 1
     assert checked > 100
 
@@ -323,7 +323,7 @@ def test_dark_channel_is_insecure_with_zero_rate():
     assert result.key_rate == 0.0
     assert not result.secure
     # background clicks still occur, so the throughput diagnostics survive
-    assert result.diagnostics.q_mu == pytest.approx(PARAMS.y0, rel=1e-12)
+    assert result.diagnostics.q_mu == pytest.approx(PARAMS.y0, rel=1e-12, abs=0.0)
 
 
 def test_small_block_at_low_transmissivity_is_insecure():

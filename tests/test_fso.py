@@ -112,8 +112,8 @@ def test_beam_derived_quantities():
     want = (0.04 + (z_m * 800e-9 / (math.pi * 0.2)) ** 2) - (
         0.09 + (z_m * 800e-9 / (math.pi * 0.3)) ** 2
     )
-    assert got == pytest.approx(want, rel=1e-12)
-    assert _w_diff_sq(NO_JITTER, z_km) - _w_diff_sq(wide, z_km) == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert _w_diff_sq(NO_JITTER, z_km) - _w_diff_sq(wide, z_km) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_turbulence_model_validation_and_profile():
@@ -124,7 +124,7 @@ def test_turbulence_model_validation_and_profile():
     with pytest.raises(ValueError, match="jitter_urad"):
         FsoChannelParams(jitter_urad=-0.1)
     # ground value dominated by the A exp(-h/100) term
-    assert _cn2(0.0, 1.7e-13, 21.0) == pytest.approx(1.7e-13 + 2.7e-16, rel=1e-9)
+    assert _cn2(0.0, 1.7e-13, 21.0) == pytest.approx(1.7e-13 + 2.7e-16, rel=1e-9, abs=0.0)
     # without a ground term or wind only the 2.7e-16 floor remains
     assert _cn2(0.0, 0.0, 0.0) == 2.7e-16
     # high-altitude wind term peaks near 10 km and decays above
@@ -209,7 +209,7 @@ def test_coherence_length_grows_with_altitude_for_downlink():
     # the moment does not depend on the range, so rho_0 is proportional to
     # z and the turbulence term of w_LT^2 is the same at every altitude
     assert _turbulence_spread_sq(params, 900.0) == pytest.approx(
-        _turbulence_spread_sq(params, 300.0), rel=1e-12
+        _turbulence_spread_sq(params, 300.0), rel=1e-12, abs=0.0
     )
 
 
@@ -255,7 +255,7 @@ def test_collection_efficiency_limits():
     out = PARAMS.at_altitude(500.0)
     w = out.long_term_beam_radius_m
     assert out.geometric_collection == pytest.approx(
-        1.0 - math.exp(-2.0 * 0.70**2 / (w * w)), rel=1e-12
+        1.0 - math.exp(-2.0 * 0.70**2 / (w * w)), rel=1e-12, abs=0.0
     )
     # the beam radius does not depend on the aperture
     wide = FsoChannelParams(aperture_m=1e3).at_altitude(500.0)
@@ -265,15 +265,15 @@ def test_collection_efficiency_limits():
     assert narrow.geometric_collection == pytest.approx(0.0, abs=1e-9)
     # aperture radius = beam radius: 1 - exp(-2)
     matched = FsoChannelParams(aperture_m=w).at_altitude(500.0)
-    assert matched.geometric_collection == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
+    assert matched.geometric_collection == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12, abs=0.0)
 
 
 def test_extinction_airmass_law():
     assert FsoChannelParams(zenith_deg=0.0).at_altitude(500.0).extinction == pytest.approx(
-        0.91, rel=1e-12
+        0.91, rel=1e-12, abs=0.0
     )
     sec80 = 1.0 / math.cos(math.radians(80.0))
-    assert PARAMS.at_altitude(500.0).extinction == pytest.approx(0.91**sec80, rel=1e-12)
+    assert PARAMS.at_altitude(500.0).extinction == pytest.approx(0.91**sec80, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         FsoChannelParams(tau_zenith=0.0)
     with pytest.raises(ValueError):
@@ -283,7 +283,7 @@ def test_extinction_airmass_law():
 def test_channel_output_product_identity_enforced():
     out = PARAMS.at_altitude(500.0)
     assert out.transmissivity == pytest.approx(
-        out.geometric_collection * out.extinction, rel=1e-12
+        out.geometric_collection * out.extinction, rel=1e-12, abs=0.0
     )
     with pytest.raises(ValueError):
         ChannelOutput(

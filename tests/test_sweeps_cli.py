@@ -122,7 +122,7 @@ def test_dv_sweep_grid_and_ordering():
     assert rates[3] > rates[0]  # asymptotic beats finite at same altitude
     # transmissivity column reproduces the channel model
     tau = SMALL_DV.channel.at_altitude(300.0).transmissivity
-    assert table.rows[0][4] == pytest.approx(tau, rel=1e-15)
+    assert table.rows[0][4] == pytest.approx(tau, rel=1e-15, abs=0.0)
 
 
 def test_cv_sweep_grid_and_ordering():
@@ -147,7 +147,7 @@ def test_atmos_grid_matches_direct_evaluation():
     direct = slant_attenuation_spectrum(
         SlantPathSpec(elevation_deg=45.0, slant_distance_km=20.0), np.array([10.0])
     )[0]
-    assert att[1] == pytest.approx(direct, rel=1e-12)
+    assert att[1] == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_atmos_grid_fig4_is_bit_exact_per_slant():
@@ -182,7 +182,7 @@ def test_thermal_grid_matches_direct_evaluation():
     assert table.column("frequency_hz") == (1e11, 5.05e12, 1e13)
     photons = table.column("mean_photons")
     assert photons[0] > photons[1] > photons[2] > 0.0
-    assert photons[0] == pytest.approx(thermal_photon_number(1e11, 295.0), rel=1e-12)
+    assert photons[0] == pytest.approx(thermal_photon_number(1e11, 295.0), rel=1e-12, abs=0.0)
 
 
 def test_run_scenario_rejects_unknown_name():
@@ -746,19 +746,25 @@ def test_cli_run_starts_no_process_pool():
 
 def test_rate_path_loads_no_numpy():
     # every scenario but atmos-grid, on small grids; only the gas-attenuation
-    # layer imports numpy, and the package binds none of its names
-    runs = [
+    # layer imports numpy, and the package binds none of its names.  Only a
+    # CV rate sizes a displacement, so only it loads statistics
+    without_cv = [
         ["dv-sweep", *_override_args(SMALL_DV_OVERRIDES)],
-        ["cv-sweep", *_override_args(SMALL_CV_OVERRIDES)],
         ["max-altitude", "--override", "sweep.block_sizes=inf"],
-        ["max-altitude", *_override_args(["sweep.protocol=cv", "sweep.block_sizes=inf"])],
         THERMAL_ARGS,
+    ]
+    with_cv = [
+        ["cv-sweep", *_override_args(SMALL_CV_OVERRIDES)],
+        ["max-altitude", *_override_args(["sweep.protocol=cv", "sweep.block_sizes=inf"])],
     ]
     code = (
         "import sys\n"
         "import qlinksim\n"
         "from qlinksim.cli import main\n"
-        f"for args in {runs!r}:\n"
+        f"for args in {without_cv!r}:\n"
+        "    assert main(args + ['--out', sys.argv[1]]) == 0, args\n"
+        "assert 'statistics' not in sys.modules, 'statistics loaded without a CV rate'\n"
+        f"for args in {with_cv!r}:\n"
         "    assert main(args + ['--out', sys.argv[1]]) == 0, args\n"
         "star = {}\n"
         "exec('from qlinksim import *', star)\n"
@@ -809,13 +815,14 @@ def test_rate_path_loads_no_numpy():
             "sweep.temp has 5e+300 points, more than the 1000000 one axis may have",
         ),
         # a value that overflows or divides by zero inside a kernel names its
-        # row or probe, as a ValueError there does
+        # row or probe, as a ValueError there does; eps_sec**4 underflows to 0
+        # in aep_correction
         (
-            ["cv-sweep", "cv.d_bits=5000"],
+            ["cv-sweep", "cv.eps_sec=1e-100"],
             "cv-sweep row at altitude_km=100.0, block_size=1000000000.0, tau=",
         ),
         (
-            ["max-altitude", "sweep.protocol=cv", "cv.d_bits=5000"],
+            ["max-altitude", "sweep.protocol=cv", "cv.eps_sec=1e-100"],
             "cv threshold probe at tau=1.0, block_size=1000000000.0: ",
         ),
         (
@@ -826,12 +833,13 @@ def test_rate_path_loads_no_numpy():
             ["max-altitude", "sweep.protocol=cv", "cv.v_mod=1e200"],
             "cv threshold probe at tau=1.0, block_size=1000000000.0: ",
         ),
+        # mu nu - nu^2 underflows to 0 in decoy_bounds
         (
-            ["dv-sweep", "dv.mu=800", "dv.y0_stray=0", "dv.y0_dark=0"],
+            ["dv-sweep", "dv.mu=1e-300", "dv.nu=1e-301"],
             "dv-sweep row at altitude_km=100.0, block_size=1000000000.0, tau=",
         ),
         (
-            ["max-altitude", "dv.mu=800", "dv.y0_stray=0", "dv.y0_dark=0"],
+            ["max-altitude", "dv.mu=1e-300", "dv.nu=1e-301"],
             "dv threshold probe at tau=1.0, block_size=1000000000.0: ",
         ),
         (
@@ -865,6 +873,55 @@ def test_cli_bad_grid_value_exits_2(args, message):
     (line,) = proc.stderr.splitlines()
     assert line.startswith("config error: ")
     assert message in line
+
+
+@pytest.mark.parametrize(
+    ("scenario", "overrides", "last_valid", "first_invalid", "message"),
+    [
+        # decoy_bounds forms exp(mu); with no background yield the gain
+        # check passes every mu
+        (
+            "dv-sweep",
+            ["dv.y0_stray=0", "dv.y0_dark=0"],
+            "dv.mu=709",
+            "dv.mu=710",
+            "invalid [dv] settings: mu must be <= 709.782712893384 so that exp(mu) is finite: 710.0",
+        ),
+        (
+            "dv-sweep",
+            ["dv.y0_stray=0", "dv.y0_dark=0"],
+            "dv.mu=709",
+            "dv.mu=inf",
+            "invalid [dv] settings: mu must be <= 709.782712893384 so that exp(mu) is finite: inf",
+        ),
+        # aep_correction forms 2 ** (d_bits / 2)
+        (
+            "cv-sweep",
+            [],
+            "cv.d_bits=2047",
+            "cv.d_bits=2048",
+            "invalid [cv] settings: d_bits must be an integer in [1, 2047]: 2048",
+        ),
+        (
+            "cv-sweep",
+            [],
+            "cv.v_mod=1e6",
+            "cv.v_mod=inf",
+            "invalid [cv] settings: v_mod must be finite and > 0: inf",
+        ),
+    ],
+)
+def test_cli_rejects_at_load_what_no_row_can_evaluate(
+    scenario, overrides, last_valid, first_invalid, message, capsys
+):
+    grid = SMALL_CV_OVERRIDES if scenario == "cv-sweep" else SMALL_DV_OVERRIDES
+    args = [scenario, *_override_args(grid + overrides)]
+    assert main([*args, "--override", last_valid, "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+    assert main([*args, "--override", first_invalid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize(
