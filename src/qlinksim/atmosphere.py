@@ -2,11 +2,11 @@
 
 Implements the line-by-line specific attenuation of Rec. ITU-R P.676
 Annex 1 (44 oxygen lines, 35 water-vapour lines, dry-air continuum),
-numerical integration of that attenuation along straight slant rays
-from the ground through the one built-in mean annual global reference
-atmosphere (Rec. ITU-R P.835 style).  The Bose-Einstein mean thermal
-photon occupancy lives in mathfn, which needs no numpy, and is
-re-exported here.
+and its integration along straight slant rays from the ground through
+the one built-in mean annual global reference atmosphere (Rec. ITU-R
+P.835 style), by 3-point Gauss-Legendre panels between the ray's 1 km
+altitude crossings.  The Bose-Einstein mean thermal photon occupancy
+lives in mathfn, which needs no numpy, and is re-exported here.
 
 The spectroscopic coefficients ship as plain-text data files whose
 SHA-256 digests are verified at load time against a bundled manifest.
@@ -14,14 +14,11 @@ SHA-256 digests are verified at load time against a bundled manifest.
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
 import math
-import os
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from importlib import resources
-from threading import Thread
 
 import numpy as np
 
@@ -238,25 +235,15 @@ def default_profile() -> _ReferenceProfile:
 
 
 # frequencies per gamma block: _gamma_blocks' four buffers are (block x nodes),
-# and they stay allocated for the whole call, one set per thread of
-# _each_block.  With fig4's 158 nested nodes (262 before the slants of a ray
-# shared one grid), the in-process fig4 + fig5 pass on 2 CPUs (2-core KVM
-# host, medians of 30 passes, 4-7 rounds per block) read, in time per pass
-# and peak RSS: block 84 0.158 s, 36.0-36.2 MB; 100 0.156 s, 36.3-36.4 MB;
-# 125 0.138 s, 36.4-36.9 MB; 168 0.127 s, 37.2-37.4 MB (the 262-node kernel
-# at 84: 0.193 s, 38.0-38.1 MB).  The larger blocks are faster but none
-# keeps the peak of block 84, so 84 stays; it cuts fig4's 1000 frequencies
-# into 12 blocks, 6 per thread.
+# and they stay allocated for the whole call.  With fig4's 69 nodes, the
+# in-process fig4 + fig5 pass on one thread (2-core KVM host, medians of 30
+# passes, 6 rounds per block) read, in median time per pass and peak RSS:
+# block 84 0.095 s, 34.30-34.51 MB; 125 0.094 s, 34.36-34.65 MB; 168 0.099 s,
+# 34.52-34.65 MB.  No larger block is faster beyond the spread between rounds
+# and each raises the peak, so 84 stays; it cuts fig4's 1000 frequencies into
+# 12 blocks.
 # The bytes do not depend on the block (fig4 at 1, 7, 125 and 1000 agree).
 _FREQ_BLOCK = 84
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: one thread of _each_block per CPU."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _line_factors(
@@ -274,7 +261,7 @@ def _line_factors(
     frequency with the factors that do not depend on frequency,
     ``(fi, si, df, delta, df*df)`` for oxygen and ``(fi, si, df, df*df)``
     for water vapour.  Computed once per call and shared, read-only, by
-    every frequency block and every thread of _each_block.
+    every frequency block.
     """
     t = np.asarray(t_k, dtype=float)[None, :]  # (1, ns)
     theta = 300.0 / t
@@ -321,8 +308,7 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
     Every full-size operation, the continuum's included, is a correctly
     rounded +, -, x or / taken in the per-element order of the
     expression form, which keeps every output byte independent of the
-    block size and of the thread that computes the block.  One call
-    touches only its own buffers, so calls may run in parallel threads.
+    block size.
     """
     p, theta2, d, nitrogen, oxygen, water = factors
     f_all = np.asarray(f_ghz, dtype=float).reshape(-1, 1)  # (nf, 1)
@@ -393,57 +379,6 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
         yield lo, np.maximum(n_total, 0.0, out=n_total)
 
 
-def _each_block(
-    f_ghz: np.ndarray, factors: tuple, consume: Callable[[int, np.ndarray], None]
-) -> None:
-    """Hand every gamma block of _gamma_blocks to ``consume(lo, gamma)``, on all CPUs.
-
-    The frequency axis is cut at multiples of _FREQ_BLOCK into one
-    contiguous run of whole blocks per usable CPU, at most one run per
-    block.  The calling thread computes the first run; each other run
-    gets a thread of its own, which drives its own _gamma_blocks, with
-    its own buffers, and calls ``consume`` from that thread.  numpy
-    releases the GIL inside its loops, so the runs overlap.  ``consume``
-    must write only what belongs to rows ``lo : lo + len(gamma)``; then
-    no two threads write the same element, and since the blocks are the
-    single-threaded ones, the bytes do not depend on the thread count.
-
-    Each thread runs in a copy of the caller's context, so numpy's error
-    state (``np.errstate``) holds in all of them.  Every thread is joined
-    before this returns; the first exception, in frequency order, is then
-    re-raised in the caller.
-    """
-    f = np.asarray(f_ghz, dtype=float).reshape(-1)
-    n_blocks = -(-f.shape[0] // _FREQ_BLOCK)
-    if n_blocks == 0:
-        return
-    n_runs = min(_cpu_count(), n_blocks)
-    cuts = [min(n_blocks * k // n_runs * _FREQ_BLOCK, f.shape[0]) for k in range(n_runs + 1)]
-    errors: list[BaseException | None] = [None] * n_runs
-
-    def run(k: int) -> None:
-        start = cuts[k]
-        try:
-            for lo, gamma in _gamma_blocks(f[start : cuts[k + 1]], factors):
-                consume(start + lo, gamma)
-        except BaseException as exc:  # re-raised in the caller
-            errors[k] = exc
-
-    threads = [
-        Thread(target=contextvars.copy_context().run, args=(run, k)) for k in range(1, n_runs)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def _offsets(fi: float, f: np.ndarray, columns: list[np.ndarray]) -> None:
     """Write fi - f, fi + f, their squares and f / fi for one line into columns."""
     below, above, below2, above2, ratio = columns
@@ -488,31 +423,27 @@ class SlantPathSpec(Record):
             raise ValueError(f"slant distance must be > 0: {self.slant_distance_km!r}")
 
 
-_FINE_STEP_KM = 0.1  # below 10 km altitude
-_COARSE_STEP_KM = 1.0  # above 10 km altitude
-_FINE_REGION_TOP_KM = 10.0
-# at most this many integration nodes per slant.  Per node, _line_factors
-# keeps 4 + 4 * 44 + 3 * 35 = 285 float64 factors (2.3 kB) for the whole call,
-# and each thread of _each_block four _FREQ_BLOCK-row buffers, 4 * 84 = 336
-# float64 (2.7 kB).  On 2 threads that is 7.7 kB per node, so 50000 nodes
-# hold about 0.38 GB, and each further thread adds 0.13 GB.  A slant through
-# the whole atmosphere fits down to about 0.22 deg of elevation; the default
-# grid's longest slant takes 169 nodes
-_MAX_PATH_NODES = 50_000
+# the 3-point Gauss-Legendre rule on [-1, 1], exact for polynomials up to
+# degree 5.  Written out, not taken from numpy.polynomial, whose import
+# atmos-grid would pay on every run
+_GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+_GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
-def _path_nodes(path: SlantPathSpec, step_scale: float) -> np.ndarray:
-    """Integration nodes in path length: the ray's grid points below the end, then the end.
+def _slant_rule(path: SlantPathSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Integration nodes and weights in path length, for the integral of gamma along a slant.
 
-    The grid belongs to the ray, which starts on the ground at the path's
-    elevation: k * _FINE_STEP_KM * step_scale up to the path length where
-    the ray crosses 10 km altitude, that crossing itself, then that
-    crossing plus k * _COARSE_STEP_KM * step_scale.  The end is
-    the slant distance, or the 100 km crossing if that comes first.  Each
-    grid point is computed from its own k, so the slants of one ray nest:
-    a shorter slant's nodes are a longer one's below its end, then its end.
-    Raises ValueError, before any node is allocated, for a slant of more
-    than _MAX_PATH_NODES nodes.
+    The panels are the stretches of the ray between its consecutive
+    1 km-altitude crossings, at path lengths k / sin(elevation) for
+    k = 0, 1, ..., and the last panel is a partial one that ends at the
+    slant's end: the slant distance, or the 100 km crossing if that comes
+    first.  The reference profile interpolates between 1 km nodes, so
+    gamma is smooth inside each panel, and each panel takes the 3-point
+    Gauss-Legendre rule: at most 3 nodes per km of altitude plus 3 for
+    the end, 303 in all.  A panel's nodes depend on its two edges alone,
+    so the slants of one ray share every panel but their last.  A ray so
+    shallow that its sine underflows to 0 never leaves the ground and
+    gets the one panel [0, slant].
     """
     sin_el = math.sin(math.radians(path.elevation_deg))
 
@@ -521,85 +452,51 @@ def _path_nodes(path: SlantPathSpec, step_scale: float) -> np.ndarray:
         # underflows to 0 never gets there
         return h_km / sin_el if sin_el > 0.0 else math.inf
 
-    def grid(origin: float, limit: float, step_km: float) -> np.ndarray:
-        # origin + k * step_km for every k >= 0 that stays below limit
-        points = origin + np.arange(math.ceil((limit - origin) / step_km) + 1) * step_km
-        return points[points < limit]
-
     s_end = min(path.slant_distance_km, reach(TOP_ALTITUDE_KM))
-    s_fine = reach(_FINE_REGION_TOP_KM)
-    fine, coarse = _FINE_STEP_KM * step_scale, _COARSE_STEP_KM * step_scale
-    # counted as floats, which may be inf, and never node by node
-    count = min(s_end, s_fine) / fine + 2.0
-    if s_end > s_fine:
-        count += (s_end - s_fine) / coarse
-    if not count <= _MAX_PATH_NODES:
-        raise ValueError(
-            f"the slant needs about {count:.3g} integration nodes, more than the "
-            f"{_MAX_PATH_NODES} one slant may have"
-        )
-    segments = [grid(0.0, min(s_end, s_fine), fine)]
-    if s_end > s_fine:
-        segments.append(grid(s_fine, s_end, coarse))
-    return np.concatenate([*segments, [s_end]])
+    crossings = (reach(k) for k in range(1, int(TOP_ALTITUDE_KM)))
+    edges = np.array([0.0, *(s for s in crossings if s < s_end), s_end])
+    mid = ((edges[1:] + edges[:-1]) / 2.0)[:, None]
+    half = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def slant_attenuation_spectra(
-    elevation_deg: float,
-    slants_km: Sequence[float],
-    frequency_ghz: np.ndarray,
-    step_scale: float = 1.0,
+    elevation_deg: float, slants_km: Sequence[float], frequency_ghz: np.ndarray
 ) -> np.ndarray:
     """Total gas attenuation (dB) of slants along one ray from the ground, shape (slants, f).
 
-    The slants share one grid along the ray (_path_nodes): points at most
-    0.1 km apart in path length up to the 10 km-altitude crossing, which
-    is a point too, and 1 km apart above it (times ``step_scale``, which
-    tests use for convergence checks).  Each slant's nodes are the grid
-    points below its end, then its end, so gamma is evaluated once, on
-    the longest slant's nodes plus the other slants' ends: its state-only
-    line factors in one pass, then blockwise over frequency in buffers
-    reused by every block, the blocks split over the usable CPUs by
-    _each_block.  Each slant is integrated by the trapezoid rule over its
-    own nodes, block by block on the thread that computed the block.  A
-    slant's nodes depend on the ray and that slant alone, so its bytes do
-    not depend on the other slants, nor on the block size or the thread
-    count.
+    Each slant is integrated by _slant_rule's Gauss-Legendre panels
+    between the ray's 1 km-altitude crossings.  The slants share every
+    panel but their last, so gamma is evaluated once, on the union of
+    their nodes: its state-only line factors in one pass, then blockwise
+    over frequency in buffers reused by every block.  Each slant's
+    integral is the sum of gamma times its weights over its own nodes,
+    an elementwise product summed along a contiguous axis.  A slant's
+    nodes depend on the ray and that slant alone, so its bytes do not
+    depend on the other slants, nor on the block size.
     """
     _check_freq(frequency_ghz)
-    if not step_scale > 0.0:
-        raise ValueError("step_scale must be > 0")
     if len(slants_km) == 0:
         raise ValueError("need at least one slant distance")
-    paths = [SlantPathSpec(elevation_deg, s) for s in slants_km]
+    rules = [_slant_rule(SlantPathSpec(elevation_deg, s)) for s in slants_km]
     f = np.asarray(frequency_ghz, dtype=float).reshape(-1)
-    out = np.zeros((len(paths), f.shape[0]))
-    nodes = [_path_nodes(path, step_scale) for path in paths]
-    # the nodes nest, so the union is the longest slant's plus the other ends
-    union, inverse = np.unique(np.concatenate(nodes), return_inverse=True)
-    idx = np.split(inverse, np.cumsum([len(n) for n in nodes[:-1]]))
+    out = np.zeros((len(rules), f.shape[0]))
+    union, inverse = np.unique(np.concatenate([nodes for nodes, _ in rules]), return_inverse=True)
+    idx = np.split(inverse, np.cumsum([len(nodes) for nodes, _ in rules[:-1]]))
     h = union * math.sin(math.radians(elevation_deg))
     factors = _line_factors(
         *default_profile().states_at(np.clip(h, 0.0, TOP_ALTITUDE_KM)), default_line_table()
     )
-
-    def consume(lo: int, gamma: np.ndarray) -> None:
-        for j in range(len(paths)):
-            # the copy keeps the one-path summation order: numpy sums the
-            # non-contiguous fancy-indexed slice differently, which moved
-            # 2911 of 4000 fig4 values by up to 2e-15 relative
-            out[j, lo : lo + gamma.shape[0]] = np.trapezoid(
-                np.ascontiguousarray(gamma[:, idx[j]]), nodes[j], axis=1
-            )
-
-    _each_block(f, factors, consume)
+    for lo, gamma in _gamma_blocks(f, factors):
+        for j, (i, (_, weights)) in enumerate(zip(idx, rules)):
+            # np.take, unlike gamma[:, i], returns a C-contiguous copy, so
+            # each row is summed in the same order whatever the block
+            out[j, lo : lo + gamma.shape[0]] = (np.take(gamma, i, axis=1) * weights).sum(axis=1)
     return out
 
 
-def slant_attenuation_spectrum(
-    path: SlantPathSpec, frequency_ghz: np.ndarray, step_scale: float = 1.0
-) -> np.ndarray:
+def slant_attenuation_spectrum(path: SlantPathSpec, frequency_ghz: np.ndarray) -> np.ndarray:
     """Total gas attenuation (dB) along one path, vectorized over frequency."""
     return slant_attenuation_spectra(
-        path.elevation_deg, [path.slant_distance_km], frequency_ghz, step_scale
+        path.elevation_deg, [path.slant_distance_km], frequency_ghz
     )[0]

@@ -264,7 +264,8 @@ def finite_key_rate(
         rate = params.sift_q * (
             q1 * (1.0 - binary_entropy(e1_ph))
             - gain_mu * params.f_ec * binary_entropy(qber_mu)
-            - 6.0 * math.log2(19.0 / eps) / pulses_mu
+            # log2(19) - log2(eps), not log2(19 / eps), which overflows at tiny eps
+            - 6.0 * (math.log2(19.0) - math.log2(eps)) / pulses_mu
         )
     return DvRateResult(
         key_rate=max(rate, 0.0),

@@ -204,9 +204,10 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
     all of them are integrated from one gamma grid, in process.  The
     atmosphere module, and with it numpy, is imported here on first use,
     so that the other scenarios never load it.  Errors are prefixed with
-    the elevation and the first slant that reproduces them on its own.
+    the elevation and the slant that reproduces them on its own: the
+    first slant that is not > 0, else the first slant.
     """
-    from .atmosphere import SlantPathSpec, _path_nodes, slant_attenuation_spectra
+    from .atmosphere import slant_attenuation_spectra
 
     freqs = cfg.sweep.frequencies_ghz()
     slants = cfg.sweep.slants_km()
@@ -214,14 +215,8 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
     try:
         att = slant_attenuation_spectra(elevation, slants, freqs)
     except ValueError as exc:
-        # an error no one slant's path causes (a frequency) is every slant's
-        culprit = slants[0]
-        for slant in slants:
-            try:
-                _path_nodes(SlantPathSpec(elevation, slant), 1.0)
-            except ValueError:
-                culprit = slant
-                break
+        # an error no one slant causes (a frequency, the elevation) is every slant's
+        culprit = next((slant for slant in slants if not slant > 0.0), slants[0])
         raise ValueError(
             f"atmos-grid slant at elevation_deg={elevation!r}, slant_km={culprit!r}: {exc}"
         ) from exc

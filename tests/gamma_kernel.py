@@ -2,15 +2,15 @@
 
 The package integrates gamma only along slants; tests that pin gamma
 itself (line landmarks, the oracles, a vacuum, tiny pressures, block
-sizes, threads) evaluate it here, at arbitrary (T, P, rho), through the
-same _line_factors, _gamma_blocks and _each_block that every slant uses.
+sizes) evaluate it here, at arbitrary (T, P, rho), through the same
+_line_factors and _gamma_blocks that every slant uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qlinksim.atmosphere import _each_block, _line_factors, default_line_table
+from qlinksim.atmosphere import _gamma_blocks, _line_factors, default_line_table
 
 
 def gamma_at(f_ghz, t_k, p_hpa, rho_g_m3) -> np.ndarray:
@@ -19,9 +19,6 @@ def gamma_at(f_ghz, t_k, p_hpa, rho_g_m3) -> np.ndarray:
     states = (np.atleast_1d(np.asarray(column, dtype=float)) for column in (t_k, p_hpa, rho_g_m3))
     factors = _line_factors(*states, default_line_table())
     out = np.empty((f.size, factors[0].shape[1]))
-
-    def consume(lo: int, gamma: np.ndarray) -> None:
+    for lo, gamma in _gamma_blocks(f, factors):
         out[lo : lo + gamma.shape[0]] = gamma
-
-    _each_block(f, factors, consume)
     return out

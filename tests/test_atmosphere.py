@@ -3,10 +3,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import re
-import sys
-import threading
-import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +19,7 @@ from qlinksim.atmosphere import (
     TOP_ALTITUDE_KM,
     SlantPathSpec,
     SpectralLineTable,
-    _path_nodes,
+    _slant_rule,
     default_line_table,
     default_profile,
     slant_attenuation_spectra,
@@ -31,7 +27,6 @@ from qlinksim.atmosphere import (
     thermal_photon_number,
 )
 from qlinksim.config import load_config
-from qlinksim.sweeps import atmos_grid
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,9 +34,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SEA_LEVEL = (288.15, 1013.25, 7.5)
 
 
-def _attenuation(path: SlantPathSpec, f_ghz: float, step_scale: float = 1.0) -> float:
+def _attenuation(path: SlantPathSpec, f_ghz: float) -> float:
     """Total gas attenuation in dB along one slant at one frequency."""
-    return float(slant_attenuation_spectrum(path, np.array([f_ghz]), step_scale)[0])
+    return float(slant_attenuation_spectrum(path, np.array([f_ghz]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -263,105 +258,6 @@ def test_slant_spectra_bytes_do_not_depend_on_the_block_size(monkeypatch, block)
 
 
 # ---------------------------------------------------------------------------
-# frequency blocks on several threads
-# ---------------------------------------------------------------------------
-
-# fig4's slants and 13 blocks, the last one short: with 2 and 3 threads the
-# runs are 6 + 7 and 4 + 4 + 5 blocks
-_THREAD_FREQS = np.linspace(1.0, 1000.0, 12 * atmosphere._FREQ_BLOCK + 5)
-_FIG4_SLANTS = [1.0, 10.0, 19.0, 28.0]
-
-
-def _spectra_and_spectrum():
-    return (
-        slant_attenuation_spectra(45.0, _FIG4_SLANTS, _THREAD_FREQS).tobytes(),
-        gamma_at(_THREAD_FREQS, *SEA_LEVEL).tobytes(),
-    )
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_bytes_do_not_depend_on_the_thread_count(monkeypatch, cpus):
-    monkeypatch.setattr(atmosphere, "_cpu_count", lambda: 1)
-    want = _spectra_and_spectrum()
-    monkeypatch.setattr(atmosphere, "_cpu_count", lambda: cpus)
-    # switch threads often, so that a write to another thread's rows would show
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        got = _spectra_and_spectrum()
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
-
-
-def _raising_off_the_caller(monkeypatch):
-    """Make _gamma_blocks raise in every thread but the calling one; count threads."""
-    real, started = atmosphere._gamma_blocks, []
-
-    def gamma_blocks(f, factors):
-        if threading.current_thread() is not threading.main_thread():
-            started.append(float(f[0]))
-            raise ValueError(f"worker failed from {float(f[0])!r} GHz")
-        yield from real(f, factors)
-
-    monkeypatch.setattr(atmosphere, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(atmosphere, "_gamma_blocks", gamma_blocks)
-    return started
-
-
-def test_a_worker_threads_error_reaches_the_caller(monkeypatch):
-    started = _raising_off_the_caller(monkeypatch)
-    before = threading.active_count()
-    # the first error in frequency order is raised, after every thread is joined
-    second_run = float(_THREAD_FREQS[4 * atmosphere._FREQ_BLOCK])
-    with pytest.raises(ValueError, match=f"^{re.escape(f'worker failed from {second_run!r} GHz')}$"):
-        slant_attenuation_spectra(45.0, _FIG4_SLANTS, _THREAD_FREQS)
-    assert threading.active_count() == before
-    assert len(started) == 2
-    with pytest.raises(ValueError, match="^worker failed"):
-        gamma_at(_THREAD_FREQS, *SEA_LEVEL)
-    assert threading.active_count() == before
-
-
-def test_atmos_grid_names_the_slant_of_a_worker_threads_error(monkeypatch):
-    _raising_off_the_caller(monkeypatch)
-    before = threading.active_count()
-    cfg = load_config(str(REPO_ROOT / "configs" / "fig4_attenuation.ini"))
-    with pytest.raises(ValueError) as info:
-        atmos_grid(cfg)
-    assert str(info.value).startswith(
-        "atmos-grid slant at elevation_deg=45.0, slant_km=1.0: worker failed from "
-    )
-    assert threading.active_count() == before
-
-
-def test_worker_threads_keep_the_callers_error_state(monkeypatch):
-    real, seen = atmosphere._gamma_blocks, []
-
-    def gamma_blocks(f, factors):
-        seen.append(np.geterr()["divide"])
-        yield from real(f, factors)
-
-    monkeypatch.setattr(atmosphere, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(atmosphere, "_gamma_blocks", gamma_blocks)
-    with np.errstate(divide="raise"):
-        gamma_at(_THREAD_FREQS, *SEA_LEVEL)
-    assert seen == ["raise"] * 3
-
-
-def test_a_single_block_or_none_starts_no_thread(monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(atmosphere, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(atmosphere, "Thread", no_thread)
-    assert gamma_at(60.0, *SEA_LEVEL)[0, 0] > 0.0
-    assert gamma_at([], *SEA_LEVEL).shape == (0, 1)
-    freqs = _THREAD_FREQS[: atmosphere._FREQ_BLOCK]
-    assert slant_attenuation_spectra(45.0, _FIG4_SLANTS, freqs).shape == (4, freqs.size)
-
-
-# ---------------------------------------------------------------------------
 # slant paths
 # ---------------------------------------------------------------------------
 
@@ -415,80 +311,68 @@ def test_slant_attenuation_saturates_above_atmosphere():
     assert att_a == pytest.approx(att_b, rel=1e-12, abs=0.0)
 
 
-def test_slant_attenuation_step_convergence():
-    path = SlantPathSpec(45.0, 28.0)
-    for f in (22.235, 557.0):
-        coarse = _attenuation(path, f, step_scale=2.0)
-        fine = _attenuation(path, f, step_scale=0.5)
-        assert coarse == pytest.approx(fine, rel=5e-3, abs=0.0)
-    with pytest.raises(ValueError):
-        _attenuation(path, 10.0, step_scale=0.0)
+def _converged_spectra(elevation, slants, freqs):
+    """8-point Gauss-Legendre panels between the ray's quarter-km altitude crossings."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    sin_el = math.sin(math.radians(elevation))
+    rules = []
+    for slant in slants:
+        end = min(slant, TOP_ALTITUDE_KM / sin_el)
+        crossings = (k / 4.0 / sin_el for k in range(1, 4 * int(TOP_ALTITUDE_KM)))
+        edges = np.array([0.0, *(s for s in crossings if s < end), end])
+        mid = ((edges[1:] + edges[:-1]) / 2.0)[:, None]
+        half = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
+        rules.append(((mid + half * x).ravel(), (half * w).ravel()))
+    # gamma once, on the union of the slants' nodes
+    union, inverse = np.unique(np.concatenate([nodes for nodes, _ in rules]), return_inverse=True)
+    h = np.clip(union * sin_el, 0.0, TOP_ALTITUDE_KM)
+    gamma = gamma_at(freqs, *default_profile().states_at(h))
+    idx = np.split(inverse, np.cumsum([len(nodes) for nodes, _ in rules[:-1]]))
+    return np.array([(gamma[:, i] * weights).sum(axis=1) for i, (_, weights) in zip(idx, rules)])
+
+
+def test_slant_quadrature_error_is_bounded():
+    # fig4's and the default grid's slants at every frequency of their grids,
+    # against a rule that agrees with itself on eighth-km panels to 6e-15; the
+    # panel rule errs by at most 3.7e-8 on these grids
+    for config in ("fig4_attenuation.ini", "default.ini"):
+        cfg = load_config(str(REPO_ROOT / "configs" / config))
+        freqs = np.array(cfg.sweep.frequencies_ghz())
+        slants = cfg.sweep.slants_km()
+        got = slant_attenuation_spectra(cfg.sweep.elevation_deg, slants, freqs)
+        want = _converged_spectra(cfg.sweep.elevation_deg, slants, freqs)
+        assert np.max(np.abs(got - want) / want) <= 1e-7, config
 
 
 @given(
     st.floats(min_value=0.0, max_value=90.0, exclude_min=True),
     st.lists(st.floats(min_value=1e-3, max_value=200.0), min_size=1, max_size=8),
-    st.sampled_from([0.5, 1.0, 2.0]),
 )
-@example(45.0, [1.0, 10.0, 19.0, 28.0], 1.0)
+@example(45.0, [1.0, 10.0, 19.0, 28.0])
 # a ray so shallow that the sine underflows to 0 never leaves the ground
-@example(5e-324, [3.0, 1.5], 1.0)
-def test_slants_of_one_ray_take_nested_nodes(elevation, slants, step_scale):
-    nodes = [_path_nodes(SlantPathSpec(elevation, s), step_scale) for s in slants]
-    longest = nodes[int(np.argmax(slants))]
-    for own in nodes:
-        # the longest slant's nodes below this slant's end, then its end
-        end = own[-1]
-        assert own.tobytes() == np.append(longest[longest < end], end).tobytes()
-    assert np.unique(np.concatenate(nodes)).size <= len(longest) + len(slants) - 1
-    # steps: 0.1 km below the 10 km-altitude crossing, which is a node, 1 km above
+@example(5e-324, [3.0, 1.5])
+def test_slants_of_one_ray_share_their_panels(elevation, slants):
+    rules = [_slant_rule(SlantPathSpec(elevation, s)) for s in slants]
     sin_el = math.sin(math.radians(elevation))
-    crossing = 10.0 / sin_el if sin_el > 0.0 else math.inf
-    if crossing < longest[-1]:
-        assert crossing in longest
-    steps = np.diff(longest)
-    assert longest[0] == 0.0 and np.all(steps > 0.0)
-    below = longest[1:] <= crossing
-    assert np.all(steps[below] <= 0.1 * step_scale * (1.0 + 1e-9))
-    assert np.all(steps[~below] <= 1.0 * step_scale * (1.0 + 1e-9))
+    h_top = min(max(slants) * sin_el, TOP_ALTITUDE_KM)
+    union = np.unique(np.concatenate([nodes for nodes, _ in rules]))
+    assert union.size <= 3 * math.ceil(h_top) + 3 * len(slants)
+    for slant, (nodes, weights) in zip(slants, rules):
+        assert nodes.size <= 303 and np.all(np.diff(nodes) > 0.0)
+        end = min(slant, TOP_ALTITUDE_KM / sin_el) if sin_el > 0.0 else slant
+        assert math.fsum(weights) == pytest.approx(end, rel=1e-14, abs=0.0)
+    if sin_el == 0.0:
+        # one panel on the ground: gamma there times the slant
+        ground = gamma_at([60.0], *default_profile().states_at(np.array([0.0])))[0, 0]
+        got = slant_attenuation_spectra(elevation, slants, np.array([60.0]))[:, 0]
+        np.testing.assert_allclose(got, ground * np.array(slants), rtol=1e-15, atol=0.0)
 
 
-# a long slant at a shallow elevation: 6.16e6 nodes (49 MB of nodes alone,
-# tens of GB of line factors), and one just over the cap, 6e4 nodes (480 kB)
-@pytest.mark.parametrize("elevation, slant", [(0.001, 1e6), (0.01, 6000.0)])
-def test_a_slant_over_the_node_cap_raises_before_any_allocation(elevation, slant):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"more than the 50000 one slant may have$"):
-            slant_attenuation_spectra(elevation, [slant], np.array([100.0]))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
-
-
-def test_a_slant_under_the_node_cap_is_built():
-    # 4000 km at 0.01 deg stays below 10 km altitude: 0.1 km steps, 40001 nodes
-    assert _path_nodes(SlantPathSpec(0.01, 4000.0), 1.0).size == 40_001
-
-
-@pytest.mark.parametrize("config, union", [("fig4_attenuation.ini", 158), ("default.ini", 174)])
-def test_slant_grids_evaluate_gamma_on_the_nested_nodes_only(config, union):
+@pytest.mark.parametrize("config, union", [("fig4_attenuation.ini", 69), ("default.ini", 108)])
+def test_slant_rules_evaluate_gamma_on_the_shared_panels_only(config, union):
     cfg = load_config(str(REPO_ROOT / "configs" / config))
-    elevation = cfg.sweep.elevation_deg
-    nodes = [_path_nodes(SlantPathSpec(elevation, s), 1.0) for s in cfg.sweep.slants_km()]
-    assert np.unique(np.concatenate(nodes)).size == union
-
-
-def test_slant_quadrature_error_is_bounded():
-    # fig4's slants at every 50th frequency of its grid, against ten times finer
-    # steps: the nested nodes must not buy their speed with a coarser integral
-    cfg = load_config(str(REPO_ROOT / "configs" / "fig4_attenuation.ini"))
-    freqs = np.array(cfg.sweep.frequencies_ghz())[::50]
-    slants = cfg.sweep.slants_km()
-    got = slant_attenuation_spectra(cfg.sweep.elevation_deg, slants, freqs)
-    fine = slant_attenuation_spectra(cfg.sweep.elevation_deg, slants, freqs, step_scale=0.1)
-    assert np.max(np.abs(got - fine) / fine) <= 3e-4
+    rules = [_slant_rule(SlantPathSpec(cfg.sweep.elevation_deg, s)) for s in cfg.sweep.slants_km()]
+    assert np.unique(np.concatenate([nodes for nodes, _ in rules])).size == union
 
 
 def test_slant_spectrum_matches_scalar_and_respects_band():
