@@ -344,6 +344,18 @@ def test_slant_quadrature_error_is_bounded():
         assert np.max(np.abs(got - want) / want) <= 1e-7, config
 
 
+def test_slant_attenuation_step_convergence():
+    # one slant through the water line and a THz line: the panel rule
+    # against the converged one, and a slant of no length is refused
+    path = SlantPathSpec(45.0, 28.0)
+    for f in (22.235, 557.0):
+        panels = _attenuation(path, f)
+        fine = _converged_spectra(45.0, [28.0], np.array([f]))[0, 0]
+        assert panels == pytest.approx(fine, rel=1e-7, abs=0.0)
+    with pytest.raises(ValueError):
+        _attenuation(SlantPathSpec(45.0, 0.0), 10.0)
+
+
 @given(
     st.floats(min_value=0.0, max_value=90.0, exclude_min=True),
     st.lists(st.floats(min_value=1e-3, max_value=200.0), min_size=1, max_size=8),
