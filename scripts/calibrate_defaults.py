@@ -20,15 +20,20 @@ Run from the repository root:
 
     python3 scripts/calibrate_defaults.py
 
-Takes about 150 ms end to end (146 ms median of 15 runs on a 2-core Xeon
+Takes about 90 ms end to end (86 ms median of 15 runs on a 2-core Xeon
 KVM host, interpreter start and compiling the package from source
-included, numpy never imported).  Each grid point finds eight ceilings,
+included, numpy never imported).  Each grid point needs eight ceilings,
 one per protocol and block size, each the closed-form altitude of a
 secure threshold tau*, and reads the payload and classical rates from
 the one rate probe max_secure_altitude makes there.  The DV
 threshold depends on neither knob and the CV threshold only on the leak,
 so the 60 grid points need only 40 threshold solves, of 10-13 rate
-probes each: 4 for DV and 4 for each of the 9 distinct leaks.
+probes each: 4 for DV and 4 for each of the 9 distinct leaks.  A DV
+ceiling depends on the jitter alone and a CV ceiling on the pair, so a
+run solves 280 ceilings, not 480: 4 DV ones for each of the 11 distinct
+jitters and 4 CV ones for each of the 59 distinct pairs (the fine grid's
+centre is a coarse point).  Each ceiling, threshold and the default
+config is worked out once per run of main().
 """
 
 from __future__ import annotations
@@ -53,15 +58,25 @@ PAYLOAD_BAND = (2e-4, 4e-3)
 ALT_WINDOW = 0.20
 CLS_FACTOR = 2.0
 
-# secure thresholds tau* solved during one run of main(), keyed by the
+# The report labels of each block size: DV ceiling, payload, CV ceiling
+# and classical rate.
+LABELS = {n: (f"dv_alt_{n:g}", f"payload_{n:g}", f"cv_alt_{n:g}", f"cls_{n:g}") for n in DV_ALT_KM}
+
+# What one run of main() has worked out, emptied when the run ends so that
+# no result outlives the run that needed it; kept in the script, not in
+# qlinksim.  THRESHOLDS holds the secure thresholds tau*, keyed by the
 # protocol, the block size and the records of config.SECTIONS[protocol];
-# kept in the script, not in qlinksim, so that no solve outlives the run
-# that needed it
+# CEILINGS the max_secure_altitude results, keyed the same plus the
+# channel; DEFAULT_CONFIG the one load of the default config.
 THRESHOLDS = {}
+CEILINGS = {}
+DEFAULT_CONFIG = {}
 
 
 def cfg_with(jitter_urad: float, eps_classical: float):
-    cfg = load_config()
+    if not DEFAULT_CONFIG:
+        DEFAULT_CONFIG["cfg"] = load_config()
+    cfg = DEFAULT_CONFIG["cfg"]
     return cfg.replace(
         channel=cfg.channel.replace(jitter_urad=jitter_urad),
         cv_noise=cfg.cv_noise.replace(eps_classical=eps_classical),
@@ -69,11 +84,20 @@ def cfg_with(jitter_urad: float, eps_classical: float):
 
 
 def ceiling(protocol: str, n: float, cfg):
-    """max_secure_altitude, with each threshold solved once per scan."""
+    """max_secure_altitude, with each threshold and each ceiling solved once per run.
+
+    A DV ceiling depends on the jitter but not the leak, so it is reused
+    across the leaks scanned at one jitter; a CV threshold depends on the
+    leak but not the jitter, so a CV ceiling at a new jitter skips its
+    threshold solve.
+    """
     key = (protocol, n, *(getattr(cfg, field) for field, _ in SECTIONS[protocol]))
-    if key not in THRESHOLDS:
-        THRESHOLDS[key] = secure_threshold(protocol, n, cfg)
-    return max_secure_altitude(protocol, n, cfg, THRESHOLDS[key])
+    res = CEILINGS.get((key, cfg.channel))
+    if res is None:
+        if key not in THRESHOLDS:
+            THRESHOLDS[key] = secure_threshold(protocol, n, cfg)
+        res = CEILINGS[key, cfg.channel] = max_secure_altitude(protocol, n, cfg, THRESHOLDS[key])
+    return res
 
 
 def evaluate(jitter_urad: float, eps_classical: float):
@@ -90,16 +114,18 @@ def evaluate(jitter_urad: float, eps_classical: float):
     detail = {}
 
     dv_alt = {}
+    payload = {}
     for n, target in DV_ALT_KM.items():
         res = ceiling("dv", n, cfg)
         if res.unbounded:
             return None
         dv_alt[n] = res.max_secure_altitude_km
         deviations.append((res.max_secure_altitude_km - target) / target)
-        payload = res.rate.payload_rate
-        detail[f"dv_alt_{n:g}"] = res.max_secure_altitude_km
-        detail[f"payload_{n:g}"] = payload
-        if not PAYLOAD_BAND[0] <= payload <= PAYLOAD_BAND[1]:
+        payload[n] = res.rate.payload_rate
+        alt_label, payload_label, _, _ = LABELS[n]
+        detail[alt_label] = res.max_secure_altitude_km
+        detail[payload_label] = payload[n]
+        if not PAYLOAD_BAND[0] <= payload[n] <= PAYLOAD_BAND[1]:
             reasons.append(f"payload[{n:g}]")
 
     cv_alt = {}
@@ -111,8 +137,9 @@ def evaluate(jitter_urad: float, eps_classical: float):
         cv_alt[n] = res.max_secure_altitude_km
         deviations.append((res.max_secure_altitude_km - target) / target)
         cls[n] = res.rate.classical_rate
-        detail[f"cv_alt_{n:g}"] = res.max_secure_altitude_km
-        detail[f"cls_{n:g}"] = res.rate.classical_rate
+        _, _, alt_label, cls_label = LABELS[n]
+        detail[alt_label] = res.max_secure_altitude_km
+        detail[cls_label] = cls[n]
 
     for n, target in DV_ALT_KM.items():
         if abs(dv_alt[n] - target) / target > ALT_WINDOW:
@@ -132,7 +159,7 @@ def evaluate(jitter_urad: float, eps_classical: float):
             reasons.append("altitude ordering")
         if not cls[a] > cls[b]:
             reasons.append("classical ordering")
-        if not detail[f"payload_{a:g}"] > detail[f"payload_{b:g}"]:
+        if not payload[a] > payload[b]:
             reasons.append("payload ordering")
 
     worst = max(abs(d) for d in deviations)
@@ -149,8 +176,8 @@ def scan(sigmas, epses):
                 continue
             ok, worst, detail, reasons = scored
             sizes = sorted(DV_ALT_KM)
-            dv = " ".join(f"{detail[f'dv_alt_{n:g}']:5.0f}" for n in sizes)
-            cv = " ".join(f"{detail[f'cv_alt_{n:g}']:5.0f}" for n in sizes)
+            dv = " ".join(f"{detail[LABELS[n][0]]:5.0f}" for n in sizes)
+            cv = " ".join(f"{detail[LABELS[n][2]]:5.0f}" for n in sizes)
             flag = "ok" if ok else "--(" + ",".join(reasons) + ")"
             print(
                 f"  sigma={sj:.3f} eps={ec:.3e}  worst={worst * 100:5.1f}%  "
@@ -165,9 +192,11 @@ def main() -> int:
     try:
         return calibrate()
     finally:
-        # each run solves its own thresholds and leaves none behind, so that
-        # runs in one process do not share them
+        # each run does its own work and leaves none behind, so that runs
+        # in one process do not share it
         THRESHOLDS.clear()
+        CEILINGS.clear()
+        DEFAULT_CONFIG.clear()
 
 
 def calibrate() -> int:
@@ -195,11 +224,10 @@ def calibrate() -> int:
     print(f"worst window deviation     : {worst * 100:.1f}%")
     sizes = sorted(DV_ALT_KM)
     for n in sizes:
+        dv_alt, payload, cv_alt, cls = (detail[label] for label in LABELS[n])
         print(
-            f"  N={n:g}: dv_alt={detail[f'dv_alt_{n:g}']:.1f} km"
-            f"  payload={detail[f'payload_{n:g}']:.3e}"
-            f"  cv_alt={detail[f'cv_alt_{n:g}']:.1f} km"
-            f"  classical={detail[f'cls_{n:g}']:.4f}"
+            f"  N={n:g}: dv_alt={dv_alt:.1f} km  payload={payload:.3e}"
+            f"  cv_alt={cv_alt:.1f} km  classical={cls:.4f}"
         )
     print()
     print("copy the jitter into FsoChannelParams.jitter_urad and the")

@@ -25,7 +25,6 @@ from .dvqkd import (
     DvRateResult,
     FiniteSizeConfig,
     finite_key_rate,
-    qsdc_payload_rate,
 )
 from .fso import ChannelOutput, FsoChannelParams, slant_range
 from .mathfn import thermal_photon_number
@@ -54,7 +53,6 @@ __all__ = [
     "DvRateResult",
     "FiniteSizeConfig",
     "finite_key_rate",
-    "qsdc_payload_rate",
     "ChannelOutput",
     "FsoChannelParams",
     "slant_range",

@@ -254,7 +254,10 @@ class CvRateResult(Record):
 
     signed_rate is the key rate before it is clamped at 0,
     p_ec (n/N) times the bracket; it is -inf at tau = 0, where no finite
-    margin exists.
+    margin exists.  classical_rate is beta * 1/2 log2(1 + SNR): the
+    reconciled information of one quadrature of the Gaussian key
+    modulation, not the rate of the binary displacement that carries the
+    bits.
     """
 
     key_rate: float

@@ -27,7 +27,6 @@ __all__ = [
     "gains_and_qber",
     "decoy_bounds",
     "finite_key_rate",
-    "qsdc_payload_rate",
 ]
 
 
@@ -123,7 +122,10 @@ class DvRateResult(Record):
 
     signed_rate is the key rate before it is clamped at 0: the key length
     per signal pulse.  It is -inf where the decoy bound certifies no
-    single-photon yield, so no finite margin exists.
+    single-photon yield, so no finite margin exists.  payload_rate is the
+    net direct-transmission payload in bits per use, (1 - check_fraction)
+    * Q_mu * (1 - f_ec * h(E_mu)) clamped at 0: a throughput model for the
+    message-carrying mode of the protocol, not a security bound.
     """
 
     key_rate: float
@@ -208,16 +210,6 @@ def _sample(pulses: float, fraction: float) -> float:
     # the pulses that click (or carry one photon): none if the fraction is 0,
     # even out of an infinite block, where the product would be NaN
     return pulses * fraction if fraction > 0.0 else 0.0
-
-
-def qsdc_payload_rate(eta_total: float, params: DecoyProtocolParams) -> float:
-    """Net direct-transmission payload in bits per use.
-
-    payload = (1 - check_fraction) * Q_mu * (1 - f_ec * h(E_mu)), clamped
-    at 0.  This is a throughput model for the message-carrying mode of
-    the protocol, not a security bound.
-    """
-    return _payload(*gains_and_qber(eta_total, params, params.mu), params)
 
 
 def finite_key_rate(

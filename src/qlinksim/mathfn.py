@@ -88,6 +88,10 @@ def bosonic_entropy(nu: float) -> float:
     return up * math.log2(up) - dn * math.log2(dn)
 
 
+# the standard normal inv_cdf, bound by the first ber_to_snr_amplitude call
+_normal_quantile = None
+
+
 def ber_to_snr_amplitude(ber: float) -> float:
     """Amplitude SNR required for a target sign-decision bit-error rate.
 
@@ -95,16 +99,19 @@ def ber_to_snr_amplitude(ber: float) -> float:
     error on a Gaussian-noise quadrature, on ber in (0, 0.5]: the upper
     normal quantile -Phi^-1(ber) from ``statistics.NormalDist`` (Wichura's
     AS241), measured within 7.5e-16 relative of a 160-bit root over ber
-    from 5e-324 to 0.5.  ``statistics`` is imported on first use, so only
-    CV runs load it.
+    from 5e-324 to 0.5.  ``statistics`` is imported and the quantile
+    bound on first use, so only CV runs load it.
     """
+    global _normal_quantile
     if not 0.0 < ber <= 0.5:
         raise ValueError(f"ber must lie in (0, 0.5]: {ber!r}")
     if ber == 0.5:
         return 0.0  # the negated quantile would read -0.0
-    from statistics import NormalDist
+    if _normal_quantile is None:
+        from statistics import NormalDist
 
-    return -NormalDist().inv_cdf(ber)
+        _normal_quantile = NormalDist().inv_cdf
+    return -_normal_quantile(ber)
 
 
 def hoeffding_deviation(n_samples: float, epsilon: float) -> float:

@@ -36,7 +36,6 @@ from qlinksim.dvqkd import (
     decoy_bounds,
     finite_key_rate,
     gains_and_qber,
-    qsdc_payload_rate,
 )
 from qlinksim.fso import FsoChannelParams
 from qlinksim.sweeps import (
@@ -96,10 +95,8 @@ def test_criterion_3_payload_band_at_dv_limits():
     cfg = load_config()
     payloads = []
     for block_n, _ in DV_TARGET_ALT_KM:  # altitudes fall along this order
-        res = max_secure_altitude("dv", block_n, cfg)
-        out = cfg.channel.at_altitude(res.max_secure_altitude_km)
-        eta_total = out.transmissivity * cfg.dv.eta_receiver
-        payloads.append(qsdc_payload_rate(eta_total, cfg.dv))
+        # the payload of the one rate probe made at the ceiling
+        payloads.append(max_secure_altitude("dv", block_n, cfg).rate.payload_rate)
     for payload in payloads:
         assert PAYLOAD_BAND[0] <= payload <= PAYLOAD_BAND[1], payloads
     # lower orbit, more collected light, more payload throughput
@@ -110,10 +107,8 @@ def test_criterion_4_classical_rate_at_cv_limits():
     cfg = load_config()
     rates = []
     for (block_n, _), target in zip(CV_TARGET_ALT_KM, CV_TARGET_CLASSICAL):
-        res = max_secure_altitude("cv", block_n, cfg)
-        out = cfg.channel.at_altitude(res.max_secure_altitude_km)
-        ch = ThermalLossChannel(tau=out.transmissivity, n_thermal=cfg.cv.n_bg)
-        rate = composable_key_rate(ch, cfg.cv, cfg.cv_noise, block_n).classical_rate
+        # the classical rate of the one rate probe made at the ceiling
+        rate = max_secure_altitude("cv", block_n, cfg).rate.classical_rate
         assert target / CLASSICAL_FACTOR <= rate <= target * CLASSICAL_FACTOR, (
             f"block {block_n:g}: classical {rate:.3e} vs target {target:.3e}"
         )

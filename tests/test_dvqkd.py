@@ -17,7 +17,6 @@ from qlinksim.dvqkd import (
     decoy_bounds,
     finite_key_rate,
     gains_and_qber,
-    qsdc_payload_rate,
 )
 from qlinksim.mathfn import binary_entropy
 
@@ -159,22 +158,26 @@ def test_decoy_bounds_bracket_truth_randomized():
 # ---------------------------------------------------------------------------
 
 
+def payload_rate(eta: float, params: DecoyProtocolParams) -> float:
+    return finite_key_rate(eta, params, FiniteSizeConfig()).payload_rate
+
+
 def test_payload_zero_when_background_dominates():
     # QBER near 1/2 makes the net coding rate negative, clamped to zero
-    assert qsdc_payload_rate(0.0, PARAMS) == 0.0
+    assert payload_rate(0.0, PARAMS) == 0.0
 
 
 def test_payload_clean_lossless_value():
     clean = DecoyProtocolParams(y0_stray=0.0, y0_dark=0.0)
     gain = -math.expm1(-clean.mu)
     expected = 0.9 * gain * (1.0 - 1.05 * (-(0.01 * math.log2(0.01)) - 0.99 * math.log2(0.99)))
-    assert qsdc_payload_rate(1.0, clean) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert payload_rate(1.0, clean) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @given(st.floats(min_value=3e-3, max_value=0.99))
 def test_payload_increases_with_transmissivity(eta):
-    low = qsdc_payload_rate(eta, PARAMS)
-    high = qsdc_payload_rate(eta * 1.01, PARAMS)
+    low = payload_rate(eta, PARAMS)
+    high = payload_rate(eta * 1.01, PARAMS)
     if low > 0.0:
         assert high > low
 
@@ -385,7 +388,9 @@ def test_infinite_block_is_the_asymptotic_expression_bit_for_bit(params, eta):
     reference = asymptotic_reference(eta, params)
     assert result.signed_rate.hex() == reference.hex()
     assert result.key_rate == max(reference, 0.0)
-    assert result.payload_rate == qsdc_payload_rate(eta, params)
+    gain_mu, qber_mu = gains_and_qber(eta, params, params.mu)
+    payload = (1.0 - params.check_fraction) * gain_mu * (1.0 - params.f_ec * binary_entropy(qber_mu))
+    assert result.payload_rate == max(payload, 0.0)
 
 
 @given(

@@ -583,13 +583,23 @@ def test_threshold_infeasible_at_unit_transmissivity():
         secure_threshold("qkd", math.inf, cfg)
 
 
-def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
+def _calibration_script(monkeypatch):
+    """A fresh module of scripts/calibrate_defaults.py, bound to the package as it is now."""
     import types
 
+    path = REPO_ROOT / "scripts" / "calibrate_defaults.py"
+    script = types.ModuleType("calibrate_defaults")
+    script.__file__ = str(path)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(script))
+    return script
+
+
+def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     from qlinksim import sweeps
 
-    calls, bisections = [], []
-    solve, bisect = sweeps.secure_threshold, sweeps._solve_threshold
+    calls, bisections, ceilings = [], [], []
+    solve, bisect, ceiling = sweeps.secure_threshold, sweeps._solve_threshold, sweeps.max_secure_altitude
 
     def counted(protocol, block_n, cfg):
         calls.append((protocol, block_n))
@@ -599,13 +609,14 @@ def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
         bisections.append(args[1:])
         return bisect(*args)
 
+    def counted_ceiling(protocol, block_n, cfg, threshold=None):
+        ceilings.append(protocol)
+        return ceiling(protocol, block_n, cfg, threshold)
+
     monkeypatch.setattr(sweeps, "secure_threshold", counted)
     monkeypatch.setattr(sweeps, "_solve_threshold", counted_bisection)
-    path = REPO_ROOT / "scripts" / "calibrate_defaults.py"
-    script = types.ModuleType("calibrate_defaults")
-    script.__file__ = str(path)
-    monkeypatch.setattr(sys, "path", sys.path[:])
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(script))
+    monkeypatch.setattr(sweeps, "max_secure_altitude", counted_ceiling)
+    script = _calibration_script(monkeypatch)
     assert script.main() == 0
     # 4 DV thresholds, and 4 CV ones for each of the 9 distinct leaks; no
     # ceiling bisects a threshold of its own
@@ -613,9 +624,36 @@ def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     assert sorted(set(calls)) == sorted(
         (protocol, n) for protocol in ("dv", "cv") for n in (1e9, 1e10, 1e11, math.inf)
     )
+    # one ceiling per distinct (protocol, N, records): a DV ceiling for each
+    # of the 11 distinct jitters, a CV one for each of the 59 distinct pairs:
+    # 280, not the 480 of one per point
+    assert ceilings.count("dv") == 11 * 4
+    assert ceilings.count("cv") == 59 * 4
     assert "calibrated pointing jitter : 2.91 urad" in capsys.readouterr().out
-    # a run leaves no threshold behind for the next one
-    assert script.THRESHOLDS == {}
+    # a run leaves nothing it worked out behind for the next one
+    assert script.THRESHOLDS == script.CEILINGS == script.DEFAULT_CONFIG == {}
+
+
+def test_calibration_reuse_changes_no_result(monkeypatch, capsys):
+    script = _calibration_script(monkeypatch)
+    leaks = (3.0e-5, 3.9e-5, 5.0e-5)
+    shared = [script.evaluate(2.91, leak) for leak in leaks]
+    dv = [
+        {label: value for label, value in scored[2].items() if label.startswith(("dv_alt_", "payload_"))}
+        for scored in shared
+    ]
+    assert len(dv[0]) == 8
+    assert dv[0] == dv[1] == dv[2]
+    # each point scores as it does in a module that has worked out nothing yet
+    for leak, scored in zip(leaks, shared):
+        assert scored == _calibration_script(monkeypatch).evaluate(2.91, leak)
+    # two runs in one process print the same text
+    script = _calibration_script(monkeypatch)
+    assert script.main() == 0
+    first = capsys.readouterr().out
+    assert script.main() == 0
+    assert capsys.readouterr().out == first
+    assert "calibrated pointing jitter : 2.91 urad" in first
 
 
 def test_infeasible_scenario_reports_bracket():
