@@ -26,8 +26,6 @@ from .mathfn import thermal_photon_number
 from .record import Record
 
 __all__ = [
-    "SpectralLineTable",
-    "SlantPathSpec",
     "default_line_table",
     "slant_attenuation_spectrum",
     "slant_attenuation_spectra",
@@ -76,37 +74,23 @@ def _parse_line_table(raw: bytes, n_cols: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-class SpectralLineTable(Record, eq=False):
-    """Oxygen and water-vapour resonance-line coefficients.
-
-    Each row holds a line center frequency (GHz) followed by the six
-    strength/width/interference coefficients of Rec. ITU-R P.676 Annex 1.
-    """
-
-    oxygen: np.ndarray
-    water: np.ndarray
-
-    def _validate(self) -> None:
-        if self.oxygen.shape != (44, 7):
-            raise ValueError(f"expected 44 oxygen lines x 7 columns: {self.oxygen.shape}")
-        if self.water.shape != (35, 7):
-            raise ValueError(f"expected 35 water lines x 7 columns: {self.water.shape}")
-        for name, table in (("oxygen", self.oxygen), ("water", self.water)):
-            centers = table[:, 0]
-            if not np.all(np.diff(centers) > 0.0):
-                raise ValueError(f"{name} line centers must be strictly increasing")
-
-    @classmethod
-    def load_bundled(cls) -> "SpectralLineTable":
-        """Load the bundled coefficient files, verifying their checksums."""
-        oxygen = _parse_line_table(_read_checked("oxygen_lines.txt"), 7)
-        water = _parse_line_table(_read_checked("water_lines.txt"), 7)
-        return cls(oxygen=oxygen, water=water)
-
-
 @lru_cache(maxsize=1)
-def default_line_table() -> SpectralLineTable:
-    return SpectralLineTable.load_bundled()
+def default_line_table() -> tuple[np.ndarray, np.ndarray]:
+    """The bundled (oxygen, water) resonance-line coefficients, checksums verified.
+
+    Each row holds a line centre frequency (GHz) followed by the six
+    strength/width/interference coefficients of Rec. ITU-R P.676 Annex 1:
+    44 oxygen lines and 35 water-vapour lines, centres strictly increasing.
+    """
+    tables = []
+    for name, lines in (("oxygen", 44), ("water", 35)):
+        table = _parse_line_table(_read_checked(f"{name}_lines.txt"), 7)
+        if table.shape != (lines, 7):
+            raise ValueError(f"expected {lines} {name} lines x 7 columns: {table.shape}")
+        if not np.all(np.diff(table[:, 0]) > 0.0):
+            raise ValueError(f"{name} line centers must be strictly increasing")
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +182,13 @@ class _ReferenceProfile(Record, eq=False):
     def states_at(self, h_km: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized (T, P, rho) at the requested altitudes."""
         h = np.asarray(h_km, dtype=float)
-        if np.any(h < 0.0) or np.any(h > self.altitude_km[-1]):
-            raise ValueError("altitude outside profile range")
+        lo, top = float(self.altitude_km[0]), float(self.altitude_km[-1])
+        bad = h[(h < lo) | (h > top)]
+        if bad.size:
+            raise ValueError(
+                f"altitude {float(bad.flat[0])!r} km is outside the profile range "
+                f"[{lo!r}, {top!r}] km ({bad.size} of {h.size} values)"
+            )
         t = np.interp(h, self.altitude_km, self.temperature_k)
         p, rho = (
             np.exp(np.interp(h, self.altitude_km, np.log(values)))
@@ -250,7 +239,8 @@ def _line_factors(
     t_k: np.ndarray,
     p_total_hpa: np.ndarray,
     rho_g_m3: np.ndarray,
-    table: SpectralLineTable,
+    oxygen_lines: np.ndarray,
+    water_lines: np.ndarray,
 ) -> tuple:
     """State-only factors of the line-by-line model, each of shape (1, len(states)).
 
@@ -277,7 +267,7 @@ def _line_factors(
     d = np.where(d > 0.0, d, 1.0)
 
     oxygen = []
-    for fi, a1, a2, a3, a4, a5, a6 in table.oxygen:
+    for fi, a1, a2, a3, a4, a5, a6 in oxygen_lines:
         si = a1 * 1e-7 * p * theta**3 * np.exp(a2 * (1.0 - theta))
         df = a3 * 1e-4 * (p * theta ** (0.8 - a4) + 1.1 * e * theta)
         df = np.sqrt(df * df + 2.25e-6)  # Zeeman/Doppler floor
@@ -285,7 +275,7 @@ def _line_factors(
         oxygen.append((fi, si, df, delta, df * df))
 
     water = []
-    for fi, b1, b2, b3, b4, b5, b6 in table.water:
+    for fi, b1, b2, b3, b4, b5, b6 in water_lines:
         si = b1 * 1e-1 * e * theta**3.5 * np.exp(b2 * (1.0 - theta))
         df = b3 * 1e-4 * (p * theta**b4 + b5 * e * theta**b6)
         df = 0.535 * df + np.sqrt(0.217 * df * df + 2.1316e-12 * fi * fi / theta)
@@ -405,24 +395,6 @@ def _check_freq(frequency_ghz: np.ndarray | float) -> None:
 # ---------------------------------------------------------------------------
 
 
-class SlantPathSpec(Record):
-    """Straight ray from the ground at a fixed elevation angle.
-
-    The path altitude is h(s) = s * sin(elevation); contributions above
-    100 km are clipped to zero.
-    """
-
-    elevation_deg: float
-    slant_distance_km: float = 1.0
-
-    def _validate(self) -> None:
-        # written as "not inside" so that NaN is rejected too
-        if not 0.0 < self.elevation_deg <= 90.0:
-            raise ValueError(f"elevation must lie in (0, 90] deg: {self.elevation_deg!r}")
-        if not self.slant_distance_km > 0.0:
-            raise ValueError(f"slant distance must be > 0: {self.slant_distance_km!r}")
-
-
 # the 3-point Gauss-Legendre rule on [-1, 1], exact for polynomials up to
 # degree 5.  Written out, not taken from numpy.polynomial, whose import
 # atmos-grid would pay on every run
@@ -430,8 +402,11 @@ _GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
-def _slant_rule(path: SlantPathSpec) -> tuple[np.ndarray, np.ndarray]:
+def _slant_rule(elevation_deg: float, slant_km: float) -> tuple[np.ndarray, np.ndarray]:
     """Integration nodes and weights in path length, for the integral of gamma along a slant.
+
+    The slant is a straight ray from the ground at elevation_deg, whose
+    altitude is h(s) = s * sin(elevation); nothing above 100 km counts.
 
     The panels are the stretches of the ray between its consecutive
     1 km-altitude crossings, at path lengths k / sin(elevation) for
@@ -445,14 +420,14 @@ def _slant_rule(path: SlantPathSpec) -> tuple[np.ndarray, np.ndarray]:
     shallow that its sine underflows to 0 never leaves the ground and
     gets the one panel [0, slant].
     """
-    sin_el = math.sin(math.radians(path.elevation_deg))
+    sin_el = math.sin(math.radians(elevation_deg))
 
     def reach(h_km: float) -> float:
         # path length up to altitude h_km; a ray so shallow that its sine
         # underflows to 0 never gets there
         return h_km / sin_el if sin_el > 0.0 else math.inf
 
-    s_end = min(path.slant_distance_km, reach(TOP_ALTITUDE_KM))
+    s_end = min(slant_km, reach(TOP_ALTITUDE_KM))
     crossings = (reach(k) for k in range(1, int(TOP_ALTITUDE_KM)))
     edges = np.array([0.0, *(s for s in crossings if s < s_end), s_end])
     mid = ((edges[1:] + edges[:-1]) / 2.0)[:, None]
@@ -478,14 +453,20 @@ def slant_attenuation_spectra(
     _check_freq(frequency_ghz)
     if len(slants_km) == 0:
         raise ValueError("need at least one slant distance")
-    rules = [_slant_rule(SlantPathSpec(elevation_deg, s)) for s in slants_km]
+    # written as "not inside" so that NaN is rejected too
+    if not 0.0 < elevation_deg <= 90.0:
+        raise ValueError(f"elevation must lie in (0, 90] deg: {elevation_deg!r}")
+    for slant in slants_km:
+        if not slant > 0.0:
+            raise ValueError(f"slant distance must be > 0: {slant!r}")
+    rules = [_slant_rule(elevation_deg, s) for s in slants_km]
     f = np.asarray(frequency_ghz, dtype=float).reshape(-1)
     out = np.zeros((len(rules), f.shape[0]))
     union, inverse = np.unique(np.concatenate([nodes for nodes, _ in rules]), return_inverse=True)
     idx = np.split(inverse, np.cumsum([len(nodes) for nodes, _ in rules[:-1]]))
     h = union * math.sin(math.radians(elevation_deg))
     factors = _line_factors(
-        *default_profile().states_at(np.clip(h, 0.0, TOP_ALTITUDE_KM)), default_line_table()
+        *default_profile().states_at(np.clip(h, 0.0, TOP_ALTITUDE_KM)), *default_line_table()
     )
     for lo, gamma in _gamma_blocks(f, factors):
         for j, (i, (_, weights)) in enumerate(zip(idx, rules)):
@@ -495,8 +476,8 @@ def slant_attenuation_spectra(
     return out
 
 
-def slant_attenuation_spectrum(path: SlantPathSpec, frequency_ghz: np.ndarray) -> np.ndarray:
-    """Total gas attenuation (dB) along one path, vectorized over frequency."""
-    return slant_attenuation_spectra(
-        path.elevation_deg, [path.slant_distance_km], frequency_ghz
-    )[0]
+def slant_attenuation_spectrum(
+    elevation_deg: float, slant_km: float, frequency_ghz: np.ndarray
+) -> np.ndarray:
+    """Total gas attenuation (dB) along one slant, vectorized over frequency."""
+    return slant_attenuation_spectra(elevation_deg, [slant_km], frequency_ghz)[0]

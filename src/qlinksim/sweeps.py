@@ -1,8 +1,8 @@
 """Batch sweeps over altitude/frequency/temperature grids, and secure ceilings.
 
 Rows are computed in process from immutable records (see record.Record),
-then sorted by their grid coordinates, so output is byte-identical for
-identical configuration.
+in the order of their grid coordinates, each axis ascending, so output is
+byte-identical for identical configuration.
 
 Both protocols see the channel only through its transmissivity tau, and
 every rate here is evaluated through _rate_of_tau.  So the maximum secure
@@ -175,7 +175,6 @@ def _altitude_sweep(
         for alt in cfg.sweep.altitudes_km():
             tau, res = _rate_at_altitude(scenario, rate_of, alt, n, cfg)
             rows.append((alt, n) + pick(tau, res))
-    rows.sort(key=lambda r: (r[1], r[0]))
     return SweepTable(scenario, columns, tuple(rows))
 
 
@@ -220,8 +219,7 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
         raise ValueError(
             f"atmos-grid slant at elevation_deg={elevation!r}, slant_km={culprit!r}: {exc}"
         ) from exc
-    rows = [(f, s, a) for s, row in zip(slants, att.tolist()) for f, a in zip(freqs, row)]
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = [(f, s, a) for f, column in zip(freqs, att.T.tolist()) for s, a in zip(slants, column)]
     return SweepTable("atmos-grid", ATMOS_COLUMNS, tuple(rows))
 
 
@@ -232,7 +230,6 @@ def thermal_grid(cfg: SimulationConfig) -> SweepTable:
         for f_ghz in cfg.sweep.frequencies_ghz()
         for t in cfg.sweep.temperatures_k()
     ]
-    rows.sort(key=lambda r: (r[0], r[1]))
     return SweepTable("thermal-grid", THERMAL_COLUMNS, tuple(rows))
 
 

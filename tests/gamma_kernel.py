@@ -17,7 +17,7 @@ def gamma_at(f_ghz, t_k, p_hpa, rho_g_m3) -> np.ndarray:
     """gamma in dB/km, shape (len(f), len(states)); each state column is a scalar or a sequence."""
     f = np.asarray(f_ghz, dtype=float).reshape(-1)
     states = (np.atleast_1d(np.asarray(column, dtype=float)) for column in (t_k, p_hpa, rho_g_m3))
-    factors = _line_factors(*states, default_line_table())
+    factors = _line_factors(*states, *default_line_table())
     out = np.empty((f.size, factors[0].shape[1]))
     for lo, gamma in _gamma_blocks(f, factors):
         out[lo : lo + gamma.shape[0]] = gamma

@@ -19,7 +19,8 @@ def _gamma_grid(
     t_k: np.ndarray,
     p_total_hpa: np.ndarray,
     rho_g_m3: np.ndarray,
-    table: SpectralLineTable,
+    oxygen_lines: np.ndarray,
+    water_lines: np.ndarray,
 ) -> np.ndarray:
     """Specific attenuation in dB/km, shape (len(f), len(states)).
 
@@ -36,7 +37,7 @@ def _gamma_grid(
 
     n_total = np.zeros(np.broadcast_shapes(f.shape, t.shape), dtype=float)
 
-    for fi, a1, a2, a3, a4, a5, a6 in table.oxygen:
+    for fi, a1, a2, a3, a4, a5, a6 in oxygen_lines:
         si = a1 * 1e-7 * p * theta**3 * np.exp(a2 * (1.0 - theta))
         df = a3 * 1e-4 * (p * theta ** (0.8 - a4) + 1.1 * e * theta)
         df = np.sqrt(df * df + 2.25e-6)  # Zeeman/Doppler floor
@@ -64,7 +65,7 @@ def _gamma_grid(
             )
         )
 
-    for fi, b1, b2, b3, b4, b5, b6 in table.water:
+    for fi, b1, b2, b3, b4, b5, b6 in water_lines:
         si = b1 * 1e-1 * e * theta**3.5 * np.exp(b2 * (1.0 - theta))
         df = b3 * 1e-4 * (p * theta**b4 + b5 * e * theta**b6)
         df = 0.535 * df + np.sqrt(0.217 * df * df + 2.1316e-12 * fi * fi / theta)

@@ -19,7 +19,6 @@ import pytest
 from gamma_kernel import gamma_at
 from oracle_p676 import specific_attenuation_db_km
 from qlinksim.atmosphere import (
-    SlantPathSpec,
     default_profile,
     slant_attenuation_spectrum,
     thermal_photon_number,
@@ -136,10 +135,10 @@ def test_criterion_6_attenuation_landmarks_and_oracle():
         peak = float(freqs[int(np.argmax(gamma))])
         assert abs(peak - center) <= 1.0, f"peak near {center} found at {peak}"
     # a microwave feeder link crossing the whole troposphere stays under 1 dB
-    low_band = slant_attenuation_spectrum(SlantPathSpec(45.0, 28.0), np.array([10.0]))[0]
+    low_band = slant_attenuation_spectrum(45.0, 28.0, np.array([10.0]))[0]
     assert 0.0 < low_band < 1.0
     # one km of ground-level path at 988 GHz is opaque
-    assert slant_attenuation_spectrum(SlantPathSpec(45.0, 1.0), np.array([988.0]))[0] > 100.0
+    assert slant_attenuation_spectrum(45.0, 1.0, np.array([988.0]))[0] > 100.0
     # spot agreement with an independently transcribed line-by-line model
     rng = random.Random(8)
     for _ in range(20):
@@ -241,8 +240,8 @@ def test_criterion_7_randomized_property_campaigns():
     for _ in range(10):
         d = rng.uniform(2.0, 30.0)
         freqs = np.array([rng.uniform(1.0, 1000.0) for _ in range(20)])
-        near = slant_attenuation_spectrum(SlantPathSpec(45.0, d), freqs)
-        far = slant_attenuation_spectrum(SlantPathSpec(45.0, d + 5.0), freqs)
+        near = slant_attenuation_spectrum(45.0, d, freqs)
+        far = slant_attenuation_spectrum(45.0, d + 5.0, freqs)
         assert np.all(far > near)
         cases += 20
 

@@ -17,8 +17,6 @@ from oracle_gamma_expr import _gamma_grid
 from oracle_p676 import OXYGEN_LINES, WATER_LINES, specific_attenuation_db_km
 from qlinksim.atmosphere import (
     TOP_ALTITUDE_KM,
-    SlantPathSpec,
-    SpectralLineTable,
     _slant_rule,
     default_line_table,
     default_profile,
@@ -34,9 +32,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SEA_LEVEL = (288.15, 1013.25, 7.5)
 
 
-def _attenuation(path: SlantPathSpec, f_ghz: float) -> float:
+def _attenuation(elevation_deg: float, slant_km: float, f_ghz: float) -> float:
     """Total gas attenuation in dB along one slant at one frequency."""
-    return float(slant_attenuation_spectrum(path, np.array([f_ghz]))[0])
+    return float(slant_attenuation_spectrum(elevation_deg, slant_km, np.array([f_ghz]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -59,25 +57,38 @@ def test_bundled_line_tables_match_manifest_checksums():
 
 
 def test_line_table_shape_and_ordering():
-    table = default_line_table()
-    assert table.oxygen.shape == (44, 7)
-    assert table.water.shape == (35, 7)
-    assert np.all(np.diff(table.oxygen[:, 0]) > 0.0)
-    assert np.all(np.diff(table.water[:, 0]) > 0.0)
+    oxygen, water = default_line_table()
+    assert oxygen.shape == (44, 7)
+    assert water.shape == (35, 7)
+    assert np.all(np.diff(oxygen[:, 0]) > 0.0)
+    assert np.all(np.diff(water[:, 0]) > 0.0)
 
 
-def test_line_table_rejects_wrong_shapes():
-    table = default_line_table()
-    with pytest.raises(ValueError):
-        SpectralLineTable(oxygen=table.oxygen[:-1], water=table.water)
-    with pytest.raises(ValueError):
-        SpectralLineTable(oxygen=table.oxygen, water=table.water[::-1])
+def test_line_table_rejects_wrong_shapes(monkeypatch):
+    # the loader checks what it parsed: one oxygen line short, or the water
+    # lines in reverse order
+    parse = atmosphere._parse_line_table
+    cases = (
+        (lambda t: t[:-1] if len(t) == 44 else t, r"expected 44 oxygen lines x 7 columns: \(43, 7\)"),
+        (lambda t: t[::-1] if len(t) == 35 else t, "water line centers must be strictly increasing"),
+    )
+    try:
+        for damage, message in cases:
+            monkeypatch.setattr(
+                atmosphere, "_parse_line_table", lambda raw, n, damage=damage: damage(parse(raw, n))
+            )
+            default_line_table.cache_clear()
+            with pytest.raises(ValueError, match=message):
+                default_line_table()
+    finally:
+        # a damaged table that loaded must not outlive the test
+        default_line_table.cache_clear()
 
 
 def test_bundled_tables_agree_with_oracle_transcription():
-    table = default_line_table()
-    assert np.allclose(table.oxygen, np.array(OXYGEN_LINES), rtol=0, atol=0)
-    assert np.allclose(table.water, np.array(WATER_LINES), rtol=0, atol=0)
+    oxygen, water = default_line_table()
+    assert np.allclose(oxygen, np.array(OXYGEN_LINES), rtol=0, atol=0)
+    assert np.allclose(water, np.array(WATER_LINES), rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +131,12 @@ def test_profile_tropospheric_lapse_rate():
 
 def test_states_at_rejects_out_of_range_altitudes():
     prof = default_profile()
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"altitude -0.1 km is outside the profile range \[0.0, 100.0\] km \(1 of 1 values\)"
+    ):
         prof.states_at(np.array([-0.1]))
-    with pytest.raises(ValueError):
-        prof.states_at(np.array([100.1]))
+    with pytest.raises(ValueError, match=r"altitude 100.1 km .* \(2 of 3 values\)"):
+        prof.states_at(np.array([50.0, 100.1, 101.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +185,7 @@ def test_specific_attenuation_rejects_out_of_band_frequencies():
 
 def test_nan_frequencies_are_rejected():
     with pytest.raises(ValueError, match="nan is out of range"):
-        _attenuation(SlantPathSpec(45.0, 1.0), math.nan)
+        _attenuation(45.0, 1.0, math.nan)
     with pytest.raises(ValueError, match="nan is out of range \\(1 of 3 values\\)"):
         slant_attenuation_spectra(45.0, [1.0, 2.0], np.array([10.0, math.nan, 20.0]))
 
@@ -189,9 +202,9 @@ def test_specific_attenuation_non_negative(f, alt):
 # the blockwise gamma kernel against its expression form
 # ---------------------------------------------------------------------------
 
-_TABLE = default_line_table()
+_OXYGEN, _WATER = default_line_table()
 # band edges and every exact line centre, where fi - f is exactly 0
-_EDGE_FREQS = (1.0, 1000.0, *_TABLE.oxygen[:, 0].tolist(), *_TABLE.water[:, 0].tolist())
+_EDGE_FREQS = (1.0, 1000.0, *_OXYGEN[:, 0].tolist(), *_WATER[:, 0].tolist())
 _TOP = tuple(float(c[0]) for c in default_profile().states_at(np.array([TOP_ALTITUDE_KM])))
 
 
@@ -218,7 +231,7 @@ _TOP = tuple(float(c[0]) for c in default_profile().states_at(np.array([TOP_ALTI
 @example(list(_EDGE_FREQS), [_TOP])
 def test_gamma_blocks_equal_the_expression_form_bit_for_bit(freqs, states):
     t, p, rho = (list(column) for column in zip(*states))
-    want = _gamma_grid(np.array(freqs), t, p, rho, _TABLE)
+    want = _gamma_grid(np.array(freqs), t, p, rho, _OXYGEN, _WATER)
     got = gamma_at(freqs, t, p, rho)
     assert got.tobytes() == want.tobytes()
 
@@ -244,7 +257,7 @@ def test_tiny_pressures_attenuate_without_overflow_warnings(pressure_hpa):
 
 @pytest.mark.parametrize("block", [1, 7, 125, 1000])
 def test_slant_spectra_bytes_do_not_depend_on_the_block_size(monkeypatch, block):
-    freqs = np.concatenate([np.linspace(1.0, 1000.0, 131), _TABLE.oxygen[:3, 0]])
+    freqs = np.concatenate([np.linspace(1.0, 1000.0, 131), _OXYGEN[:3, 0]])
 
     def both():
         return (
@@ -263,32 +276,32 @@ def test_slant_spectra_bytes_do_not_depend_on_the_block_size(monkeypatch, block)
 
 
 def test_slant_path_spec_validation():
-    with pytest.raises(ValueError):
-        SlantPathSpec(elevation_deg=0.0)
-    with pytest.raises(ValueError):
-        SlantPathSpec(elevation_deg=91.0)
-    with pytest.raises(ValueError):
-        SlantPathSpec(elevation_deg=45.0, slant_distance_km=0.0)
-    with pytest.raises(ValueError, match=r"elevation must lie in \(0, 90\] deg: nan"):
-        SlantPathSpec(math.nan, 1.0)
-    with pytest.raises(ValueError, match="slant distance must be > 0: nan"):
-        slant_attenuation_spectra(45.0, [math.nan], np.array([10.0]))
+    f = np.array([10.0])
+    for elevation in (0.0, 91.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=rf"elevation must lie in \(0, 90\] deg: {elevation!r}$"):
+            slant_attenuation_spectra(elevation, [1.0], f)
+    for slant in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"slant distance must be > 0: {slant!r}$"):
+            slant_attenuation_spectra(45.0, [1.0, slant], f)
+    # the elevation is checked before any slant
+    with pytest.raises(ValueError, match="elevation"):
+        slant_attenuation_spectra(0.0, [0.0], f)
 
 
 def test_slant_attenuation_microwave_is_small():
-    att = _attenuation(SlantPathSpec(45.0, 28.0), 10.0)
+    att = _attenuation(45.0, 28.0, 10.0)
     assert 0.0 < att < 1.0
 
 
 def test_slant_attenuation_thz_ground_kilometre_is_huge():
-    att = _attenuation(SlantPathSpec(45.0, 1.0), 988.0)
+    att = _attenuation(45.0, 1.0, 988.0)
     assert att > 100.0
 
 
 def test_slant_attenuation_increases_with_distance():
     grid = [1.0, 5.0, 10.0, 20.0, 28.0]
     for f in (10.0, 94.0, 340.0):
-        values = [_attenuation(SlantPathSpec(45.0, s), f) for s in grid]
+        values = [_attenuation(45.0, s, f) for s in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -306,8 +319,8 @@ def test_slant_attenuation_decreases_with_start_altitude():
 
 def test_slant_attenuation_saturates_above_atmosphere():
     # everything above 100 km contributes nothing
-    att_a = _attenuation(SlantPathSpec(90.0, 150.0), 60.0)
-    att_b = _attenuation(SlantPathSpec(90.0, 5000.0), 60.0)
+    att_a = _attenuation(90.0, 150.0, 60.0)
+    att_b = _attenuation(90.0, 5000.0, 60.0)
     assert att_a == pytest.approx(att_b, rel=1e-12, abs=0.0)
 
 
@@ -347,13 +360,12 @@ def test_slant_quadrature_error_is_bounded():
 def test_slant_attenuation_step_convergence():
     # one slant through the water line and a THz line: the panel rule
     # against the converged one, and a slant of no length is refused
-    path = SlantPathSpec(45.0, 28.0)
     for f in (22.235, 557.0):
-        panels = _attenuation(path, f)
+        panels = _attenuation(45.0, 28.0, f)
         fine = _converged_spectra(45.0, [28.0], np.array([f]))[0, 0]
         assert panels == pytest.approx(fine, rel=1e-7, abs=0.0)
     with pytest.raises(ValueError):
-        _attenuation(SlantPathSpec(45.0, 0.0), 10.0)
+        _attenuation(45.0, 0.0, 10.0)
 
 
 @given(
@@ -364,7 +376,7 @@ def test_slant_attenuation_step_convergence():
 # a ray so shallow that the sine underflows to 0 never leaves the ground
 @example(5e-324, [3.0, 1.5])
 def test_slants_of_one_ray_share_their_panels(elevation, slants):
-    rules = [_slant_rule(SlantPathSpec(elevation, s)) for s in slants]
+    rules = [_slant_rule(elevation, s) for s in slants]
     sin_el = math.sin(math.radians(elevation))
     h_top = min(max(slants) * sin_el, TOP_ALTITUDE_KM)
     union = np.unique(np.concatenate([nodes for nodes, _ in rules]))
@@ -383,18 +395,17 @@ def test_slants_of_one_ray_share_their_panels(elevation, slants):
 @pytest.mark.parametrize("config, union", [("fig4_attenuation.ini", 69), ("default.ini", 108)])
 def test_slant_rules_evaluate_gamma_on_the_shared_panels_only(config, union):
     cfg = load_config(str(REPO_ROOT / "configs" / config))
-    rules = [_slant_rule(SlantPathSpec(cfg.sweep.elevation_deg, s)) for s in cfg.sweep.slants_km()]
+    rules = [_slant_rule(cfg.sweep.elevation_deg, s) for s in cfg.sweep.slants_km()]
     assert np.unique(np.concatenate([nodes for nodes, _ in rules])).size == union
 
 
 def test_slant_spectrum_matches_scalar_and_respects_band():
-    path = SlantPathSpec(45.0, 10.0)
     freqs = np.array([10.0, 60.0, 988.0])
-    spec = slant_attenuation_spectrum(path, freqs)
+    spec = slant_attenuation_spectrum(45.0, 10.0, freqs)
     for f, a in zip(freqs, spec):
-        assert a.tobytes() == np.float64(_attenuation(path, float(f))).tobytes()
+        assert a.tobytes() == np.float64(_attenuation(45.0, 10.0, float(f))).tobytes()
     with pytest.raises(ValueError):
-        slant_attenuation_spectrum(path, np.array([0.5]))
+        slant_attenuation_spectrum(45.0, 10.0, np.array([0.5]))
 
 
 def test_slant_spectra_match_one_path_integrals():
@@ -407,7 +418,7 @@ def test_slant_spectra_match_one_path_integrals():
     spectra = slant_attenuation_spectra(30.0, slants, freqs)
     assert spectra.shape == (3, 2)
     for slant, spectrum in zip(slants, spectra):
-        one = slant_attenuation_spectrum(SlantPathSpec(30.0, slant), freqs)
+        one = slant_attenuation_spectrum(30.0, slant, freqs)
         assert spectrum.tobytes() == one.tobytes()
 
 

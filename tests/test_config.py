@@ -19,7 +19,7 @@ from qlinksim.config import (
 from qlinksim.cvqkd import CvProtocolParams, PhaseEncodingNoise
 from qlinksim.dvqkd import DecoyProtocolParams, FiniteSizeConfig
 from qlinksim.fso import FsoChannelParams
-from qlinksim.sweeps import cv_sweep, dv_sweep
+from qlinksim.sweeps import SCENARIOS, cv_sweep, dv_sweep, run_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -222,13 +222,13 @@ GUARD_GRID = (
 MOVE_DOWN = ("zenith_deg", "tau_zenith", "beta")
 
 
-def _nudged(key: str, text: str) -> str:
+def _nudged(key: str, text: str, step: float = 0.1) -> str:
     if text.isdigit():
         return str(int(text) + 1)
     value = float(text)
     if value == 0.0:
         return "0.1"
-    return repr(value * (0.9 if key in MOVE_DOWN else 1.1))
+    return repr(value * (1.0 - step if key in MOVE_DOWN else 1.0 + step))
 
 
 def _rate_rows(*overrides: str) -> tuple:
@@ -247,6 +247,48 @@ def test_every_model_key_changes_some_output():
         try:
             if _rate_rows(override) == base:
                 dead.append(f"{override} changes no value")
+        except ConfigError as exc:
+            dead.append(f"{override} cannot be set on its own: {exc}")
+    assert not dead, "\n".join(dead)
+
+
+# the key-liveness grid: two altitudes and two block sizes as above, four
+# frequencies, two slants and three temperatures, so that a 3% step of any
+# axis key moves, adds or drops a grid point
+LIVENESS_GRID = GUARD_GRID + (
+    "sweep.freq_step_ghz=333",
+    "sweep.slant_stop_km=10",
+    "sweep.temp_start_k=290",
+    "sweep.temp_stop_k=300",
+)
+
+
+def _stepped(key: str, text: str) -> str:
+    """text moved by a small valid step: 3%, +1 for an integer, the other protocol."""
+    if key == "protocol":
+        return "cv" if text == "dv" else "dv"
+    if key == "block_sizes":
+        return ", ".join(repr(float(n) * 1.03) for n in text.split(","))
+    if "_stop_" in key:
+        # down, so that the last grid point drops out
+        return repr(float(text) * 0.97)
+    return _nudged(key, text, step=0.03)
+
+
+def _scenario_rows(*overrides: str) -> tuple:
+    cfg = load_config(overrides=LIVENESS_GRID + overrides)
+    return tuple(run_scenario(name, cfg).rows for name in SCENARIOS)
+
+
+def test_every_config_key_changes_some_scenarios_rows():
+    """Each key of the schema, stepped alone, changes the rows of some scenario."""
+    base = _scenario_rows()
+    dead = []
+    for section, key, text in resolved_items(load_config(overrides=LIVENESS_GRID)):
+        override = f"{section}.{key}={_stepped(key, text)}"
+        try:
+            if _scenario_rows(override) == base:
+                dead.append(f"{override} changes no row")
         except ConfigError as exc:
             dead.append(f"{override} cannot be set on its own: {exc}")
     assert not dead, "\n".join(dead)

@@ -43,16 +43,10 @@ RECORDS = {
         {"iterations": -1},
     ),
     sweeps.Scenario: (lambda: sweeps.SCENARIOS["dv-sweep"], None),
-    atmosphere.SpectralLineTable: (
-        atmosphere.default_line_table, {"water": atmosphere.default_line_table().oxygen}
-    ),
     atmosphere._ReferenceProfile: (atmosphere.default_profile, None),
-    atmosphere.SlantPathSpec: (
-        lambda: atmosphere.SlantPathSpec(45.0, 10.0), {"slant_distance_km": 0.0}
-    ),
 }
-# the two numpy tables keep identity equality and hashing
-IDENTITY_EQ = (atmosphere.SpectralLineTable, atmosphere._ReferenceProfile)
+# the numpy profile keeps identity equality and hashing
+IDENTITY_EQ = (atmosphere._ReferenceProfile,)
 
 
 def test_every_record_class_is_covered():
