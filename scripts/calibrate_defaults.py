@@ -121,7 +121,7 @@ def evaluate(jitter_urad: float, eps_classical: float):
             return None
         dv_alt[n] = res.max_secure_altitude_km
         deviations.append((res.max_secure_altitude_km - target) / target)
-        payload[n] = res.rate.payload_rate
+        payload[n] = res.rate.throughput
         alt_label, payload_label, _, _ = LABELS[n]
         detail[alt_label] = res.max_secure_altitude_km
         detail[payload_label] = payload[n]
@@ -136,7 +136,7 @@ def evaluate(jitter_urad: float, eps_classical: float):
             return None
         cv_alt[n] = res.max_secure_altitude_km
         deviations.append((res.max_secure_altitude_km - target) / target)
-        cls[n] = res.rate.classical_rate
+        cls[n] = res.rate.throughput
         _, _, alt_label, cls_label = LABELS[n]
         detail[alt_label] = res.max_secure_altitude_km
         detail[cls_label] = cls[n]

@@ -24,14 +24,13 @@ from __future__ import annotations
 import math
 
 from .mathfn import ber_to_snr_amplitude, bosonic_entropy
-from .record import Record
+from .record import RateResult, Record
 
 __all__ = [
     "CvProtocolParams",
     "PhaseEncodingNoise",
     "ThermalLossChannel",
     "CvDiagnostics",
-    "CvRateResult",
     "holevo_bound",
     "composable_key_rate",
 ]
@@ -71,10 +70,23 @@ class CvProtocolParams(Record):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1): {value!r}")
+        # aep_correction divides 18 by this; it underflows to 0 at tiny eps_sec
+        den = self.p_ec**2 * self.eps_sec**4
+        if not (den > 0.0 and 18.0 / den < math.inf):
+            raise ValueError(
+                f"eps_sec and p_ec must keep 18 / (p_ec^2 eps_sec^4) finite: "
+                f"eps_sec={self.eps_sec!r}, p_ec={self.p_ec!r}"
+            )
         if not 0.0 < self.ber_target <= 0.5:
             raise ValueError(f"ber_target must lie in (0, 0.5]: {self.ber_target!r}")
         if self.n_bg < 0.0:
             raise ValueError(f"background occupancy must be >= 0: {self.n_bg!r}")
+        # the trusted-detector model purifies v_el through the receiver's loss
+        if self.eta_receiver == 1.0 and self.v_el > 0.0:
+            raise ValueError(
+                "electronic noise requires a receiver efficiency below 1 in the "
+                f"trusted-detector model: eta_det * eta_lo = 1.0, v_el={self.v_el!r}"
+            )
         # aep_correction forms 2 ** (d_bits / 2), which overflows from 2048
         if not (isinstance(self.d_bits, int) and 1 <= self.d_bits < 2048):
             raise ValueError(f"d_bits must be an integer in [1, 2047]: {self.d_bits!r}")
@@ -202,11 +214,6 @@ def holevo_bound(
     if not tau > 0.0:
         raise ValueError("holevo_bound requires tau > 0")
     eta = p.eta_receiver
-    if eta == 1.0 and p.v_el > 0.0:
-        raise ValueError(
-            "electronic noise requires a receiver efficiency below 1 "
-            "in the trusted-detector model"
-        )
     v = p.v_mod + 1.0
     # at subnormal tau, tau * eta rounds to 0 or the quotient overflows, and
     # the infinite excess noise would make the bound NaN
@@ -249,38 +256,6 @@ class CvDiagnostics(Record):
     displacement_amplitude: float
 
 
-class CvRateResult(Record):
-    """Rates of one CV evaluation.
-
-    signed_rate is the key rate before it is clamped at 0,
-    p_ec (n/N) times the bracket; it is -inf at tau = 0, where no finite
-    margin exists.  classical_rate is beta * 1/2 log2(1 + SNR): the
-    reconciled information of one quadrature of the Gaussian key
-    modulation, not the rate of the binary displacement that carries the
-    bits.
-    """
-
-    key_rate: float
-    signed_rate: float
-    classical_rate: float
-    secure: bool
-    diagnostics: CvDiagnostics
-
-    def _validate(self) -> None:
-        # written as "not >= 0" so that NaN is rejected too
-        if not self.key_rate >= 0.0:
-            raise ValueError(
-                f"key rate is clamped at 0 and cannot be negative: {self.key_rate!r}"
-            )
-        if not self.key_rate == max(self.signed_rate, 0.0):
-            raise ValueError(
-                f"key rate {self.key_rate!r} is not the signed rate {self.signed_rate!r} "
-                "clamped at 0"
-            )
-        if not self.diagnostics.chi_e >= 0.0:
-            raise ValueError(f"Holevo bound cannot be negative: {self.diagnostics.chi_e!r}")
-
-
 def aep_correction(p: CvProtocolParams) -> float:
     """Asymptotic-equipartition penalty coefficient Delta_aep."""
     return (
@@ -302,8 +277,8 @@ def composable_key_rate(
     p: CvProtocolParams,
     noise: PhaseEncodingNoise,
     block_size_n: float = math.inf,
-) -> CvRateResult:
-    """Composable key rate in bits/use together with the classical rate.
+) -> RateResult:
+    """Composable key rate in bits/use together with the classical throughput.
 
     Finite blocks reserve half the rounds for parameter estimation
     (n = N/2) and pay the asymptotic-equipartition and hashing
@@ -311,7 +286,14 @@ def composable_key_rate(
 
         R = p_ec (n/N) [beta I_raw - chi_E - Delta_aep/sqrt(n) - Theta/n]
 
-    The asymptotic case keeps only p_ec (beta I_raw - chi_E).
+    The asymptotic case keeps only p_ec (beta I_raw - chi_E).  R is the
+    signed rate, before it is clamped at 0; it is -inf at tau = 0, where
+    no finite margin exists.
+
+    The throughput (the CSV's classical rate) is beta * 1/2 log2(1 + SNR):
+    the reconciled information of one quadrature of the Gaussian key
+    modulation, not the rate of the binary displacement that carries the
+    bits.
     """
     if not block_size_n > 0:
         raise ValueError(f"block size must be > 0: {block_size_n!r}")
@@ -319,13 +301,7 @@ def composable_key_rate(
         diag = CvDiagnostics(
             snr=0.0, i_ab=0.0, chi_e=0.0, nus=(1.0,) * 5, displacement_amplitude=math.inf
         )
-        return CvRateResult(
-            key_rate=0.0,
-            signed_rate=-math.inf,
-            classical_rate=0.0,
-            secure=False,
-            diagnostics=diag,
-        )
+        return RateResult(signed_rate=-math.inf, throughput=0.0, diagnostics=diag)
 
     # shared by the SNR, the Holevo bound and the displacement: computed once
     tau_total, background, sigma_bit_sq, residual, amp = _detection_noise(ch, p, noise)
@@ -357,10 +333,4 @@ def composable_key_rate(
         nus=nus,
         displacement_amplitude=delta,
     )
-    return CvRateResult(
-        key_rate=max(rate, 0.0),
-        signed_rate=rate,
-        classical_rate=p.beta * i_raw,
-        secure=bracket > 0.0,
-        diagnostics=diag,
-    )
+    return RateResult(signed_rate=rate, throughput=p.beta * i_raw, diagnostics=diag)

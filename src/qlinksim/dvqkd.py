@@ -16,13 +16,12 @@ import math
 import sys
 
 from .mathfn import binary_entropy, hoeffding_deviation
-from .record import Record
+from .record import RateResult, Record
 
 __all__ = [
     "DecoyProtocolParams",
     "FiniteSizeConfig",
     "DvDiagnostics",
-    "DvRateResult",
     "NoSinglePhotonSignal",
     "gains_and_qber",
     "decoy_bounds",
@@ -66,6 +65,14 @@ class DecoyProtocolParams(Record):
         if not self.mu <= _MAX_EXP_ARG:
             raise ValueError(
                 f"mu must be <= {_MAX_EXP_ARG!r} so that exp(mu) is finite: {self.mu!r}"
+            )
+        # decoy_bounds' prefactor; mu nu - nu^2 underflows to 0 at tiny intensities
+        den = self.mu * self.nu - self.nu * self.nu
+        prefactor = self.mu / den if den > 0.0 else math.inf
+        if not 0.0 < prefactor < math.inf:
+            raise ValueError(
+                f"mu and nu must keep the decoy-bound prefactor mu / (mu nu - nu^2) "
+                f"finite: {prefactor!r} at mu={self.mu!r}, nu={self.nu!r}"
             )
         for name in (
             "eta_receiver", "e0", "e_mis", "sift_q", "check_fraction", "y0_stray", "y0_dark"
@@ -115,33 +122,6 @@ class DvDiagnostics(Record):
     e_mu: float
     y1_lower: float
     e1_upper: float
-
-
-class DvRateResult(Record):
-    """Rates of one decoy-protocol evaluation.
-
-    signed_rate is the key rate before it is clamped at 0: the key length
-    per signal pulse.  It is -inf where the decoy bound certifies no
-    single-photon yield, so no finite margin exists.  payload_rate is the
-    net direct-transmission payload in bits per use, (1 - check_fraction)
-    * Q_mu * (1 - f_ec * h(E_mu)) clamped at 0: a throughput model for the
-    message-carrying mode of the protocol, not a security bound.
-    """
-
-    key_rate: float
-    signed_rate: float
-    payload_rate: float
-    secure: bool
-    diagnostics: DvDiagnostics
-
-    def _validate(self) -> None:
-        if self.key_rate < 0.0 or self.payload_rate < 0.0:
-            raise ValueError("rates are clamped at 0 and cannot be negative")
-        if not self.key_rate == max(self.signed_rate, 0.0):
-            raise ValueError(
-                f"key rate {self.key_rate!r} is not the signed rate {self.signed_rate!r} "
-                "clamped at 0"
-            )
 
 
 def gains_and_qber(
@@ -216,8 +196,8 @@ def finite_key_rate(
     eta_total: float,
     params: DecoyProtocolParams,
     fs: FiniteSizeConfig,
-) -> DvRateResult:
-    """Composable key rate in bits per signal pulse, for any block size N.
+) -> RateResult:
+    """Composable key rate per signal pulse, for any block size N, and the payload.
 
     Observed frequencies are shifted by the per-sample Hoeffding deviation
     sqrt(ln(1/eps) / 2n) in the worst-case direction before entering the
@@ -233,8 +213,15 @@ def finite_key_rate(
 
     At N = inf every shift and the composable term are exactly 0, so
     the asymptotic rate is this formula's zero-shift case, not a second
-    one.  Where the decoy bound certifies no single-photon yield, the
-    rate is -inf, with Y1 = 0 and e1 = 1 reported.
+    one.  This is the signed rate: the key length per signal pulse before
+    it is clamped at 0.  Where the decoy bound certifies no single-photon
+    yield, the rate is -inf, with Y1 = 0 and e1 = 1 reported, so no finite
+    margin exists.
+
+    The throughput is the net direct-transmission payload in bits per
+    use, (1 - check_fraction) * Q_mu * (1 - f_ec * h(E_mu)) clamped at 0:
+    a throughput model for the message-carrying mode of the protocol, not
+    a security bound.
     """
     gain_mu, qber_mu = gains_and_qber(eta_total, params, params.mu)
     gain_nu, qber_nu = gains_and_qber(eta_total, params, params.nu)
@@ -259,10 +246,8 @@ def finite_key_rate(
             # log2(19) - log2(eps), not log2(19 / eps), which overflows at tiny eps
             - 6.0 * (math.log2(19.0) - math.log2(eps)) / pulses_mu
         )
-    return DvRateResult(
-        key_rate=max(rate, 0.0),
+    return RateResult(
         signed_rate=rate,
-        payload_rate=_payload(gain_mu, qber_mu, params),
-        secure=rate > 0.0,
+        throughput=_payload(gain_mu, qber_mu, params),
         diagnostics=DvDiagnostics(q_mu=gain_mu, e_mu=qber_mu, y1_lower=y1, e1_upper=e1_ph),
     )

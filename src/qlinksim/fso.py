@@ -84,22 +84,23 @@ def _turbulence_moment(zenith_deg: float, hv_ground_cn2: float, hv_wind_m_s: flo
 
 
 class ChannelOutput(Record):
-    """End-to-end optical channel: total transmissivity and its factors."""
+    """End-to-end optical channel: the factors of its total transmissivity."""
 
-    transmissivity: float
     geometric_collection: float
     extinction: float
     slant_range_km: float
     long_term_beam_radius_m: float
 
     def _validate(self) -> None:
-        for name in ("transmissivity", "geometric_collection", "extinction"):
+        for name in ("geometric_collection", "extinction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]: {value!r}")
-        product = self.geometric_collection * self.extinction
-        if abs(product - self.transmissivity) > 1e-12 * max(product, 1e-300):
-            raise ValueError("transmissivity must equal the product of its components")
+
+    @property
+    def transmissivity(self) -> float:
+        """Total transmissivity: geometric collection times extinction."""
+        return self.geometric_collection * self.extinction
 
 
 class FsoChannelParams(Record):
@@ -186,7 +187,6 @@ class FsoChannelParams(Record):
         eta_geo = 1.0 - math.exp(-2.0 * self.aperture_m**2 / (w_lt * w_lt))
         eta_ext = self.tau_zenith**sec_z
         return ChannelOutput(
-            transmissivity=eta_geo * eta_ext,
             geometric_collection=eta_geo,
             extinction=eta_ext,
             slant_range_km=z_km,

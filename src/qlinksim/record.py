@@ -10,13 +10,17 @@ raises AttributeError.  Two records are equal only if they are of the
 same class and their fields are equal; a class declared with eq=False
 keeps identity equality and hashing.
 
+RateResult, the one record that both rate kernels (dvqkd.finite_key_rate
+and cvqkd.composable_key_rate) return, lives here too, so that neither
+kernel imports the other.
+
 The module imports nothing, so a run pays for no record machinery
 beyond one exec per record class.
 """
 
 from __future__ import annotations
 
-__all__ = ["Record"]
+__all__ = ["RateResult", "Record"]
 
 _set = object.__setattr__
 
@@ -74,3 +78,31 @@ class Record:
     def replace(self, **changes: object):
         """A copy with the given fields changed, validated as a new record."""
         return self.__class__(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class RateResult(Record):
+    """One protocol evaluation: a key rate and the classical throughput it carries.
+
+    signed_rate is the key rate in bits per use before it is clamped at
+    0; it is -inf where no finite margin exists.  throughput is the
+    classical bits per use that the same signal carries, as each kernel
+    defines it.  diagnostics is the kernel's record of intermediates,
+    dvqkd.DvDiagnostics or cvqkd.CvDiagnostics.
+    """
+
+    signed_rate: float
+    throughput: float
+    diagnostics: object
+
+    def _validate(self) -> None:
+        # NaN is the one float unequal to itself
+        if self.signed_rate != self.signed_rate:
+            raise ValueError(f"signed rate must not be NaN: {self.signed_rate!r}")
+        # written as "not >= 0" so that NaN is rejected too
+        if not self.throughput >= 0.0:
+            raise ValueError(f"throughput must be >= 0: {self.throughput!r}")
+
+    @property
+    def key_rate(self) -> float:
+        """The key rate in bits per use: the signed rate clamped at 0."""
+        return max(self.signed_rate, 0.0)

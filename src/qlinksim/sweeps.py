@@ -5,7 +5,9 @@ in the order of their grid coordinates, each axis ascending, so output is
 byte-identical for identical configuration.
 
 Both protocols see the channel only through its transmissivity tau, and
-every rate here is evaluated through _rate_of_tau.  So the maximum secure
+every rate here is evaluated through _rate_of_tau, which gives one
+record.RateResult for either protocol: the signed key rate and the
+classical throughput carried with it.  So the maximum secure
 altitude splits in two: secure_threshold solves for the smallest tau with
 a positive key rate, by regula falsi on the signed rate in ln(tau), using
 the protocol records alone, and FsoChannelParams.altitude_at maps that tau
@@ -19,10 +21,10 @@ import math
 from collections.abc import Callable
 
 from .config import SimulationConfig, resolved_items
-from .cvqkd import CvRateResult, ThermalLossChannel, composable_key_rate
-from .dvqkd import DvRateResult, finite_key_rate
+from .cvqkd import ThermalLossChannel, composable_key_rate
+from .dvqkd import finite_key_rate
 from .mathfn import thermal_photon_number
-from .record import Record
+from .record import RateResult, Record
 
 __all__ = [
     "InfeasibleScenario",
@@ -80,8 +82,7 @@ _THRESHOLD_FLOOR_LN = -512.0
 # lies a rounding error from a transmissivity with a positive rate
 _CEILING_STEPS = 64
 
-# a protocol's rate result at one transmissivity, and the map from tau to it
-RateResult = DvRateResult | CvRateResult
+# the map from tau to a protocol's rate result at that transmissivity
 RateOfTau = Callable[[float], RateResult]
 
 
@@ -103,16 +104,13 @@ class SweepTable(Record):
                     f"row width {len(row)} does not match {len(self.columns)} columns"
                 )
 
-    def column(self, name: str) -> tuple[float, ...]:
-        idx = self.columns.index(name)
-        return tuple(row[idx] for row in self.rows)
-
 
 class SecureAltitudeResult(Record):
     """Highest altitude with a positive key rate.
 
-    rate is the protocol's rate result probed at that altitude;
-    iterations counts the rate probes the call made.
+    rate is the record.RateResult probed at that altitude, so rate.key_rate
+    and rate.throughput are the key and the classical bits per use at the
+    ceiling; iterations counts the rate probes the call made.
     """
 
     block_size: float
@@ -181,7 +179,7 @@ def _altitude_sweep(
 def dv_sweep(cfg: SimulationConfig) -> SweepTable:
     """Decoy-state key and payload rates over the altitude grid, one curve per block size."""
     return _altitude_sweep(
-        "dv-sweep", "dv", DV_COLUMNS, lambda tau, r: (r.key_rate, r.payload_rate, tau), cfg
+        "dv-sweep", "dv", DV_COLUMNS, lambda tau, r: (r.key_rate, r.throughput, tau), cfg
     )
 
 
@@ -191,7 +189,7 @@ def cv_sweep(cfg: SimulationConfig) -> SweepTable:
         "cv-sweep",
         "cv",
         CV_COLUMNS,
-        lambda tau, r: (r.key_rate, r.classical_rate, r.diagnostics.snr, r.diagnostics.chi_e),
+        lambda tau, r: (r.key_rate, r.throughput, r.diagnostics.snr, r.diagnostics.chi_e),
         cfg,
     )
 

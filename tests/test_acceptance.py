@@ -95,7 +95,7 @@ def test_criterion_3_payload_band_at_dv_limits():
     payloads = []
     for block_n, _ in DV_TARGET_ALT_KM:  # altitudes fall along this order
         # the payload of the one rate probe made at the ceiling
-        payloads.append(max_secure_altitude("dv", block_n, cfg).rate.payload_rate)
+        payloads.append(max_secure_altitude("dv", block_n, cfg).rate.throughput)
     for payload in payloads:
         assert PAYLOAD_BAND[0] <= payload <= PAYLOAD_BAND[1], payloads
     # lower orbit, more collected light, more payload throughput
@@ -107,7 +107,7 @@ def test_criterion_4_classical_rate_at_cv_limits():
     rates = []
     for (block_n, _), target in zip(CV_TARGET_ALT_KM, CV_TARGET_CLASSICAL):
         # the classical rate of the one rate probe made at the ceiling
-        rate = max_secure_altitude("cv", block_n, cfg).rate.classical_rate
+        rate = max_secure_altitude("cv", block_n, cfg).rate.throughput
         assert target / CLASSICAL_FACTOR <= rate <= target * CLASSICAL_FACTOR, (
             f"block {block_n:g}: classical {rate:.3e} vs target {target:.3e}"
         )

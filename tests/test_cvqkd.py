@@ -11,7 +11,6 @@ from oracle_cv_conditional import holevo_chi_e
 from qlinksim.cvqkd import (
     CvDiagnostics,
     CvProtocolParams,
-    CvRateResult,
     PhaseEncodingNoise,
     ThermalLossChannel,
     _detection_noise,
@@ -21,6 +20,7 @@ from qlinksim.cvqkd import (
     theta_correction,
 )
 from qlinksim.mathfn import NU_CLAMP_TOL, ber_to_snr_amplitude
+from qlinksim.record import RateResult
 
 PARAMS = CvProtocolParams()
 NOISE = PhaseEncodingNoise()
@@ -52,6 +52,11 @@ def test_params_validation():
         CvProtocolParams(ber_target=0.7)
     with pytest.raises(ValueError):
         CvProtocolParams(eps_sec=1.0)
+    # p_ec^2 eps_sec^4 underflows to 0, or 18 over it overflows, in aep_correction
+    for eps_sec in (1e-100, 1e-78):
+        with pytest.raises(ValueError, match=f"finite: eps_sec={eps_sec!r}, p_ec=0.9"):
+            CvProtocolParams(eps_sec=eps_sec)
+    assert math.isfinite(aep_correction(CvProtocolParams(eps_sec=1e-76)))
     with pytest.raises(ValueError):
         CvProtocolParams(d_bits=0)
     with pytest.raises(ValueError):
@@ -146,7 +151,7 @@ def test_snr_and_mutual_information_are_consistent():
     snr = tau_total * PARAMS.v_mod / (1.0 + PARAMS.v_el + background + residual)
     result = composable_key_rate(ch, PARAMS, NOISE)
     assert result.diagnostics.snr == snr
-    assert result.classical_rate == pytest.approx(
+    assert result.throughput == pytest.approx(
         PARAMS.beta * 0.5 * math.log2(1.0 + snr), rel=1e-15, abs=0.0
     )
 
@@ -192,10 +197,11 @@ def test_trusted_detector_reduces_to_ideal_closed_form():
 
 
 def test_electronic_noise_needs_lossy_detector_model():
-    bad = CvProtocolParams(eta_det=1.0, eta_lo=1.0, v_el=0.1)
-    ch = ThermalLossChannel(0.5)
     with pytest.raises(ValueError, match="receiver efficiency below 1"):
-        holevo_bound(ch, bad, _detection_noise(ch, bad, NOISE)[3])
+        CvProtocolParams(eta_det=1.0, eta_lo=1.0, v_el=0.1)
+    # a lossy receiver, or a noiseless lossless one, is accepted
+    CvProtocolParams(eta_det=1.0, eta_lo=1.0 - 1e-16, v_el=0.1)
+    CvProtocolParams(eta_det=1.0, eta_lo=1.0, v_el=0.0)
 
 
 @given(
@@ -289,8 +295,8 @@ def test_finite_size_correction_values():
 def test_dead_channel_short_circuits():
     result = composable_key_rate(ThermalLossChannel(0.0), PARAMS, NOISE)
     assert result.key_rate == 0.0
-    assert result.classical_rate == 0.0
-    assert not result.secure
+    assert result.signed_rate == -math.inf
+    assert result.throughput == 0.0
     assert result.diagnostics.displacement_amplitude == math.inf
     assert result.diagnostics.nus == (1.0,) * 5
 
@@ -303,22 +309,22 @@ def test_block_size_must_be_positive():
 def test_asymptotic_reference_point():
     ch = ThermalLossChannel(0.1, 9.31e-10)
     result = composable_key_rate(ch, PARAMS, NOISE)
-    assert result.secure
+    assert result.key_rate > 0.0
     assert result.key_rate == pytest.approx(0.0141733153877701, rel=1e-9, abs=0.0)
-    assert result.classical_rate == pytest.approx(0.12674894630090802, rel=1e-9, abs=0.0)
+    assert result.throughput == pytest.approx(0.12674894630090802, rel=1e-9, abs=0.0)
     # internal consistency of the reported diagnostics
     d = result.diagnostics
     assert d.i_ab == pytest.approx(0.5 * math.log2(1.0 + d.snr), rel=1e-12, abs=0.0)
     assert result.key_rate == pytest.approx(
         PARAMS.p_ec * (PARAMS.beta * d.i_ab - d.chi_e), rel=1e-12, abs=0.0
     )
-    assert result.classical_rate == pytest.approx(PARAMS.beta * d.i_ab, rel=1e-12, abs=0.0)
+    assert result.throughput == pytest.approx(PARAMS.beta * d.i_ab, rel=1e-12, abs=0.0)
 
 
 def test_finite_block_reference_point():
     ch = ThermalLossChannel(0.1, 9.31e-10)
     result = composable_key_rate(ch, PARAMS, NOISE, block_size_n=1e9)
-    assert result.secure
+    assert result.key_rate > 0.0
     assert result.key_rate == pytest.approx(4.316136401318486e-3, rel=1e-9, abs=0.0)
     # half the rounds go to estimation and the AEP penalty dominates
     n_key = 5e8
@@ -365,7 +371,7 @@ def test_deep_loss_is_insecure_even_asymptotically():
     # the Holevo budget at finite loss
     result = composable_key_rate(ThermalLossChannel(1e-4, 0.0), PARAMS, NOISE)
     assert result.key_rate == 0.0
-    assert not result.secure
+    assert result.signed_rate < 0.0
 
 
 @pytest.mark.parametrize("tau", [1e-315, 1e-320, 5e-324])
@@ -382,20 +388,12 @@ def test_result_validation():
     diag = CvDiagnostics(
         snr=1.0, i_ab=0.5, chi_e=0.1, nus=(1.0,) * 5, displacement_amplitude=1.0
     )
-    rest = {"classical_rate": 0.5, "secure": True, "diagnostics": diag}
-    with pytest.raises(ValueError):
-        CvRateResult(key_rate=-0.1, signed_rate=-0.1, **rest)
-    with pytest.raises(ValueError, match="cannot be negative: nan"):
-        CvRateResult(key_rate=math.nan, signed_rate=math.nan, **rest)
+    result = RateResult(signed_rate=-0.1, throughput=0.5, diagnostics=diag)
     # the key rate is the signed rate clamped at 0, and nothing else
-    with pytest.raises(ValueError, match="is not the signed rate"):
-        CvRateResult(key_rate=0.1, signed_rate=0.2, **rest)
-    with pytest.raises(ValueError, match="is not the signed rate"):
-        CvRateResult(key_rate=0.0, signed_rate=math.nan, **rest)
-    bad_diag = CvDiagnostics(
-        snr=1.0, i_ab=0.5, chi_e=-0.1, nus=(1.0,) * 5, displacement_amplitude=1.0
-    )
-    with pytest.raises(ValueError):
-        CvRateResult(
-            key_rate=0.1, signed_rate=0.1, classical_rate=0.5, secure=True, diagnostics=bad_diag
-        )
+    assert result.key_rate == 0.0
+    assert RateResult(signed_rate=0.2, throughput=0.5, diagnostics=diag).key_rate == 0.2
+    with pytest.raises(ValueError, match="must not be NaN: nan"):
+        RateResult(signed_rate=math.nan, throughput=0.5, diagnostics=diag)
+    for throughput in (-0.5, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"throughput must be >= 0: {throughput!r}"):
+            RateResult(signed_rate=0.1, throughput=throughput, diagnostics=diag)

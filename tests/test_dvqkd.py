@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qlinksim.dvqkd import (
     DecoyProtocolParams,
-    DvRateResult,
     DvDiagnostics,
     FiniteSizeConfig,
     NoSinglePhotonSignal,
@@ -19,6 +18,7 @@ from qlinksim.dvqkd import (
     gains_and_qber,
 )
 from qlinksim.mathfn import binary_entropy
+from qlinksim.record import RateResult
 
 PARAMS = DecoyProtocolParams()
 ASYMPTOTIC = FiniteSizeConfig()
@@ -159,7 +159,7 @@ def test_decoy_bounds_bracket_truth_randomized():
 
 
 def payload_rate(eta: float, params: DecoyProtocolParams) -> float:
-    return finite_key_rate(eta, params, FiniteSizeConfig()).payload_rate
+    return finite_key_rate(eta, params, FiniteSizeConfig()).throughput
 
 
 def test_payload_zero_when_background_dominates():
@@ -205,6 +205,13 @@ def test_params_validation():
         DecoyProtocolParams(mu=0.2, nu=0.4)
     with pytest.raises(ValueError):
         DecoyProtocolParams(nu=0.0)
+    # mu nu - nu^2 underflows to 0, or mu over it overflows, in decoy_bounds' prefactor
+    for mu, nu in ((1e-300, 1e-301), (0.6, 1e-320), (0.6, 5e-324)):
+        with pytest.raises(ValueError, match=f"prefactor .* finite: inf at mu={mu!r}, nu={nu!r}"):
+            DecoyProtocolParams(mu=mu, nu=nu)
+    for mu, nu in ((1e-160, 1e-161), (0.6, 1e-300)):
+        params = DecoyProtocolParams(mu=mu, nu=nu)
+        assert finite_key_rate(0.5, params, ASYMPTOTIC).key_rate >= 0.0
     with pytest.raises(ValueError):
         DecoyProtocolParams(eta_receiver=1.5)
     with pytest.raises(ValueError):
@@ -249,22 +256,19 @@ def test_background_yield_keeps_every_gain_a_probability(mu):
 
 def test_result_rejects_negative_rates():
     diag = DvDiagnostics(q_mu=0.1, e_mu=0.01, y1_lower=0.5, e1_upper=0.02)
-    rest = {"payload_rate": 0.0, "secure": False, "diagnostics": diag}
-    with pytest.raises(ValueError):
-        DvRateResult(key_rate=-1e-9, signed_rate=-1e-9, **rest)
+    with pytest.raises(ValueError, match="throughput must be >= 0"):
+        RateResult(signed_rate=1e-9, throughput=-1e-9, diagnostics=diag)
     # the key rate is the signed rate clamped at 0, and nothing else
-    DvRateResult(key_rate=0.0, signed_rate=-math.inf, **rest)
-    with pytest.raises(ValueError, match="is not the signed rate"):
-        DvRateResult(key_rate=0.0, signed_rate=1e-9, **rest)
-    with pytest.raises(ValueError, match="is not the signed rate"):
-        DvRateResult(key_rate=1e-9, signed_rate=-1e-9, **rest)
+    assert RateResult(signed_rate=-math.inf, throughput=0.0, diagnostics=diag).key_rate == 0.0
+    assert RateResult(signed_rate=-1e-9, throughput=0.0, diagnostics=diag).key_rate == 0.0
+    assert RateResult(signed_rate=1e-9, throughput=0.0, diagnostics=diag).key_rate == 1e-9
 
 
 def test_asymptotic_rate_reference_point():
     result = finite_key_rate(0.01, PARAMS, ASYMPTOTIC)
-    assert result.secure
+    assert result.key_rate > 0.0
     assert result.key_rate == pytest.approx(7.248252822529552e-4, rel=1e-9, abs=0.0)
-    assert result.payload_rate == pytest.approx(4.5484585764362815e-3, rel=1e-9, abs=0.0)
+    assert result.throughput == pytest.approx(4.5484585764362815e-3, rel=1e-9, abs=0.0)
 
 
 def test_finite_rates_increase_with_block_size():
@@ -301,7 +305,7 @@ def test_finite_never_exceeds_asymptotic(eta, log_n):
     finite = finite_key_rate(eta, PARAMS, fs)
     asym = finite_key_rate(eta, PARAMS, ASYMPTOTIC)
     assert finite.key_rate <= asym.key_rate + 1e-15
-    assert finite.payload_rate == asym.payload_rate
+    assert finite.throughput == asym.throughput
 
 
 @given(st.floats(min_value=2e-3, max_value=0.9))
@@ -316,7 +320,7 @@ def test_high_misalignment_is_insecure_but_reported():
     noisy = DecoyProtocolParams(e_mis=0.3)
     result = finite_key_rate(0.5, noisy, ASYMPTOTIC)
     assert result.key_rate == 0.0
-    assert not result.secure
+    assert result.signed_rate < 0.0
     assert result.diagnostics.q_mu > 0.0
     assert result.diagnostics.e1_upper > 0.25
 
@@ -324,7 +328,7 @@ def test_high_misalignment_is_insecure_but_reported():
 def test_dark_channel_is_insecure_with_zero_rate():
     result = finite_key_rate(0.0, PARAMS, ASYMPTOTIC)
     assert result.key_rate == 0.0
-    assert not result.secure
+    assert result.signed_rate < 0.0
     # background clicks still occur, so the throughput diagnostics survive
     assert result.diagnostics.q_mu == pytest.approx(PARAMS.y0, rel=1e-12, abs=0.0)
 
@@ -334,9 +338,8 @@ def test_small_block_at_low_transmissivity_is_insecure():
     eta = 0.01
     small = finite_key_rate(eta, PARAMS, FiniteSizeConfig(block_size_n=1e6))
     asym = finite_key_rate(eta, PARAMS, ASYMPTOTIC)
-    assert not small.secure
     assert small.key_rate == 0.0
-    assert asym.secure
+    assert asym.key_rate > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +393,7 @@ def test_infinite_block_is_the_asymptotic_expression_bit_for_bit(params, eta):
     assert result.key_rate == max(reference, 0.0)
     gain_mu, qber_mu = gains_and_qber(eta, params, params.mu)
     payload = (1.0 - params.check_fraction) * gain_mu * (1.0 - params.f_ec * binary_entropy(qber_mu))
-    assert result.payload_rate == max(payload, 0.0)
+    assert result.throughput == max(payload, 0.0)
 
 
 @given(
@@ -403,9 +406,9 @@ def test_infinite_block_is_the_asymptotic_expression_bit_for_bit(params, eta):
 @example(DecoyProtocolParams(sift_q=0.0), 0.1 * PARAMS.eta_receiver, math.inf)
 def test_secure_exactly_when_the_key_rate_is_positive(params, eta, block_n):
     result = finite_key_rate(eta, params, FiniteSizeConfig(block_size_n=block_n))
-    assert result.secure == (result.key_rate > 0.0)
+    assert (result.key_rate > 0.0) == (result.signed_rate > 0.0)
     if params.sift_q == 0.0:
-        assert not result.secure
+        assert not result.key_rate > 0.0
 
 
 @pytest.mark.parametrize("block_n", [1e9, math.inf])
@@ -414,10 +417,8 @@ def test_zero_detections_are_insecure_without_nan(block_n):
     # where the detection count would be 0 * inf = NaN if it were formed
     silent = DecoyProtocolParams(y0_stray=0.0, y0_dark=0.0)
     result = finite_key_rate(0.0, silent, FiniteSizeConfig(block_size_n=block_n))
-    assert result == DvRateResult(
-        key_rate=0.0,
+    assert result == RateResult(
         signed_rate=-math.inf,
-        payload_rate=0.0,
-        secure=False,
+        throughput=0.0,
         diagnostics=DvDiagnostics(q_mu=0.0, e_mu=silent.e0, y1_lower=0.0, e1_upper=1.0),
     )

@@ -281,11 +281,11 @@ def test_extinction_airmass_law():
 
 
 def test_channel_output_product_identity_enforced():
+    # the transmissivity is derived from its factors, so it cannot disagree with them
     out = PARAMS.at_altitude(500.0)
-    assert out.transmissivity == pytest.approx(
-        out.geometric_collection * out.extinction, rel=1e-12, abs=0.0
-    )
-    with pytest.raises(ValueError):
+    assert out.transmissivity == out.geometric_collection * out.extinction
+    assert ChannelOutput(0.9, 0.5, 1000.0, 2.0).transmissivity == 0.9 * 0.5
+    with pytest.raises(TypeError):
         ChannelOutput(
             transmissivity=0.5,
             geometric_collection=0.9,

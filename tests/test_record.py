@@ -3,36 +3,34 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
 from qlinksim import atmosphere, config, cvqkd, dvqkd, fso, sweeps
-from qlinksim.record import Record
+from qlinksim.record import RateResult, Record
 
 _DV_DIAG = dvqkd.DvDiagnostics(q_mu=0.1, e_mu=0.02, y1_lower=0.3, e1_upper=0.04)
-_DV_RATE = dvqkd.DvRateResult(1e-5, 1e-5, 1e-3, True, _DV_DIAG)
+_DV_RATE = RateResult(1e-5, 1e-3, _DV_DIAG)
 _CV_DIAG = cvqkd.CvDiagnostics(1.0, 0.5, 0.2, (1.0, 1.0, 1.0, 1.0, 1.0), 3.0)
 
 # every record class: (a valid record, a change that _validate rejects, or
 # None for a record without checks)
 RECORDS = {
     fso.ChannelOutput: (
-        lambda: fso.ChannelOutput(0.4, 0.5, 0.8, 500.0, 3.0), {"extinction": 0.9}
+        lambda: fso.ChannelOutput(0.5, 0.8, 500.0, 3.0), {"extinction": 1.5}
     ),
     fso.FsoChannelParams: (fso.FsoChannelParams, {"w0_m": 0.0}),
     dvqkd.DecoyProtocolParams: (dvqkd.DecoyProtocolParams, {"nu": 0.7}),
     dvqkd.FiniteSizeConfig: (dvqkd.FiniteSizeConfig, {"p_mu": 0.9}),
     dvqkd.DvDiagnostics: (lambda: _DV_DIAG, None),
-    dvqkd.DvRateResult: (lambda: _DV_RATE, {"key_rate": -1.0}),
     cvqkd.CvProtocolParams: (cvqkd.CvProtocolParams, {"d_bits": 0}),
     cvqkd.PhaseEncodingNoise: (cvqkd.PhaseEncodingNoise, {"eps_classical": -1.0}),
     cvqkd.ThermalLossChannel: (
         lambda: cvqkd.ThermalLossChannel(0.5, n_thermal=0.1), {"tau": 2.0}
     ),
     cvqkd.CvDiagnostics: (lambda: _CV_DIAG, None),
-    cvqkd.CvRateResult: (
-        lambda: cvqkd.CvRateResult(0.1, 0.1, 0.4, True, _CV_DIAG), {"key_rate": -1.0}
-    ),
+    RateResult: (lambda: _DV_RATE, {"signed_rate": math.nan}),
     config.SweepRanges: (config.SweepRanges, {"altitude_step_km": 0.0}),
     config.SimulationConfig: (config.load_config, None),
     sweeps.SweepTable: (
@@ -98,3 +96,18 @@ def test_record_contract(cls):
             cls(**{**dict(zip(names, values)), **invalid})
     with pytest.raises(TypeError):
         record.replace(not_a_field=1.0)
+
+
+@pytest.mark.parametrize("block_n", [1e9, math.inf])
+@pytest.mark.parametrize("tau", [0.0, 1e-6, 1e-3, 0.05, 0.3, 1.0])
+def test_key_rate_is_the_signed_rate_clamped_at_0_for_both_protocols(tau, block_n):
+    cfg = config.load_config()
+    results = (
+        dvqkd.finite_key_rate(tau * cfg.dv.eta_receiver, cfg.dv, cfg.dv_fs(block_n)),
+        cvqkd.composable_key_rate(
+            cvqkd.ThermalLossChannel(tau, cfg.cv.n_bg), cfg.cv, cfg.cv_noise, block_size_n=block_n
+        ),
+    )
+    for res in results:
+        assert type(res) is RateResult
+        assert res.key_rate.hex() == max(res.signed_rate, 0.0).hex()

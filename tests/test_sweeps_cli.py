@@ -80,6 +80,11 @@ def _override_args(overrides: list[str]) -> list[str]:
     return [arg for item in overrides for arg in ("--override", item)]
 
 
+def _column(table: SweepTable, name: str) -> tuple[float, ...]:
+    idx = table.columns.index(name)
+    return tuple(row[idx] for row in table.rows)
+
+
 # ---------------------------------------------------------------------------
 # table containers
 # ---------------------------------------------------------------------------
@@ -88,10 +93,7 @@ def _override_args(overrides: list[str]) -> list[str]:
 def test_table_enforces_row_width():
     with pytest.raises(ValueError):
         SweepTable("x", ("a", "b"), ((1.0, 2.0, 3.0),))
-    table = SweepTable("x", ("a", "b"), ((1.0, 2.0), (3.0, 4.0)))
-    assert table.column("b") == (2.0, 4.0)
-    with pytest.raises(ValueError):
-        table.column("missing")
+    assert SweepTable("x", ("a", "b"), ((1.0, 2.0), (3.0, 4.0))).rows[1] == (3.0, 4.0)
 
 
 def test_altitude_result_validation():
@@ -114,9 +116,9 @@ def test_dv_sweep_grid_and_ordering():
     assert table.columns[0] == "altitude_km"
     assert len(table.rows) == 6  # 3 altitudes x 2 block sizes
     # sorted by (block_size, altitude)
-    assert table.column("block_size") == (1e10,) * 3 + (math.inf,) * 3
-    assert table.column("altitude_km") == (300.0, 310.0, 320.0) * 2
-    rates = table.column("key_rate_bits_per_use")
+    assert _column(table, "block_size") == (1e10,) * 3 + (math.inf,) * 3
+    assert _column(table, "altitude_km") == (300.0, 310.0, 320.0) * 2
+    rates = _column(table, "key_rate_bits_per_use")
     assert rates[0] > rates[1] > rates[2] > 0.0  # decreasing with altitude
     assert rates[3] > rates[0]  # asymptotic beats finite at same altitude
     # transmissivity column reproduces the channel model
@@ -127,19 +129,19 @@ def test_dv_sweep_grid_and_ordering():
 def test_cv_sweep_grid_and_ordering():
     table = cv_sweep(SMALL_CV)
     assert len(table.rows) == 6
-    rates = table.column("key_rate_bits_per_use")
+    rates = _column(table, "key_rate_bits_per_use")
     assert rates[0] > rates[1] > rates[2] > 0.0
-    classical = table.column("classical_rate_bits_per_use")
+    classical = _column(table, "classical_rate_bits_per_use")
     assert classical[0] > classical[1] > classical[2] > 0.0
-    assert min(table.column("chi_e")) > 0.0
-    assert min(table.column("snr")) > 0.0
+    assert min(_column(table, "chi_e")) > 0.0
+    assert min(_column(table, "snr")) > 0.0
 
 
 def test_atmos_grid_matches_direct_evaluation():
     table = atmos_grid(SMALL_ATMOS)
-    assert table.column("frequency_ghz") == (10.0, 10.0, 60.0, 60.0)
-    assert table.column("slant_km") == (10.0, 20.0, 10.0, 20.0)
-    att = table.column("attenuation_db")
+    assert _column(table, "frequency_ghz") == (10.0, 10.0, 60.0, 60.0)
+    assert _column(table, "slant_km") == (10.0, 20.0, 10.0, 20.0)
+    att = _column(table, "attenuation_db")
     # more path, more loss; the 60 GHz oxygen complex dwarfs 10 GHz
     assert att[1] > att[0] and att[3] > att[2]
     assert att[2] > 10.0 * att[0]
@@ -156,8 +158,8 @@ def test_atmos_grid_fig4_is_bit_exact_per_slant():
     cfg = load_config(str(REPO_ROOT / "configs" / "fig4_attenuation.ini"))
     table = atmos_grid(cfg)
     freqs = np.array(cfg.sweep.frequencies_ghz())
-    slants = np.array(table.column("slant_km"))
-    att = np.array(table.column("attenuation_db"))
+    slants = np.array(_column(table, "slant_km"))
+    att = np.array(_column(table, "attenuation_db"))
     assert len(cfg.sweep.slants_km()) == 4
     for slant in cfg.sweep.slants_km():
         nodes, weights = _slant_rule(cfg.sweep.elevation_deg, slant)
@@ -177,8 +179,8 @@ def test_thermal_grid_matches_direct_evaluation():
         "sweep.temp_stop_k=295",
     ])
     table = thermal_grid(cfg)
-    assert table.column("frequency_hz") == (1e11, 5.05e12, 1e13)
-    photons = table.column("mean_photons")
+    assert _column(table, "frequency_hz") == (1e11, 5.05e12, 1e13)
+    photons = _column(table, "mean_photons")
     assert photons[0] > photons[1] > photons[2] > 0.0
     assert photons[0] == pytest.approx(thermal_photon_number(1e11, 295.0), rel=1e-12, abs=0.0)
 
@@ -215,7 +217,7 @@ def test_bisection_agrees_with_grid_sweep():
     positive = [
         alt
         for alt, rate in zip(
-            table.column("altitude_km"), table.column("key_rate_bits_per_use")
+            _column(table, "altitude_km"), _column(table, "key_rate_bits_per_use")
         )
         if rate > 0.0
     ]
@@ -857,17 +859,19 @@ def test_rate_path_loads_no_numpy():
             ["thermal-grid", "sweep.temp_step_k=1e-300", "sweep.temp_stop_k=300"],
             "sweep.temp has 5e+300 points, more than the 1000000 one axis may have",
         ),
-        # a value that overflows or divides by zero inside a kernel names its
-        # row or probe, as a ValueError there does; eps_sec**4 underflows to 0
-        # in aep_correction
+        # eps_sec**4 underflows to 0 in aep_correction: rejected at load
         (
             ["cv-sweep", "cv.eps_sec=1e-100"],
-            "cv-sweep row at altitude_km=100.0, block_size=1000000000.0, tau=",
+            "config error: invalid [cv] settings: eps_sec and p_ec must keep "
+            "18 / (p_ec^2 eps_sec^4) finite: eps_sec=1e-100, p_ec=0.9",
         ),
         (
             ["max-altitude", "sweep.protocol=cv", "cv.eps_sec=1e-100"],
-            "cv threshold probe at tau=1.0, block_size=1000000000.0: ",
+            "config error: invalid [cv] settings: eps_sec and p_ec must keep "
+            "18 / (p_ec^2 eps_sec^4) finite: eps_sec=1e-100, p_ec=0.9",
         ),
+        # a value that overflows inside a kernel names its row or probe, as a
+        # ValueError there does
         (
             ["cv-sweep", "cv.v_mod=1e200"],
             "cv-sweep row at altitude_km=100.0, block_size=1000000000.0, tau=",
@@ -876,14 +880,16 @@ def test_rate_path_loads_no_numpy():
             ["max-altitude", "sweep.protocol=cv", "cv.v_mod=1e200"],
             "cv threshold probe at tau=1.0, block_size=1000000000.0: ",
         ),
-        # mu nu - nu^2 underflows to 0 in decoy_bounds
+        # mu nu - nu^2 underflows to 0 in decoy_bounds: rejected at load
         (
             ["dv-sweep", "dv.mu=1e-300", "dv.nu=1e-301"],
-            "dv-sweep row at altitude_km=100.0, block_size=1000000000.0, tau=",
+            "config error: invalid [dv] settings: mu and nu must keep the decoy-bound "
+            "prefactor mu / (mu nu - nu^2) finite: inf at mu=1e-300, nu=1e-301",
         ),
         (
             ["max-altitude", "dv.mu=1e-300", "dv.nu=1e-301"],
-            "dv threshold probe at tau=1.0, block_size=1000000000.0: ",
+            "config error: invalid [dv] settings: mu and nu must keep the decoy-bound "
+            "prefactor mu / (mu nu - nu^2) finite: inf at mu=1e-300, nu=1e-301",
         ),
         (
             ["thermal-grid", "sweep.temp_start_k=1e-320", "sweep.temp_stop_k=1e-320"],
@@ -899,6 +905,21 @@ def test_rate_path_loads_no_numpy():
             ["dv-sweep", "dv.y0_stray=0.6"],
             "config error: invalid [dv] settings: y0_stray + y0_dark + 1 - exp(-mu), "
             "the signal gain at eta = 1, must be <= 1: 1.0511907639059734",
+        ),
+        # mu over mu nu - nu^2 overflows in decoy_bounds; at the parent, the
+        # block_size=inf row failed with "probability out of range: nan"
+        (
+            ["dv-sweep", "dv.nu=1e-320"],
+            "config error: invalid [dv] settings: mu and nu must keep the decoy-bound "
+            "prefactor mu / (mu nu - nu^2) finite: inf at mu=0.6, nu=1e-320",
+        ),
+        # the trusted-detector model needs receiver loss to purify v_el; this
+        # failed at every CV row
+        (
+            ["cv-sweep", "cv.eta_det=1", "cv.eta_lo=1"],
+            "config error: invalid [cv] settings: electronic noise requires a receiver "
+            "efficiency below 1 in the trusted-detector model: eta_det * eta_lo = 1.0, "
+            "v_el=0.1",
         ),
     ],
 )
