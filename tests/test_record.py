@@ -13,9 +13,10 @@ from qlinksim.record import RateResult, Record
 _DV_DIAG = dvqkd.DvDiagnostics(q_mu=0.1, e_mu=0.02, y1_lower=0.3, e1_upper=0.04)
 _DV_RATE = RateResult(1e-5, 1e-3, _DV_DIAG)
 _CV_DIAG = cvqkd.CvDiagnostics(1.0, 0.5, 0.2, (1.0, 1.0, 1.0, 1.0, 1.0), 3.0)
+_CV_RATE = RateResult(0.1, 0.4, _CV_DIAG)
 
-# every record class: (a valid record, a change that _validate rejects, or
-# None for a record without checks)
+# every record class but RateResult: (a valid record, a change that _validate
+# rejects, or None for a record without checks)
 RECORDS = {
     fso.ChannelOutput: (
         lambda: fso.ChannelOutput(0.5, 0.8, 500.0, 3.0), {"extinction": 1.5}
@@ -30,7 +31,6 @@ RECORDS = {
         lambda: cvqkd.ThermalLossChannel(0.5, n_thermal=0.1), {"tau": 2.0}
     ),
     cvqkd.CvDiagnostics: (lambda: _CV_DIAG, None),
-    RateResult: (lambda: _DV_RATE, {"signed_rate": math.nan}),
     config.SweepRanges: (config.SweepRanges, {"altitude_step_km": 0.0}),
     config.SimulationConfig: (config.load_config, None),
     sweeps.SweepTable: (
@@ -43,18 +43,25 @@ RECORDS = {
     sweeps.Scenario: (lambda: sweeps.SCENARIOS["dv-sweep"], None),
     atmosphere._ReferenceProfile: (atmosphere.default_profile, None),
 }
+# the contract cases by id: (the class, a valid record, a rejected change);
+# RateResult runs once with the diagnostics of each protocol's kernel
+CASES = {
+    **{cls.__name__: (cls, *case) for cls, case in RECORDS.items()},
+    "DvRateResult": (RateResult, lambda: _DV_RATE, {"signed_rate": math.nan}),
+    "CvRateResult": (RateResult, lambda: _CV_RATE, {"signed_rate": math.nan}),
+}
 # the numpy profile keeps identity equality and hashing
 IDENTITY_EQ = (atmosphere._ReferenceProfile,)
 
 
 def test_every_record_class_is_covered():
     package = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("qlinksim.")}
-    assert package == set(RECORDS)
+    assert package == {cls for cls, _, _ in CASES.values()}
 
 
-@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
-def test_record_contract(cls):
-    make, invalid = RECORDS[cls]
+@pytest.mark.parametrize("case", list(CASES))
+def test_record_contract(case):
+    cls, make, invalid = CASES[case]
     record = make()
     assert type(record) is cls
     names = cls._fields
