@@ -223,16 +223,29 @@ def default_profile() -> _ReferenceProfile:
 # ---------------------------------------------------------------------------
 
 
-# frequencies per gamma block: _gamma_blocks' four buffers are (block x nodes),
-# and they stay allocated for the whole call.  With fig4's 69 nodes, the
-# in-process fig4 + fig5 pass on one thread (2-core KVM host, medians of 30
-# passes, 6 rounds per block) read, in median time per pass and peak RSS:
-# block 84 0.095 s, 34.30-34.51 MB; 125 0.094 s, 34.36-34.65 MB; 168 0.099 s,
-# 34.52-34.65 MB.  No larger block is faster beyond the spread between rounds
-# and each raises the peak, so 84 stays; it cuts fig4's 1000 frequencies into
-# 12 blocks.
+# frequencies per gamma block: _gamma_blocks' four buffers are (rows x nodes)
+# and stay allocated for the whole call, and a block costs about 1,200 numpy
+# calls whatever its size, each with about 1 us of fixed overhead.  So a block
+# holds _BLOCK_ELEMENTS // nodes frequencies, but never fewer than _FREQ_BLOCK.
+# The budget: on a 2-core KVM host, one thread, 60 rounds in one process with
+# the budgets in shuffled order, the median fig4 + fig5 pass and fig4 gamma
+# call at fig4's 69 nodes read 73 / 58 ms at a fixed 84 rows, 69 / 51 ms at
+# 11.6k (168 rows), 66 / 52 ms at 17.25k (250 rows) and 66 / 51 ms at 34.5k
+# (500 rows).  A fresh process's peak RSS, about 35 MB at 84 rows, rose by
+# 0.2, 0.45 and 1.2 MB.  17.25k takes 34.5k's gain for under half its memory:
+# 250 rows at 69 nodes, 159 at the default grid's 108, the floor from 206 up.
+# The floor: 2000 slants at 30 degrees (6,102 nodes, 500 frequencies) get 2
+# rows from the budget alone, and the per-slant weighted sums, run once per
+# block, took 7.4-8.8 s there against 5.0-5.6 s at 84 rows; a fixed 250 rows
+# raised the peak RSS from 208 to 227 MB.
 # The bytes do not depend on the block (fig4 at 1, 7, 125 and 1000 agree).
+_BLOCK_ELEMENTS = 17_250
 _FREQ_BLOCK = 84
+
+
+def _block_rows(nodes: int) -> int:
+    """Frequencies per gamma block on nodes states: the budget's share, at least _FREQ_BLOCK."""
+    return max(_FREQ_BLOCK, _BLOCK_ELEMENTS // nodes)
 
 
 def _line_factors(
@@ -285,7 +298,7 @@ def _line_factors(
 
 
 def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.ndarray]]:
-    """Specific attenuation in dB/km, one block of _FREQ_BLOCK frequencies at a time.
+    """Specific attenuation in dB/km, _block_rows(len(states)) frequencies at a time.
 
     Yields ``(lo, gamma)`` with gamma of shape (block, len(states)) for
     the frequencies ``f_ghz[lo : lo + block]``.  Van Vleck-Weisskopf line
@@ -302,12 +315,13 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
     """
     p, theta2, d, nitrogen, oxygen, water = factors
     f_all = np.asarray(f_ghz, dtype=float).reshape(-1, 1)  # (nf, 1)
-    rows = min(_FREQ_BLOCK, f_all.shape[0])
+    block = _block_rows(p.shape[1])
+    rows = min(block, f_all.shape[0])
     grids = [np.empty((rows, p.shape[1])) for _ in range(4)]
     columns = [np.empty((rows, 1)) for _ in range(5)]
 
-    for lo in range(0, f_all.shape[0], _FREQ_BLOCK):
-        f = f_all[lo : lo + _FREQ_BLOCK]
+    for lo in range(0, f_all.shape[0], block):
+        f = f_all[lo : lo + block]
         n_total, x, y, z = (g[: f.shape[0]] for g in grids)
         cols = [c[: f.shape[0]] for c in columns]
         below, above, below2, above2, ratio = cols

@@ -184,12 +184,28 @@ def _conditional_entropy_bits(
     d_prod = det * (v + det * chi_hom) / den
     v2m1 = v * v - 1.0
     k = 2.0 * tau * u + v * u * w + w * w
-    disc = (v2m1 * w) ** 2 - 2.0 * v2m1 * g * k * chi_hom + (g * chi_hom) ** 2 * (
-        (v * u + w) ** 2 + 4.0 * tau * (1.0 + v * w)
-    )
+    try:
+        disc = (v2m1 * w) ** 2 - 2.0 * v2m1 * g * k * chi_hom + (g * chi_hom) ** 2 * (
+            (v * u + w) ** 2 + 4.0 * tau * (1.0 + v * w)
+        )
+    except OverflowError:  # a finite float squared past DBL_MAX raises
+        disc = math.inf
+    # noise or modulation far past physical values overflows these squared
+    # terms first, to inf or, where they cancel, NaN
+    if not math.isfinite(disc):
+        raise _not_finite("discriminant of nu3 and nu4", disc, tau, v, w, chi_hom)
     nu3 = math.sqrt((c_sum + math.sqrt(disc) / den) / 2.0)
     nu4 = math.sqrt(d_prod) / nu3
     return bosonic_entropy(nu3) + bosonic_entropy(nu4), (nu3, nu4, 1.0)
+
+
+def _not_finite(
+    name: str, value: float, tau: float, v: float, w: float, chi_hom: float
+) -> ValueError:
+    return ValueError(
+        f"Holevo bound: {name} is not finite: {value!r} at tau={tau!r}, v={v!r}, "
+        f"w={w!r}, chi_hom={chi_hom!r}"
+    )
 
 
 def holevo_bound(
@@ -209,6 +225,10 @@ def holevo_bound(
     to the channel, not the trusted receiver).  Eve's entropy comes from
     (nu1, nu2) of that state; her conditional entropy from the
     trusted-detector conditioning.  chi_E = 0 exactly for (tau=1, n=0, eps=0).
+
+    Noise or modulation variances far past physical values overflow this
+    algebra: a ValueError then names nu1, or the discriminant of nu3 and
+    nu4, that is not finite, with tau, v, w and chi_hom.
     """
     tau = ch.tau
     if not tau > 0.0:
@@ -231,14 +251,18 @@ def holevo_bound(
     g = w - u * v  # b - a
     det = tau + v * w  # ab - c^2
 
+    chi_hom = (1.0 - eta) / eta + p.v_el / eta
+
     # two-mode closed form (Weedbrook et al., RMP 84, 621 (2012)):
     # nu1,2 = (sqrt((a + b)^2 - 4 c^2) +- |b - a|) / 2, radicand (b - a)^2 + 4 det
     half_gap = abs(g) / 2.0
     nu1 = half_gap + math.sqrt(half_gap * half_gap + det)
+    # a finite nu1 bounds det, so nu2 is finite too
+    if not math.isfinite(nu1):
+        raise _not_finite("symplectic eigenvalue nu1", nu1, tau, v, w, chi_hom)
     nu2 = det / nu1
     s_eve = bosonic_entropy(nu1) + bosonic_entropy(nu2)
 
-    chi_hom = (1.0 - eta) / eta + p.v_el / eta
     s_cond, nu_cond = _conditional_entropy_bits(tau, u, v, w, g, det, chi_hom)
     chi = s_eve - s_cond
     if chi < -1e-9:

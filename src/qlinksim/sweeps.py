@@ -223,10 +223,11 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
 
 def thermal_grid(cfg: SimulationConfig) -> SweepTable:
     """Blackbody mean photon occupancy over the frequency x temperature grid."""
+    temperatures = cfg.sweep.temperatures_k()
     rows = [
         (f_ghz * 1e9, t, thermal_photon_number(f_ghz * 1e9, t))
         for f_ghz in cfg.sweep.frequencies_ghz()
-        for t in cfg.sweep.temperatures_k()
+        for t in temperatures
     ]
     return SweepTable("thermal-grid", THERMAL_COLUMNS, tuple(rows))
 
@@ -429,6 +430,7 @@ def run_scenario(scenario: str, cfg: SimulationConfig) -> SweepTable:
 
 
 def _format_cell(value: float) -> str:
+    # ints, such as iteration counts, have no is_integer before Python 3.12
     f = float(value)
     # infinities are not integers, and repr keeps their sign
     if f.is_integer() and abs(f) < 1e16:
@@ -449,5 +451,5 @@ def render_csv(table: SweepTable, cfg: SimulationConfig) -> str:
         buf.write(f"# {section}.{key} = {value}\n")
     buf.write(",".join(table.columns) + "\n")
     for row in table.rows:
-        buf.write(",".join(_format_cell(v) for v in row) + "\n")
+        buf.write(",".join(map(_format_cell, row)) + "\n")
     return buf.getvalue()

@@ -266,8 +266,20 @@ def test_slant_spectra_bytes_do_not_depend_on_the_block_size(monkeypatch, block)
         )
 
     want = both()
+    # with no element budget every block holds exactly _FREQ_BLOCK rows
+    monkeypatch.setattr(atmosphere, "_BLOCK_ELEMENTS", 0)
     monkeypatch.setattr(atmosphere, "_FREQ_BLOCK", block)
+    assert atmosphere._block_rows(1) == atmosphere._block_rows(10_000) == block
     assert both() == want
+
+
+@pytest.mark.parametrize(
+    ("nodes", "rows"),
+    # fig4's 69 nodes, the default grid's 108, and from 206 nodes up the floor
+    [(1, 17_250), (69, 250), (108, 159), (205, 84), (206, 84), (6_300, 84)],
+)
+def test_block_rows_fill_the_element_budget_down_to_the_floor(nodes, rows):
+    assert atmosphere._block_rows(nodes) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -937,6 +938,44 @@ def test_cli_bad_grid_value_exits_2(args, message):
     (line,) = proc.stderr.splitlines()
     assert line.startswith("config error: ")
     assert message in line
+
+
+@pytest.mark.parametrize(
+    "args", [["cv-sweep"], ["max-altitude", "sweep.protocol=cv"]], ids=["row", "probe"]
+)
+@pytest.mark.parametrize(
+    ("override", "cause"),
+    [
+        # the discriminant's squared terms overflow and cancel: NaN or inf, which
+        # used to surface as "signed rate must not be NaN: nan"
+        ("cv.n_bg=1e150", "discriminant of nu3 and nu4 is not finite: "),
+        ("cv.v_mod=1e150", "discriminant of nu3 and nu4 is not finite: "),
+        # a finite square past DBL_MAX: "(34, 'Numerical result out of range')"
+        ("cv.v_mod=1e100", "discriminant of nu3 and nu4 is not finite: inf at tau="),
+        # nu1 overflows and nu2 = det / nu1 read 0: "symplectic eigenvalue below 1: 0.0"
+        ("cv.n_bg=1e300", "symplectic eigenvalue nu1 is not finite: inf at tau="),
+        ("cv.v_el=1e300", "symplectic eigenvalue nu1 is not finite: inf at tau="),
+    ],
+    ids=["n_bg=1e150", "v_mod=1e150", "v_mod=1e100", "n_bg=1e300", "v_el=1e300"],
+)
+def test_cli_holevo_overflow_names_its_cause(args, override, cause):
+    scenario, *overrides = args
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlinksim", scenario, *_override_args([*overrides, override])],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("config error: cv")
+    # the row or probe, then the quantity that is not finite, then the inputs
+    # that reproduce it
+    prefix, _, detail = line.partition(": Holevo bound: ")
+    assert "block_size=1000000000.0" in prefix
+    assert detail.startswith(cause)
+    assert re.search(r" at tau=\S+, v=\S+, w=\S+, chi_hom=\S+$", detail), detail
 
 
 @pytest.mark.parametrize(
