@@ -15,6 +15,7 @@ SHA-256 digests are verified at load time against a bundled manifest.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
@@ -61,19 +62,6 @@ def _read_checked(name: str) -> bytes:
     return raw
 
 
-def _parse_line_table(raw: bytes, n_cols: int) -> np.ndarray:
-    rows = []
-    for line in raw.decode("ascii").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        values = [float(tok) for tok in line.split()]
-        if len(values) != n_cols:
-            raise ValueError(f"malformed spectral-line row: {line!r}")
-        rows.append(values)
-    return np.array(rows, dtype=float)
-
-
 @lru_cache(maxsize=1)
 def default_line_table() -> tuple[np.ndarray, np.ndarray]:
     """The bundled (oxygen, water) resonance-line coefficients, checksums verified.
@@ -84,7 +72,7 @@ def default_line_table() -> tuple[np.ndarray, np.ndarray]:
     """
     tables = []
     for name, lines in (("oxygen", 44), ("water", 35)):
-        table = _parse_line_table(_read_checked(f"{name}_lines.txt"), 7)
+        table = np.loadtxt(io.BytesIO(_read_checked(f"{name}_lines.txt")), ndmin=2)
         if table.shape != (lines, 7):
             raise ValueError(f"expected {lines} {name} lines x 7 columns: {table.shape}")
         if not np.all(np.diff(table[:, 0]) > 0.0):
@@ -306,42 +294,41 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
     broadened shapes for water vapour, plus the non-resonant Debye /
     pressure-induced nitrogen continuum.
 
-    gamma and its work buffers are allocated once per call and
-    overwritten by the next block, so consume gamma before advancing.
-    Every full-size operation, the continuum's included, is a correctly
-    rounded +, -, x or / taken in the per-element order of the
-    expression form, which keeps every output byte independent of the
-    block size.
+    gamma and its three work buffers, all four (rows x nodes), are
+    allocated once per call and overwritten by the next block, so consume
+    gamma before advancing.  Each line's fi - f, fi + f, their squares and
+    f / fi are (rows x 1) columns, written as plain expressions: buffers
+    for them saved no time.  Every full-size operation, the continuum's
+    included, is a correctly rounded +, -, x or / taken in the per-element
+    order of the expression form, which keeps every output byte
+    independent of the block size.
     """
     p, theta2, d, nitrogen, oxygen, water = factors
     f_all = np.asarray(f_ghz, dtype=float).reshape(-1, 1)  # (nf, 1)
     block = _block_rows(p.shape[1])
     rows = min(block, f_all.shape[0])
     grids = [np.empty((rows, p.shape[1])) for _ in range(4)]
-    columns = [np.empty((rows, 1)) for _ in range(5)]
 
     for lo in range(0, f_all.shape[0], block):
         f = f_all[lo : lo + block]
         n_total, x, y, z = (g[: f.shape[0]] for g in grids)
-        cols = [c[: f.shape[0]] for c in columns]
-        below, above, below2, above2, ratio = cols
         n_total.fill(0.0)
 
         for fi, si, df, delta, df2 in oxygen:
-            _offsets(fi, f, cols)
+            below, above = fi - f, fi + f
             # (df - delta (fi - f)) / ((fi - f)^2 + df^2)
             np.multiply(delta, below, out=x)
             np.subtract(df, x, out=x)
-            np.add(below2, df2, out=y)
+            np.add(below * below, df2, out=y)
             np.divide(x, y, out=x)
             # + (df - delta (fi + f)) / ((fi + f)^2 + df^2)
             np.multiply(delta, above, out=y)
             np.subtract(df, y, out=y)
-            np.add(above2, df2, out=z)
+            np.add(above * above, df2, out=z)
             np.divide(y, z, out=y)
             np.add(x, y, out=x)
             # n_total += si (f / fi) shape
-            np.multiply(si, ratio, out=y)
+            np.multiply(si, f / fi, out=y)
             np.multiply(y, x, out=y)
             np.add(n_total, y, out=n_total)
 
@@ -349,48 +336,35 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
         # n_total += f p theta^2 (6.14e-5 / (d (1 + (f/d)^2))
         #                         + 1.4e-12 p theta^1.5 / (1 + 1.9e-5 f^1.5))
         np.multiply(f, p, out=x)
-        np.multiply(x, theta2, out=x)
+        x *= theta2
         # below about 1e-151 f[GHz] hPa of dry plus vapour pressure, f/d or its
         # square overflows to inf and the Debye term reads its limit, an exact 0;
         # that overflow is the answer, not an error.  No byte changes
         with np.errstate(over="ignore"):
             np.divide(f, d, out=y)
-            np.square(y, out=y)
-            np.add(1.0, y, out=y)
-            np.multiply(d, y, out=y)
+            y *= y
+            y += 1.0
+            y *= d
         np.divide(6.14e-5, y, out=y)
-        np.power(f, 1.5, out=below)
-        np.multiply(1.9e-5, below, out=below)
-        np.add(1.0, below, out=below)
-        np.divide(nitrogen, below, out=z)
-        np.add(y, z, out=y)
-        np.multiply(x, y, out=x)
-        np.add(n_total, x, out=n_total)
+        np.divide(nitrogen, 1.0 + 1.9e-5 * f**1.5, out=z)
+        y += z
+        x *= y
+        n_total += x
 
         for fi, si, df, df2 in water:
-            _offsets(fi, f, cols)
+            below, above = fi - f, fi + f
             # df / ((fi - f)^2 + df^2) + df / ((fi + f)^2 + df^2)
-            np.add(below2, df2, out=x)
+            np.add(below * below, df2, out=x)
             np.divide(df, x, out=x)
-            np.add(above2, df2, out=y)
+            np.add(above * above, df2, out=y)
             np.divide(df, y, out=y)
             np.add(x, y, out=x)
-            np.multiply(si, ratio, out=y)
+            np.multiply(si, f / fi, out=y)
             np.multiply(y, x, out=y)
             np.add(n_total, y, out=n_total)
 
         np.multiply(0.1820 * f, n_total, out=n_total)
         yield lo, np.maximum(n_total, 0.0, out=n_total)
-
-
-def _offsets(fi: float, f: np.ndarray, columns: list[np.ndarray]) -> None:
-    """Write fi - f, fi + f, their squares and f / fi for one line into columns."""
-    below, above, below2, above2, ratio = columns
-    np.subtract(fi, f, out=below)
-    np.add(fi, f, out=above)
-    np.square(below, out=below2)
-    np.square(above, out=above2)
-    np.divide(f, fi, out=ratio)
 
 
 def _check_freq(frequency_ghz: np.ndarray | float) -> None:

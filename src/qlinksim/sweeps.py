@@ -64,6 +64,7 @@ MAX_ALT_COLUMNS = (
     "block_size",
     "max_secure_altitude_km",
     "rate_at_max_bits_per_use",
+    "throughput_at_max_bits_per_use",
     "iterations",
     "unbounded",
 )
@@ -383,6 +384,7 @@ def max_altitude_table(cfg: SimulationConfig) -> SweepTable:
                 res.block_size,
                 res.max_secure_altitude_km,
                 res.rate.key_rate,
+                res.rate.throughput,
                 float(res.iterations),
                 float(res.unbounded),
             )

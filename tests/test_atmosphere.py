@@ -3,8 +3,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import shutil
+import tracemalloc
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,15 +70,28 @@ def test_line_table_shape_and_ordering():
 def test_line_table_rejects_wrong_shapes(monkeypatch):
     # the loader checks what it parsed: one oxygen line short, or the water
     # lines in reverse order
-    parse = atmosphere._parse_line_table
+    read = atmosphere._read_checked
+
+    def drop_last_line(raw):
+        return raw[: raw.rstrip(b"\n").rindex(b"\n") + 1]
+
+    def reverse_rows(raw):
+        lines = raw.splitlines(keepends=True)
+        comments = [line for line in lines if line.startswith(b"#")]
+        return b"".join(comments + [line for line in reversed(lines) if not line.startswith(b"#")])
+
     cases = (
-        (lambda t: t[:-1] if len(t) == 44 else t, r"expected 44 oxygen lines x 7 columns: \(43, 7\)"),
-        (lambda t: t[::-1] if len(t) == 35 else t, "water line centers must be strictly increasing"),
+        ("oxygen_lines.txt", drop_last_line, r"expected 44 oxygen lines x 7 columns: \(43, 7\)"),
+        ("water_lines.txt", reverse_rows, "water line centers must be strictly increasing"),
     )
     try:
-        for damage, message in cases:
+        for target, damage, message in cases:
             monkeypatch.setattr(
-                atmosphere, "_parse_line_table", lambda raw, n, damage=damage: damage(parse(raw, n))
+                atmosphere,
+                "_read_checked",
+                lambda name, target=target, damage=damage: (
+                    damage(read(name)) if name == target else read(name)
+                ),
             )
             default_line_table.cache_clear()
             with pytest.raises(ValueError, match=message):
@@ -83,6 +99,54 @@ def test_line_table_rejects_wrong_shapes(monkeypatch):
     finally:
         # a damaged table that loaded must not outlive the test
         default_line_table.cache_clear()
+
+
+@pytest.fixture
+def data_copy(tmp_path, monkeypatch):
+    """A copy of the bundled data directory, which the loader then reads instead."""
+    shutil.copytree(Path(atmosphere.__file__).parent / "data", tmp_path / "data")
+    monkeypatch.setattr(atmosphere, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    default_line_table.cache_clear()
+    yield tmp_path / "data"
+    # a table loaded from the copy must not outlive the test
+    default_line_table.cache_clear()
+
+
+def test_line_table_rejects_a_damaged_byte(data_copy):
+    path = data_copy / "oxygen_lines.txt"
+    raw = bytearray(path.read_bytes())
+    raw[-2] ^= 1  # the last digit of the last line
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checksum mismatch for data file 'oxygen_lines.txt'"):
+        default_line_table()
+
+
+def test_line_table_needs_a_manifest_entry(data_copy):
+    manifest = data_copy / "MANIFEST.sha256"
+    kept = [line for line in manifest.read_text().splitlines() if "water" not in line]
+    manifest.write_text("\n".join(kept) + "\n")
+    with pytest.raises(ValueError, match="no manifest entry for data file 'water_lines.txt'"):
+        default_line_table()
+
+
+def test_line_table_rejects_a_ragged_row(data_copy):
+    path = data_copy / "water_lines.txt"
+    text = path.read_text()
+    last = text.rstrip("\n").rsplit("\n", 1)[1]
+    text = text.replace(last, last.rsplit(" ", 1)[0])  # drop the last row's last value
+    path.write_text(text)
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    manifest = data_copy / "MANIFEST.sha256"
+    manifest.write_text(
+        "".join(
+            f"{digest}  water_lines.txt\n" if "water" in line else line
+            for line in manifest.read_text().splitlines(keepends=True)
+        )
+    )
+    # the checksums pass, so the parser is what rejects the row
+    atmosphere._read_checked("water_lines.txt")
+    with pytest.raises(ValueError, match="number of columns"):
+        default_line_table()
 
 
 def test_bundled_tables_agree_with_oracle_transcription():
@@ -280,6 +344,28 @@ def test_slant_spectra_bytes_do_not_depend_on_the_block_size(monkeypatch, block)
 )
 def test_block_rows_fill_the_element_budget_down_to_the_floor(nodes, rows):
     assert atmosphere._block_rows(nodes) == rows
+
+
+def test_gamma_buffers_bound_the_traced_peak_of_fig4():
+    # fig4's call allocates gamma's four (250 x 69) buffers once, 552 kB in
+    # all.  Traced peaks on a 2-core KVM host, numpy 2.4: 1.10 MB with the
+    # buffers; 1.48 MB with the full-size operations written as expressions,
+    # whose temporaries this bound is there to keep out
+    cfg = load_config(str(REPO_ROOT / "configs" / "fig4_attenuation.ini"))
+    args = (cfg.sweep.elevation_deg, cfg.sweep.slants_km(), np.array(cfg.sweep.frequencies_ghz()))
+    slant_attenuation_spectra(*args)  # loads the line table and the profile
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        slant_attenuation_spectra(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1_250_000, peak
 
 
 # ---------------------------------------------------------------------------

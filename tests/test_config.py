@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import configparser
 import inspect
 import math
 import re
@@ -37,6 +38,14 @@ def test_defaults_without_file():
 def test_bundled_default_file_matches_builtin_defaults():
     path = REPO_ROOT / "configs" / "default.ini"
     assert load_config(str(path)) == load_config()
+
+
+def test_bundled_default_file_lists_every_key():
+    # its header promises that every key the parser accepts is listed
+    parser = configparser.ConfigParser()
+    parser.read(REPO_ROOT / "configs" / "default.ini")
+    listed = [(section, key) for section in parser.sections() for key in parser[section]]
+    assert sorted(listed) == sorted((section, key) for section, key, _ in resolved_items(load_config()))
 
 
 def test_file_values_are_applied(tmp_path):

@@ -672,7 +672,19 @@ def test_unbounded_link_is_flagged():
     assert table.columns[-1] == "unbounded"
     (row,) = table.rows
     assert row[1] == 2000.0
-    assert row[4] == 1.0
+    assert row[-1] == 1.0
+
+
+@pytest.mark.parametrize("cfg", [SMALL_DV, SMALL_CV], ids=["dv", "cv"])
+def test_max_altitude_prints_the_throughput_at_the_ceiling(cfg):
+    table = run_scenario("max-altitude", cfg)
+    assert table.columns.index("throughput_at_max_bits_per_use") == table.columns.index("iterations") - 1
+    want = tuple(
+        max_secure_altitude(cfg.sweep.protocol, block_n, cfg).rate.throughput
+        for block_n in sorted(cfg.sweep.block_sizes)
+    )
+    assert _column(table, "throughput_at_max_bits_per_use") == want
+    assert all(value > 0.0 for value in want)
 
 
 # ---------------------------------------------------------------------------
