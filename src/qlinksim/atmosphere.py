@@ -49,7 +49,10 @@ def _read_checked(name: str) -> bytes:
         line = line.strip()
         if not line:
             continue
-        digest, fname = line.split()
+        fields = line.split()
+        if len(fields) != 2:
+            raise ValueError(f"MANIFEST.sha256 line must be a digest and a file name: {line!r}")
+        digest, fname = fields
         if fname == name:
             expected = digest
     if expected is None:

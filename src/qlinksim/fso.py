@@ -153,7 +153,10 @@ class FsoChannelParams(Record):
         w_LT^2 = w_d^2(z) + 2 (lambda z / (pi rho_0))^2 + (z sigma_jitter)^2,
         with w_d the vacuum Gaussian-beam radius at range z.  The aperture
         collects 1 - exp(-2 a^2 / w_LT^2) of the beam, and extinction
-        follows the airmass law tau_zenith ** sec(zeta).
+        follows the airmass law tau_zenith ** sec(zeta).  All of it is
+        evaluated through _range_law's w_LT^2 = A + B z^2, the law that
+        altitude_at inverts; a beam radius that is not representable
+        raises ValueError.
         """
         if not altitude_km > 0.0:
             raise ValueError(f"altitude must be > 0 km: {altitude_km!r}")
@@ -167,38 +170,27 @@ class FsoChannelParams(Record):
     def _at_altitude(self, altitude_km: float) -> ChannelOutput:
         z_km = slant_range(altitude_km, self.zenith_deg)
         z_m = z_km * 1e3
-        wavelength_m = self.wavelength_nm * 1e-9
-        sec_z = 1.0 / math.cos(math.radians(self.zenith_deg))
-
-        moment = _turbulence_moment(self.zenith_deg, self.hv_ground_cn2, self.hv_wind)
-        k = 2.0 * math.pi / wavelength_m
-        bracket = 1.46 * k * k * sec_z * moment / z_m ** (5.0 / 3.0)
-        if not math.isfinite(bracket):
-            raise ValueError(f"non-physical turbulence integral: {self!r}")
-        rho0 = bracket ** (-3.0 / 5.0)
-
-        w0 = self.w0_m
-        rayleigh_range_m = math.pi * w0**2 / wavelength_m
-        w_diff_sq = w0 * w0 * (1.0 + (z_m / rayleigh_range_m) ** 2)
-        w_turb_sq = 2.0 * (wavelength_m * z_m / (math.pi * rho0)) ** 2
-        w_jit_sq = (z_m * self.jitter_urad * 1e-6) ** 2
-        w_lt = math.sqrt(w_diff_sq + w_turb_sq + w_jit_sq)
-
-        eta_geo = 1.0 - math.exp(-2.0 * self.aperture_m**2 / (w_lt * w_lt))
-        eta_ext = self.tau_zenith**sec_z
+        a, b, eta_ext = self._range_law()
+        w_sq = a + b * (z_m * z_m)
+        if not math.isfinite(w_sq):
+            raise OverflowError(f"long-term beam radius squared is not finite: {w_sq!r}")
         return ChannelOutput(
-            geometric_collection=eta_geo,
+            geometric_collection=1.0 - math.exp(-2.0 * self.aperture_m**2 / w_sq),
             extinction=eta_ext,
             slant_range_km=z_km,
-            long_term_beam_radius_m=w_lt,
+            long_term_beam_radius_m=math.sqrt(w_sq),
         )
 
-    def _range_law(self) -> tuple[float, float]:
-        """(A, B) in m^2 with w_LT^2 = A + B z^2 exactly, z the slant range in metres.
+    def _range_law(self) -> tuple[float, float, float]:
+        """(A, B, eta_ext), the channel law that at_altitude and altitude_at share.
 
-        The moment integral does not depend on z and at_altitude divides it
-        by z^(5/3), so rho_0 = c z and the turbulence term 2 (lambda / (pi c))^2
-        is constant: A = w0^2 + 2 (lambda / (pi c))^2, B = w0^2 / z_R^2 + sigma^2.
+        w_LT^2 = A + B z^2 exactly, in m^2 with z the slant range in metres,
+        and eta_ext = tau_zenith ** sec(zeta) is the extinction.  The moment
+        integral does not depend on z and rho_0 divides it by z^(5/3), so
+        rho_0 = c z and the turbulence term 2 (lambda z / (pi rho_0))^2 =
+        2 (lambda / (pi c))^2 is constant: A = w0^2 + 2 (lambda / (pi c))^2,
+        and B = w0^2 / z_R^2 + sigma^2 collects the diffraction and jitter
+        terms that grow as z^2.
         """
         wavelength_m = self.wavelength_nm * 1e-9
         sec_z = 1.0 / math.cos(math.radians(self.zenith_deg))
@@ -209,7 +201,7 @@ class FsoChannelParams(Record):
         rayleigh_range_m = math.pi * w0**2 / wavelength_m
         a = w0 * w0 + 2.0 * (wavelength_m / (math.pi * rho0_per_m)) ** 2
         b = (w0 / rayleigh_range_m) ** 2 + (self.jitter_urad * 1e-6) ** 2
-        return a, b
+        return a, b, self.tau_zenith**sec_z
 
     def altitude_at(self, transmissivity: float) -> float:
         """The altitude in km at which at_altitude gives this transmissivity.
@@ -221,11 +213,12 @@ class FsoChannelParams(Record):
         its cancellation.  Raises ValueError for a transmissivity that no
         altitude gives: outside (0, eta_ext), or above the zero-range value.
         """
-        eta_ext = self.tau_zenith ** (1.0 / math.cos(math.radians(self.zenith_deg)))
-        if not 0.0 < transmissivity < eta_ext:
-            raise ValueError(f"transmissivity must lie in (0, {eta_ext!r}): {transmissivity!r}")
         try:
-            a, b = self._range_law()
+            a, b, eta_ext = self._range_law()
+            if not 0.0 < transmissivity < eta_ext:
+                raise ValueError(
+                    f"transmissivity must lie in (0, {eta_ext!r}): {transmissivity!r}"
+                )
             w_sq = -2.0 * self.aperture_m**2 / math.log1p(-transmissivity / eta_ext)
             z_m_sq = (w_sq - a) / b
             if not z_m_sq > 0.0:

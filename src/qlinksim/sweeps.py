@@ -223,18 +223,30 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
 
 
 def thermal_grid(cfg: SimulationConfig) -> SweepTable:
-    """Blackbody mean photon occupancy over the frequency x temperature grid."""
-    temperatures = cfg.sweep.temperatures_k()
-    rows = [
-        (f_ghz * 1e9, t, thermal_photon_number(f_ghz * 1e9, t))
-        for f_ghz in cfg.sweep.frequencies_ghz()
-        for t in temperatures
-    ]
+    """Blackbody mean photon occupancy over the frequency x temperature grid.
+
+    Errors are prefixed with the row that reproduces them.
+    """
+    freqs, temperatures = cfg.sweep.frequencies_ghz(), cfg.sweep.temperatures_k()
+    rows = []
+    f_hz = t = None
+    try:
+        for f_ghz in freqs:
+            f_hz = f_ghz * 1e9
+            for t in temperatures:
+                rows.append((f_hz, t, thermal_photon_number(f_hz, t)))
+    except ValueError as exc:
+        raise ValueError(
+            f"thermal-grid row at frequency_hz={f_hz!r}, temperature_k={t!r}: {exc}"
+        ) from exc
     return SweepTable("thermal-grid", THERMAL_COLUMNS, tuple(rows))
 
 
 def _solve_threshold(
-    rate_of: RateOfTau, protocol: str, block_n: float
+    rate_of: RateOfTau,
+    protocol: str,
+    block_n: float,
+    accept_floor: Callable[[float], bool] = lambda tau: False,
 ) -> tuple[float, int]:
     """(smallest probed tau with a positive rate, number of probes).
 
@@ -248,6 +260,9 @@ def _solve_threshold(
     points the secant at that end whatever the crossing).  Every probe
     stays at least half the tolerance inside the bracket, so a step that
     lands next to the crossing is followed by one that closes the bracket.
+    A rate that stays positive down to the floor, tau = e^_THRESHOLD_FLOOR_LN,
+    brackets no crossing: that floor tau is returned when accept_floor(tau)
+    holds, and ValueError is raised otherwise.
     """
     probes = 0
 
@@ -270,6 +285,8 @@ def _solve_threshold(
     f_lo = signed_rate(math.exp(lo))
     while f_lo > 0.0:
         if lo <= _THRESHOLD_FLOOR_LN:
+            if accept_floor(math.exp(lo)):
+                return math.exp(lo), probes
             raise ValueError(
                 f"{protocol} rate stays positive down to tau={math.exp(lo)!r} "
                 f"(block_size={block_n!r})"
@@ -329,14 +346,21 @@ def max_secure_altitude(
     ALTITUDE_TOL_KM of either, or when no altitude gives tau*, so a
     ceiling inside the bracket evaluates the channel once, at the probe.
     InfeasibleScenario is also raised when even tau = 1 gives no key.
-    iterations counts the rate probes this call made, the threshold's
-    included.
+    A rate that stays positive down to the threshold solve's floor places
+    that floor tau like any other threshold when the channel passes it at
+    2000 km, and raises ValueError otherwise.  iterations counts the rate
+    probes this call made, the threshold's included.
     """
     rate_of = _rate_of_tau(protocol, block_n, cfg)
+    lo, hi = ALTITUDE_BRACKET_KM
     probes = 0
     if threshold is None:
-        threshold, probes = _solve_threshold(rate_of, protocol, block_n)
-    lo, hi = ALTITUDE_BRACKET_KM
+        threshold, probes = _solve_threshold(
+            rate_of,
+            protocol,
+            block_n,
+            lambda tau: tau <= cfg.channel.at_altitude(hi).transmissivity,
+        )
     try:
         altitude, no_altitude = cfg.channel.altitude_at(threshold), None
     except ValueError as exc:

@@ -129,6 +129,15 @@ def test_line_table_needs_a_manifest_entry(data_copy):
         default_line_table()
 
 
+def test_line_table_rejects_a_malformed_manifest_line(data_copy):
+    manifest = data_copy / "MANIFEST.sha256"
+    manifest.write_text(manifest.read_text() + "b2c6a2f5\n")
+    with pytest.raises(
+        ValueError, match="MANIFEST.sha256 line must be a digest and a file name: 'b2c6a2f5'"
+    ):
+        default_line_table()
+
+
 def test_line_table_rejects_a_ragged_row(data_copy):
     path = data_copy / "water_lines.txt"
     text = path.read_text()

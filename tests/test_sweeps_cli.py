@@ -287,6 +287,27 @@ def test_atmos_grid_errors_name_their_slant(capsys):
     )
 
 
+def test_thermal_grid_errors_name_their_row(capsys):
+    # the message alone reproduces the row: its frequency and its temperature
+    cases = [
+        (
+            ["sweep.temp_start_k=0", "sweep.temp_stop_k=0"],
+            "thermal-grid row at frequency_hz=1000000000.0, temperature_k=0.0: "
+            "temperature must be > 0 K: 0.0",
+        ),
+        (
+            ["sweep.freq_start_ghz=-1"],
+            "thermal-grid row at frequency_hz=-1000000000.0, temperature_k=295.0: "
+            "frequency must be > 0 Hz: -1000000000.0",
+        ),
+    ]
+    for overrides, message in cases:
+        assert main(["thermal-grid", *_override_args(overrides)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+
 def test_atmos_grid_runs_a_grazing_ray_of_a_million_km(capsys):
     # 0.001 deg of elevation reaches 17.5 km of altitude in 1e6 km of path:
     # 18 panels, 54 nodes
@@ -554,6 +575,30 @@ def test_a_threshold_below_the_protocols_is_rejected():
     for threshold, probes in ((0.5 * eta, 64), (1e-12, 1)):
         with pytest.raises(ValueError, match=rf"every altitude probed \({probes}\)"):
             max_secure_altitude("dv", 1e9, cfg, threshold)
+
+
+NOISELESS_DV = ["dv.y0_stray=0", "dv.y0_dark=0", "dv.e_mis=0", "sweep.block_sizes=inf"]
+
+
+def test_a_key_down_to_the_solve_floor_is_an_unbounded_ceiling(capsys):
+    # a noiseless detector keeps the N = inf rate positive down to the floor
+    # of the threshold search; the channel passes that floor tau at 2000 km
+    cfg = load_config(overrides=NOISELESS_DV)
+    with pytest.raises(ValueError, match=r"^dv rate stays positive down to tau=4\.377"):
+        secure_threshold("dv", math.inf, cfg)
+    res = max_secure_altitude("dv", math.inf, cfg)
+    assert (res.max_secure_altitude_km, res.unbounded) == (ALTITUDE_BRACKET_KM[1], True)
+    assert res.rate == _rate("dv", cfg.channel.at_altitude(2000.0).transmissivity, math.inf, cfg)
+    # tau = 1, the ten doublings of -ln(tau) down to e^-512, and the 2000 km probe
+    assert res.iterations == 12
+    assert main(["max-altitude", *_override_args(NOISELESS_DV)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert rows[1].startswith("inf,2000,") and rows[1].endswith(",12,1")
+    # a channel that passes less than the floor tau at 2000 km still raises
+    narrow = load_config(overrides=[*NOISELESS_DV, "channel.jitter_urad=1e120"])
+    assert narrow.channel.at_altitude(2000.0).transmissivity < math.exp(-512.0)
+    with pytest.raises(ValueError, match=r"^dv rate stays positive down to tau=4\.377"):
+        max_secure_altitude("dv", math.inf, narrow)
 
 
 def test_threshold_probe_errors_name_tau_and_block_size(monkeypatch):
@@ -1044,7 +1089,8 @@ def test_cli_rejects_at_load_what_no_row_can_evaluate(
     [
         ("channel.hv_wind=1e200", "hv_wind is too large: 1e+200"),
         ("channel.w0_m=1e300", "w0_m is too large: 1e+300"),
-        ("channel.w0_m=1e-150", "channel leaves floating-point range at altitude_km=100.0"),
+        # w_LT^2 = A + B z^2 is finite up to 110 km and overflows from 120 km on
+        ("channel.w0_m=1e-155", "channel leaves floating-point range at altitude_km=120.0"),
     ],
 )
 def test_cli_out_of_range_channel_value_exits_2(override, message):
