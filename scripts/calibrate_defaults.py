@@ -20,20 +20,22 @@ Run from the repository root:
 
     python3 scripts/calibrate_defaults.py
 
-Takes about 90 ms end to end (86 ms median of 15 runs on a 2-core Xeon
-KVM host, interpreter start and compiling the package from source
-included, numpy never imported).  Each grid point needs eight ceilings,
-one per protocol and block size, each the closed-form altitude of a
-secure threshold tau*, and reads the payload and classical rates from
-the one rate probe max_secure_altitude makes there.  The DV
+Takes about 0.1 s end to end (min 88 ms, median 101 ms of 15 runs on a
+2-core Xeon KVM host, interpreter start and compiling the package from
+source included, numpy never imported).  Each grid point needs eight
+ceilings, one per protocol and block size, each max_secure_altitude's
+closed-form altitude of a secure threshold tau*, and reads the payload
+and classical rates from the one rate probe it makes there.  The DV
 threshold depends on neither knob and the CV threshold only on the leak,
 so the 60 grid points need only 40 threshold solves, of 10-13 rate
-probes each: 4 for DV and 4 for each of the 9 distinct leaks.  A DV
-ceiling depends on the jitter alone and a CV ceiling on the pair, so a
-run solves 280 ceilings, not 480: 4 DV ones for each of the 11 distinct
-jitters and 4 CV ones for each of the 59 distinct pairs (the fine grid's
-centre is a coarse point).  Each ceiling, threshold and the default
-config is worked out once per run of main().
+probes each: 4 for DV and 4 for each of the 9 distinct leaks.  The first
+ceiling of each threshold solves it, and every later one is handed the
+tau* that first result carries.  A DV ceiling depends on the jitter
+alone and a CV ceiling on the pair, so a run solves 280 ceilings, not
+480: 4 DV ones for each of the 11 distinct jitters and 4 CV ones for each
+of the 59 distinct pairs (the fine grid's centre is a coarse point).
+Each ceiling, threshold and the default config is worked out once per
+run of main().
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qlinksim.config import SECTIONS, load_config
-from qlinksim.sweeps import max_secure_altitude, secure_threshold
+from qlinksim.sweeps import max_secure_altitude
 
 # Published maximum secure altitudes (km) per block size.
 DV_ALT_KM = {1e9: 305.0, 1e10: 467.0, 1e11: 542.0, math.inf: 583.0}
@@ -64,10 +66,11 @@ LABELS = {n: (f"dv_alt_{n:g}", f"payload_{n:g}", f"cv_alt_{n:g}", f"cls_{n:g}") 
 
 # What one run of main() has worked out, emptied when the run ends so that
 # no result outlives the run that needed it; kept in the script, not in
-# qlinksim.  THRESHOLDS holds the secure thresholds tau*, keyed by the
-# protocol, the block size and the records of config.SECTIONS[protocol];
-# CEILINGS the max_secure_altitude results, keyed the same plus the
-# channel; DEFAULT_CONFIG the one load of the default config.
+# qlinksim.  THRESHOLDS holds the secure thresholds tau* that ceilings
+# carry, keyed by the protocol, the block size and the records of
+# config.SECTIONS[protocol]; CEILINGS the max_secure_altitude results,
+# keyed the same plus the channel; DEFAULT_CONFIG the one load of the
+# default config.
 THRESHOLDS = {}
 CEILINGS = {}
 DEFAULT_CONFIG = {}
@@ -88,15 +91,14 @@ def ceiling(protocol: str, n: float, cfg):
 
     A DV ceiling depends on the jitter but not the leak, so it is reused
     across the leaks scanned at one jitter; a CV threshold depends on the
-    leak but not the jitter, so a CV ceiling at a new jitter skips its
-    threshold solve.
+    leak but not the jitter, so a CV ceiling at a new jitter is handed the
+    threshold of the first ceiling with its records and skips the solve.
     """
     key = (protocol, n, *(getattr(cfg, field) for field, _ in SECTIONS[protocol]))
     res = CEILINGS.get((key, cfg.channel))
     if res is None:
-        if key not in THRESHOLDS:
-            THRESHOLDS[key] = secure_threshold(protocol, n, cfg)
-        res = CEILINGS[key, cfg.channel] = max_secure_altitude(protocol, n, cfg, THRESHOLDS[key])
+        res = CEILINGS[key, cfg.channel] = max_secure_altitude(protocol, n, cfg, THRESHOLDS.get(key))
+        THRESHOLDS.setdefault(key, res.threshold)
     return res
 
 

@@ -7,11 +7,13 @@ byte-identical for identical configuration.
 Both protocols see the channel only through its transmissivity tau, and
 every rate here is evaluated through _rate_of_tau, which gives one
 record.RateResult for either protocol: the signed key rate and the
-classical throughput carried with it.  So the maximum secure
-altitude splits in two: secure_threshold solves for the smallest tau with
-a positive key rate, by regula falsi on the signed rate in ln(tau), using
-the protocol records alone, and FsoChannelParams.altitude_at maps that tau
-to an altitude in closed form.
+classical throughput carried with it.  So max_secure_altitude, the one
+way to a ceiling, works in two steps: _solve_threshold finds the smallest
+tau with a positive key rate, the secure threshold tau*, by regula falsi
+on the signed rate in ln(tau), using the protocol records alone, and
+FsoChannelParams.altitude_at maps tau* to an altitude in closed form.  The
+result carries tau*, so that a caller can hand it to the next ceiling with
+the same protocol records and skip the solve.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "thermal_grid",
     "max_altitude_table",
     "max_secure_altitude",
-    "secure_threshold",
     "run_scenario",
     "render_csv",
 ]
@@ -77,7 +78,8 @@ ALTITUDE_TOL_KM = 1.0
 # of altitude at the default ceilings (altitude_at(tau* e^-1e-6) - altitude_at(tau*))
 THRESHOLD_TOL_LN = 1e-6
 # the search for the lower end of the threshold bracket doubles -ln(tau)
-# from 1 and gives up below this ln(tau), tau = 4e-223
+# from 1 and stops at this ln(tau), tau = 4.4e-223: a rate still positive
+# there gives this floor tau as the threshold
 _THRESHOLD_FLOOR_LN = -512.0
 # steps of one ulp down from the closed-form ceiling before giving up; it
 # lies a rounding error from a transmissivity with a positive rate
@@ -109,18 +111,22 @@ class SweepTable(Record):
 class SecureAltitudeResult(Record):
     """Highest altitude with a positive key rate.
 
-    rate is the record.RateResult probed at that altitude, so rate.key_rate
-    and rate.throughput are the key and the classical bits per use at the
-    ceiling; iterations counts the rate probes the call made.
+    threshold is the secure threshold tau* the altitude was placed from,
+    solved or handed in; rate is the record.RateResult probed at that
+    altitude, so rate.key_rate and rate.throughput are the key and the
+    classical bits per use at the ceiling; iterations counts the rate
+    probes the call made.
     """
 
-    block_size: float
     max_secure_altitude_km: float
+    threshold: float
     rate: RateResult
     iterations: int
     unbounded: bool = False
 
     def _validate(self) -> None:
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0, 1]: {self.threshold!r}")
         if not self.rate.key_rate > 0.0:
             raise ValueError(f"rate at the reported altitude must be > 0: {self.rate.key_rate!r}")
         if self.iterations < 0:
@@ -242,12 +248,7 @@ def thermal_grid(cfg: SimulationConfig) -> SweepTable:
     return SweepTable("thermal-grid", THERMAL_COLUMNS, tuple(rows))
 
 
-def _solve_threshold(
-    rate_of: RateOfTau,
-    protocol: str,
-    block_n: float,
-    accept_floor: Callable[[float], bool] = lambda tau: False,
-) -> tuple[float, int]:
+def _solve_threshold(rate_of: RateOfTau, protocol: str, block_n: float) -> tuple[float, int]:
     """(smallest probed tau with a positive rate, number of probes).
 
     Solves for the sign change of the signed rate in x = ln(tau), to
@@ -261,8 +262,8 @@ def _solve_threshold(
     stays at least half the tolerance inside the bracket, so a step that
     lands next to the crossing is followed by one that closes the bracket.
     A rate that stays positive down to the floor, tau = e^_THRESHOLD_FLOOR_LN,
-    brackets no crossing: that floor tau is returned when accept_floor(tau)
-    holds, and ValueError is raised otherwise.
+    brackets no crossing: that floor tau is returned, and
+    max_secure_altitude decides whether the channel reaches it.
     """
     probes = 0
 
@@ -285,12 +286,7 @@ def _solve_threshold(
     f_lo = signed_rate(math.exp(lo))
     while f_lo > 0.0:
         if lo <= _THRESHOLD_FLOOR_LN:
-            if accept_floor(math.exp(lo)):
-                return math.exp(lo), probes
-            raise ValueError(
-                f"{protocol} rate stays positive down to tau={math.exp(lo)!r} "
-                f"(block_size={block_n!r})"
-            )
+            return math.exp(lo), probes
         hi, tau_hi, f_hi, lo = lo, math.exp(lo), f_lo, 2.0 * lo
         f_lo = signed_rate(math.exp(lo))
     half_tol = 0.5 * THRESHOLD_TOL_LN
@@ -316,51 +312,36 @@ def _solve_threshold(
     return tau_hi, probes
 
 
-def secure_threshold(protocol: str, block_n: float, cfg: SimulationConfig) -> float:
-    """The smallest transmissivity tau with a positive key rate, to THRESHOLD_TOL_LN in ln(tau).
-
-    The rate is positive at the returned tau and non-positive at
-    tau * exp(-THRESHOLD_TOL_LN).  No channel parameter enters: only the
-    protocol records of cfg, whose signed rate _solve_threshold drives to
-    zero in 10-13 probes at the defaults.  Raises InfeasibleScenario when
-    even tau = 1 gives no key.
-    """
-    return _solve_threshold(_rate_of_tau(protocol, block_n, cfg), protocol, block_n)[0]
-
-
 def max_secure_altitude(
     protocol: str, block_n: float, cfg: SimulationConfig, threshold: float | None = None
 ) -> SecureAltitudeResult:
     """The highest altitude in [100, 2000] km with a positive key rate.
 
-    threshold, when given, is secure_threshold(protocol, block_n, cfg),
-    solved by the caller; otherwise this call solves it.  The channel
-    alone places that tau* in the bracket, and the rate is probed once:
-    at 2000 km, flagged unbounded, when the channel still passes tau*
-    there; at 100 km when it passes less than tau* there, raising
-    InfeasibleScenario if the rate is non-positive; otherwise at the
-    altitude where the channel delivers tau*, in closed form, within
+    threshold, when given, must lie in (0, 1] and be the secure threshold
+    tau* of these protocol records, such as the .threshold of an earlier
+    result; when None, this call solves it, in 10-13 probes at the
+    defaults.  The channel alone places tau* in the bracket, and the rate
+    is probed once: at 2000 km, flagged unbounded, when the channel still
+    passes tau* there; at 100 km when it passes less than tau* there,
+    raising InfeasibleScenario if the rate is non-positive; otherwise at
+    the altitude where the channel delivers tau*, in closed form, within
     half a metre below the exact crossing (17-43 cm at the default
-    ladders).  That closed-form altitude is computed first: the channel
-    is evaluated at 100 km and 2000 km only when it lies within
-    ALTITUDE_TOL_KM of either, or when no altitude gives tau*, so a
-    ceiling inside the bracket evaluates the channel once, at the probe.
+    ladders).  The channel is evaluated at 100 km and 2000 km only when
+    that altitude lies within ALTITUDE_TOL_KM of either, or when no
+    altitude gives tau*.  A threshold at or below the solve's floor,
+    tau = e^-512, is a rate that stays positive down there: unbounded
+    when the channel passes it at 2000 km, a ValueError otherwise.
     InfeasibleScenario is also raised when even tau = 1 gives no key.
-    A rate that stays positive down to the threshold solve's floor places
-    that floor tau like any other threshold when the channel passes it at
-    2000 km, and raises ValueError otherwise.  iterations counts the rate
-    probes this call made, the threshold's included.
+    iterations counts the rate probes this call made, the threshold's
+    included.
     """
     rate_of = _rate_of_tau(protocol, block_n, cfg)
     lo, hi = ALTITUDE_BRACKET_KM
     probes = 0
     if threshold is None:
-        threshold, probes = _solve_threshold(
-            rate_of,
-            protocol,
-            block_n,
-            lambda tau: tau <= cfg.channel.at_altitude(hi).transmissivity,
-        )
+        threshold, probes = _solve_threshold(rate_of, protocol, block_n)
+    elif not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1]: {threshold!r}")
     try:
         altitude, no_altitude = cfg.channel.altitude_at(threshold), None
     except ValueError as exc:
@@ -374,6 +355,10 @@ def max_secure_altitude(
         # at the floor the crossing lies below 100 km, or above it closer
         # than the threshold's resolution
         floor = not unbounded and threshold >= cfg.channel.at_altitude(lo).transmissivity
+    if threshold <= math.exp(_THRESHOLD_FLOOR_LN) and not unbounded:
+        raise ValueError(
+            f"{protocol} rate stays positive down to tau={threshold!r} (block_size={block_n!r})"
+        )
     if unbounded or floor:
         altitude, steps = (hi if unbounded else lo), 1
     elif no_altitude is not None:
@@ -384,7 +369,7 @@ def max_secure_altitude(
         rate = _rate_at_altitude("max-altitude", rate_of, altitude, block_n, cfg)[1]
         probes += 1
         if rate.key_rate > 0.0:
-            return SecureAltitudeResult(block_n, altitude, rate, probes, unbounded)
+            return SecureAltitudeResult(altitude, threshold, rate, probes, unbounded)
         altitude = math.nextafter(altitude, lo)
     if floor:
         raise InfeasibleScenario(
@@ -405,7 +390,7 @@ def max_altitude_table(cfg: SimulationConfig) -> SweepTable:
         res = max_secure_altitude(cfg.sweep.protocol, block_n, cfg)
         rows.append(
             (
-                res.block_size,
+                block_n,
                 res.max_secure_altitude_km,
                 res.rate.key_rate,
                 res.rate.throughput,

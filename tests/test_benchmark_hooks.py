@@ -85,3 +85,37 @@ def test_names_the_benchmark_checks_call_resolve():
     assert t.shape == p.shape == rho.shape == (3,)
     oracle = _load(REPO_ROOT / "tests" / "oracle_p676.py")
     assert oracle.specific_attenuation_db_km(60.0, float(t[0]), float(p[0]), float(rho[0])) > 0.0
+
+
+def test_the_calibration_script_perfbench_runs_keeps_its_names():
+    import types
+
+    # loaded as perfbench/workloads.py's load_script loads it: a fresh module,
+    # with the script's own sys.path insertion undone
+    path = REPO_ROOT / "scripts" / "calibrate_defaults.py"
+    script = types.ModuleType("calibrate_defaults")
+    script.__file__ = str(path)
+    saved_path = sys.path[:]
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(script))
+    finally:
+        sys.path[:] = saved_path
+    assert all(callable(getattr(script, name)) for name in ("main", "evaluate", "cfg_with"))
+    # the config of one grid point, probed as perfbench/checks.py's _key_rate does
+    from qlinksim.cvqkd import ThermalLossChannel, composable_key_rate
+    from qlinksim.dvqkd import finite_key_rate
+
+    cfg = script.cfg_with(2.91, 3.9e-5)
+    assert cfg.cv_noise.eps_classical == 3.9e-5
+    tau = cfg.channel.at_altitude(150.0).transmissivity
+    for n in (1e9, math.inf):
+        assert finite_key_rate(tau * cfg.dv.eta_receiver, cfg.dv, cfg.dv_fs(n)).key_rate > 0.0
+        ch = ThermalLossChannel(tau=tau, n_thermal=cfg.cv.n_bg)
+        assert composable_key_rate(ch, cfg.cv, cfg.cv_noise, block_size_n=n).key_rate > 0.0
+    # the ceiling labels perfbench/checks.py's _ceilings parses, for both protocols
+    detail = script.evaluate(2.91, 3.9e-5)[2]
+    for protocol in ("dv", "cv"):
+        for n in (1e9, 1e10, 1e11, math.inf):
+            kind, _, size = f"{protocol}_alt_{n:g}".rpartition("_")
+            assert (kind, float(size)) == (f"{protocol}_alt", n)
+            assert detail[f"{protocol}_alt_{n:g}"] > 0.0

@@ -37,18 +37,22 @@ RECORDS = {
         lambda: sweeps.SweepTable("t", ("a", "b"), ((1.0, 2.0),)), {"rows": ((1.0,),)}
     ),
     sweeps.SecureAltitudeResult: (
-        lambda: sweeps.SecureAltitudeResult(1e9, 300.0, _DV_RATE, 3),
+        lambda: sweeps.SecureAltitudeResult(300.0, 1e-3, _DV_RATE, 3),
         {"iterations": -1},
     ),
     sweeps.Scenario: (lambda: sweeps.SCENARIOS["dv-sweep"], None),
     atmosphere._ReferenceProfile: (atmosphere.default_profile, None),
 }
 # the contract cases by id: (the class, a valid record, a rejected change);
-# RateResult runs once with the diagnostics of each protocol's kernel
+# RateResult runs once with the diagnostics of each protocol's kernel, and
+# SecureAltitudeResult once more with a threshold outside (0, 1]
 CASES = {
     **{cls.__name__: (cls, *case) for cls, case in RECORDS.items()},
     "DvRateResult": (RateResult, lambda: _DV_RATE, {"signed_rate": math.nan}),
     "CvRateResult": (RateResult, lambda: _CV_RATE, {"signed_rate": math.nan}),
+    "SecureAltitudeThreshold": (
+        sweeps.SecureAltitudeResult, RECORDS[sweeps.SecureAltitudeResult][0], {"threshold": 0.0}
+    ),
 }
 # the numpy profile keeps identity equality and hashing
 IDENTITY_EQ = (atmosphere._ReferenceProfile,)

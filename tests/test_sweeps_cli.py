@@ -45,7 +45,6 @@ from qlinksim.sweeps import (
     max_secure_altitude,
     render_csv,
     run_scenario,
-    secure_threshold,
     thermal_grid,
 )
 
@@ -101,10 +100,14 @@ def test_altitude_result_validation():
     cfg = load_config()
     dead, live = (_rate("dv", tau, 1e9, cfg) for tau in (1e-9, 1.0))
     assert dead.key_rate == 0.0 < live.key_rate
+    assert SecureAltitudeResult(300.0, 1.0, live, 5).threshold == 1.0
     with pytest.raises(ValueError):
-        SecureAltitudeResult(1e9, 300.0, dead, 5)
+        SecureAltitudeResult(300.0, 1e-3, dead, 5)
     with pytest.raises(ValueError):
-        SecureAltitudeResult(1e9, 300.0, live, -1)
+        SecureAltitudeResult(300.0, 1e-3, live, -1)
+    for threshold in (0.0, -1e-3, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\]"):
+            SecureAltitudeResult(300.0, threshold, live, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +338,18 @@ def _key_rate(protocol, tau, block_n, cfg):
     return _rate(protocol, tau, block_n, cfg).key_rate
 
 
+def _threshold(protocol, block_n, cfg):
+    """The secure threshold tau* of cfg's protocol records, solved without the channel."""
+    from qlinksim import sweeps
+
+    return sweeps._solve_threshold(sweeps._rate_of_tau(protocol, block_n, cfg), protocol, block_n)[0]
+
+
 @pytest.mark.parametrize("protocol", ["dv", "cv"])
 def test_secure_threshold_brackets_the_crossing(protocol):
     cfg = load_config()
     for block_n in (1e9, 1e10, 1e11, math.inf):
-        eta = secure_threshold(protocol, block_n, cfg)
+        eta = _threshold(protocol, block_n, cfg)
         assert 0.0 < eta < 1.0
         assert _key_rate(protocol, eta, block_n, cfg) > 0.0
         assert _key_rate(protocol, eta * math.exp(-THRESHOLD_TOL_LN), block_n, cfg) <= 0.0
@@ -349,8 +359,8 @@ def test_secure_threshold_brackets_the_crossing(protocol):
 def test_secure_threshold_reads_no_channel_parameter():
     cfg = load_config()
     other = load_config(overrides=["channel.jitter_urad=0", "channel.zenith_deg=0"])
-    assert secure_threshold("dv", 1e10, cfg) == secure_threshold("dv", 1e10, other)
-    assert secure_threshold("cv", 1e10, cfg) == secure_threshold("cv", 1e10, other)
+    assert _threshold("dv", 1e10, cfg) == _threshold("dv", 1e10, other)
+    assert _threshold("cv", 1e10, cfg) == _threshold("cv", 1e10, other)
 
 
 _BLOCK_SIZES = st.one_of(
@@ -394,19 +404,20 @@ def _check_signed_rate_and_threshold(protocol, block_n, cfg):
     has a positive rate, and one tolerance step below it the rate is not
     positive, unless rounding decides the sign there.
     """
+    from qlinksim import sweeps
+
     for k in range(25):
         res = _rate(protocol, math.exp(-k), block_n, cfg)
         assert res.key_rate == max(res.signed_rate, 0.0)
     try:
-        eta = secure_threshold(protocol, block_n, cfg)
+        eta = _threshold(protocol, block_n, cfg)
     except InfeasibleScenario:
         assert not _rate(protocol, 1.0, block_n, cfg).signed_rate > 0.0
         return
-    except ValueError as exc:
-        # no key deficit anywhere down to the floor of the search
-        assert str(exc).startswith(f"{protocol} rate stays positive down to tau="), exc
-        return
     assert _key_rate(protocol, eta, block_n, cfg) > 0.0
+    if eta == math.exp(sweeps._THRESHOLD_FLOOR_LN):
+        # no key deficit anywhere down to the floor of the search
+        return
     below = _rate(protocol, eta * math.exp(-THRESHOLD_TOL_LN), block_n, cfg).signed_rate
     assert below < _RATE_ROUNDING
 
@@ -452,7 +463,7 @@ def test_threshold_solve_bisects_while_the_lower_end_certifies_nothing():
     assert probed[3][1] == -math.inf
     # the next probe is the midpoint in ln(tau), not a secant step
     assert probed[4][0] == math.exp(-3.0)
-    assert eta == secure_threshold("dv", 1e8, cfg)
+    assert eta == _threshold("dv", 1e8, cfg)
     assert _key_rate("dv", eta, 1e8, cfg) > 0.0
     assert _key_rate("dv", eta * math.exp(-THRESHOLD_TOL_LN), 1e8, cfg) <= 0.0
 
@@ -460,19 +471,21 @@ def test_threshold_solve_bisects_while_the_lower_end_certifies_nothing():
 @pytest.mark.parametrize("protocol", ["dv", "cv"])
 def test_ceiling_is_the_altitude_of_the_threshold(protocol):
     cfg = load_config()
-    for block_n in (1e9, math.inf):
-        eta = secure_threshold(protocol, block_n, cfg)
+    for block_n in (1e9, 1e10, 1e11, math.inf):
         res = max_secure_altitude(protocol, block_n, cfg)
+        eta = res.threshold
+        assert eta == _threshold(protocol, block_n, cfg)
         assert res.max_secure_altitude_km == cfg.channel.altitude_at(eta)
         # the probed rate result, field for field
         assert res.rate == _rate(
             protocol, cfg.channel.at_altitude(res.max_secure_altitude_km).transmissivity, block_n, cfg
         )
         # a threshold handed in gives the same ceiling from one probe: the
-        # ceiling itself
+        # ceiling itself; altitude, threshold, rate and unbounded, field for field
         given = max_secure_altitude(protocol, block_n, cfg, eta)
         assert given.max_secure_altitude_km == res.max_secure_altitude_km
         assert given.iterations == 1
+        assert given == res.replace(iterations=1)
         # 10-13 threshold probes, and the one at the ceiling
         assert res.iterations <= 16
         above = cfg.channel.at_altitude(res.max_secure_altitude_km + ALTITUDE_TOL_KM)
@@ -493,7 +506,7 @@ def test_each_ceiling_exit_probes_the_rate_once(protocol, monkeypatch):
     from qlinksim import sweeps
 
     cfg = load_config()
-    eta = secure_threshold(protocol, 1e9, cfg)
+    eta = max_secure_altitude(protocol, 1e9, cfg).threshold
     lo, hi = ALTITUDE_BRACKET_KM
     wide = load_config(overrides=[
         "channel.aperture_m=5", "channel.zenith_deg=0", "channel.jitter_urad=0"
@@ -528,7 +541,7 @@ def test_the_channel_is_read_at_the_bracket_ends_only_next_to_them(monkeypatch):
     from qlinksim.fso import FsoChannelParams
 
     cfg = load_config()
-    eta = secure_threshold("dv", 1e9, cfg)
+    eta = max_secure_altitude("dv", 1e9, cfg).threshold
     lo, hi = ALTITUDE_BRACKET_KM
     tau_lo = cfg.channel.at_altitude(lo).transmissivity
     wide = load_config(overrides=[
@@ -569,7 +582,7 @@ def test_the_channel_is_read_at_the_bracket_ends_only_next_to_them(monkeypatch):
 
 def test_a_threshold_below_the_protocols_is_rejected():
     cfg = load_config()
-    eta = secure_threshold("dv", 1e9, cfg)
+    eta = max_secure_altitude("dv", 1e9, cfg).threshold
     # the closed-form altitude of half the threshold, and the 2000 km top
     # for a threshold the channel passes even there
     for threshold, probes in ((0.5 * eta, 64), (1e-12, 1)):
@@ -584,9 +597,10 @@ def test_a_key_down_to_the_solve_floor_is_an_unbounded_ceiling(capsys):
     # a noiseless detector keeps the N = inf rate positive down to the floor
     # of the threshold search; the channel passes that floor tau at 2000 km
     cfg = load_config(overrides=NOISELESS_DV)
-    with pytest.raises(ValueError, match=r"^dv rate stays positive down to tau=4\.377"):
-        secure_threshold("dv", math.inf, cfg)
+    # the solve gives that floor tau as the threshold
+    assert _threshold("dv", math.inf, cfg) == math.exp(-512.0)
     res = max_secure_altitude("dv", math.inf, cfg)
+    assert res.threshold == math.exp(-512.0)
     assert (res.max_secure_altitude_km, res.unbounded) == (ALTITUDE_BRACKET_KM[1], True)
     assert res.rate == _rate("dv", cfg.channel.at_altitude(2000.0).transmissivity, math.inf, cfg)
     # tau = 1, the ten doublings of -ln(tau) down to e^-512, and the 2000 km probe
@@ -601,6 +615,39 @@ def test_a_key_down_to_the_solve_floor_is_an_unbounded_ceiling(capsys):
         max_secure_altitude("dv", math.inf, narrow)
 
 
+def test_one_floor_rule_for_a_solved_and_a_handed_in_threshold():
+    cfg = load_config(overrides=NOISELESS_DV)
+    res = max_secure_altitude("dv", math.inf, cfg)
+    given = max_secure_altitude("dv", math.inf, cfg, res.threshold)
+    for ceiling in (res, given):
+        assert (ceiling.max_secure_altitude_km, ceiling.unbounded) == (ALTITUDE_BRACKET_KM[1], True)
+    assert given == res.replace(iterations=1)
+    # a channel that passes less than the floor tau at 2000 km raises in both forms
+    narrow = load_config(overrides=[*NOISELESS_DV, "channel.jitter_urad=1e120"])
+    for threshold in (None, res.threshold):
+        with pytest.raises(ValueError, match=r"^dv rate stays positive down to tau=4\.377"):
+            max_secure_altitude("dv", math.inf, narrow, threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1e-3, 1.0 + 1e-12, math.inf, math.nan])
+def test_a_handed_in_threshold_outside_the_unit_interval_is_rejected(threshold, monkeypatch):
+    from qlinksim import sweeps
+    from qlinksim.fso import FsoChannelParams
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("probed")
+
+    monkeypatch.setattr(sweeps, "finite_key_rate", counted)
+    monkeypatch.setattr(FsoChannelParams, "at_altitude", counted)
+    monkeypatch.setattr(FsoChannelParams, "altitude_at", counted)
+    with pytest.raises(ValueError, match=r"^threshold must be in \(0, 1\]"):
+        max_secure_altitude("dv", 1e9, load_config(), threshold)
+    assert calls == []
+
+
 def test_threshold_probe_errors_name_tau_and_block_size(monkeypatch):
     from qlinksim import sweeps
 
@@ -609,7 +656,7 @@ def test_threshold_probe_errors_name_tau_and_block_size(monkeypatch):
 
     monkeypatch.setattr(sweeps, "finite_key_rate", boom)
     with pytest.raises(ValueError) as info:
-        secure_threshold("dv", 1e9, load_config())
+        max_secure_altitude("dv", 1e9, load_config())
     assert str(info.value) == (
         "dv threshold probe at tau=1.0, block_size=1000000000.0: kernel complaint"
     )
@@ -620,11 +667,11 @@ def test_threshold_infeasible_at_unit_transmissivity():
     # a leak this large leaves no key even through a lossless channel
     cfg = load_config(overrides=["cv.eps_classical=0.04"])
     with pytest.raises(InfeasibleScenario, match="non-positive even at tau=1"):
-        secure_threshold("cv", math.inf, cfg)
+        _threshold("cv", math.inf, cfg)
     with pytest.raises(InfeasibleScenario, match="non-positive even at tau=1"):
         max_secure_altitude("cv", math.inf, cfg)
     with pytest.raises(ValueError, match="protocol must be"):
-        secure_threshold("qkd", math.inf, cfg)
+        max_secure_altitude("qkd", math.inf, cfg)
 
 
 def _calibration_script(monkeypatch):
@@ -642,37 +689,34 @@ def _calibration_script(monkeypatch):
 def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     from qlinksim import sweeps
 
-    calls, bisections, ceilings = [], [], []
-    solve, bisect, ceiling = sweeps.secure_threshold, sweeps._solve_threshold, sweeps.max_secure_altitude
-
-    def counted(protocol, block_n, cfg):
-        calls.append((protocol, block_n))
-        return solve(protocol, block_n, cfg)
+    bisections, ceilings = [], []
+    bisect, ceiling = sweeps._solve_threshold, sweeps.max_secure_altitude
 
     def counted_bisection(*args):
         bisections.append(args[1:])
         return bisect(*args)
 
     def counted_ceiling(protocol, block_n, cfg, threshold=None):
-        ceilings.append(protocol)
+        ceilings.append((protocol, threshold is None))
         return ceiling(protocol, block_n, cfg, threshold)
 
-    monkeypatch.setattr(sweeps, "secure_threshold", counted)
     monkeypatch.setattr(sweeps, "_solve_threshold", counted_bisection)
     monkeypatch.setattr(sweeps, "max_secure_altitude", counted_ceiling)
     script = _calibration_script(monkeypatch)
     assert script.main() == 0
-    # 4 DV thresholds, and 4 CV ones for each of the 9 distinct leaks; no
-    # ceiling bisects a threshold of its own
-    assert len(calls) == len(bisections) == 40
-    assert sorted(set(calls)) == sorted(
+    # 4 DV thresholds, and 4 CV ones for each of the 9 distinct leaks: only
+    # the first ceiling of each solves one, and the rest are handed its tau*
+    assert len(bisections) == 40
+    assert [solved for _, solved in ceilings].count(True) == 40
+    assert sorted(set(bisections)) == sorted(
         (protocol, n) for protocol in ("dv", "cv") for n in (1e9, 1e10, 1e11, math.inf)
     )
     # one ceiling per distinct (protocol, N, records): a DV ceiling for each
     # of the 11 distinct jitters, a CV one for each of the 59 distinct pairs:
     # 280, not the 480 of one per point
-    assert ceilings.count("dv") == 11 * 4
-    assert ceilings.count("cv") == 59 * 4
+    protocols = [protocol for protocol, _ in ceilings]
+    assert protocols.count("dv") == 11 * 4
+    assert protocols.count("cv") == 59 * 4
     assert "calibrated pointing jitter : 2.91 urad" in capsys.readouterr().out
     # a run leaves nothing it worked out behind for the next one
     assert script.THRESHOLDS == script.CEILINGS == script.DEFAULT_CONFIG == {}
