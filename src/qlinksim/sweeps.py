@@ -9,11 +9,12 @@ every rate here is evaluated through _rate_of_tau, which gives one
 record.RateResult for either protocol: the signed key rate and the
 classical throughput carried with it.  So max_secure_altitude, the one
 way to a ceiling, works in two steps: _solve_threshold finds the smallest
-tau with a positive key rate, the secure threshold tau*, by regula falsi
-on the signed rate in ln(tau), using the protocol records alone, and
-FsoChannelParams.altitude_at maps tau* to an altitude in closed form.  The
-result carries tau*, so that a caller can hand it to the next ceiling with
-the same protocol records and skip the solve.
+tau with a positive key rate, the secure threshold tau*, on a fixed lattice
+in ln(tau) by Anderson-Bjorck secant steps on the signed rate, using the
+protocol records alone, and FsoChannelParams.altitude_at maps tau* to an
+altitude in closed form.  The result carries tau*, so that a caller can
+hand it to the next ceiling with the same protocol records and skip the
+solve, or, as near, to a ceiling with other records to seed its solve.
 """
 
 from __future__ import annotations
@@ -74,13 +75,20 @@ MAX_ALT_COLUMNS = (
 # ALTITUDE_TOL_KM above every ceiling reported inside it
 ALTITUDE_BRACKET_KM = (100.0, 2000.0)
 ALTITUDE_TOL_KM = 1.0
-# width in ln(tau) to which the threshold solve closes its bracket: 17-43 cm
-# of altitude at the default ceilings (altitude_at(tau* e^-1e-6) - altitude_at(tau*))
-THRESHOLD_TOL_LN = 1e-6
-# the search for the lower end of the threshold bracket doubles -ln(tau)
-# from 1 and stops at this ln(tau), tau = 4.4e-223: a rate still positive
-# there gives this floor tau as the threshold
+# every threshold probe is a point of one lattice in ln(tau) with this step,
+# 2^-20 = 9.5e-7, and the solve closes its bracket to two adjacent points:
+# 16-41 cm of altitude at the default ceilings
+# (altitude_at(tau* e^-step) - altitude_at(tau*))
+_LATTICE_PER_LN = 2**20
+THRESHOLD_TOL_LN = 1.0 / _LATTICE_PER_LN
+# the search for the lower end of the threshold bracket stops at this
+# ln(tau), tau = 4.4e-223: a rate still positive there gives this floor
+# tau as the threshold
 _THRESHOLD_FLOOR_LN = -512.0
+_FLOOR_K = int(_THRESHOLD_FLOOR_LN) * _LATTICE_PER_LN
+# secant steps in a row that may leave the threshold bracket wider than
+# half its width before them; the next step bisects
+_STALE_STEPS = 4
 # steps of one ulp down from the closed-form ceiling before giving up; it
 # lies a rounding error from a transmissivity with a positive rate
 _CEILING_STEPS = 64
@@ -248,28 +256,63 @@ def thermal_grid(cfg: SimulationConfig) -> SweepTable:
     return SweepTable("thermal-grid", THERMAL_COLUMNS, tuple(rows))
 
 
-def _solve_threshold(rate_of: RateOfTau, protocol: str, block_n: float) -> tuple[float, int]:
-    """(smallest probed tau with a positive rate, number of probes).
+def _lattice_tau(k: int) -> float:
+    """tau at the k-th point of the threshold lattice, ln(tau) = k THRESHOLD_TOL_LN."""
+    return math.exp(k * THRESHOLD_TOL_LN)
 
-    Solves for the sign change of the signed rate in x = ln(tau), to
-    THRESHOLD_TOL_LN, assuming the sign changes once in tau.  The
-    bracket is probed at both ends: tau = 1 must give a positive rate, and
-    the lower end is found by doubling -ln(tau) from 1 until the rate is
-    <= 0.  Inside it, each probe is an Illinois (regula falsi) step on the
-    signed rate, or a bisection step while the lower end's signed rate is
-    -inf (no finite margin) or 0 (a rate that has rounded to zero, which
-    points the secant at that end whatever the crossing).  Every probe
-    stays at least half the tolerance inside the bracket, so a step that
-    lands next to the crossing is followed by one that closes the bracket.
-    A rate that stays positive down to the floor, tau = e^_THRESHOLD_FLOOR_LN,
-    brackets no crossing: that floor tau is returned, and
-    max_secure_altitude decides whether the channel reaches it.
+
+def _anderson_bjorck(f_new: float, f_old: float) -> float:
+    """Anderson-Bjorck factor for the bracket end that stayed twice.
+
+    f_new and f_old are the signed rates at the new probe and at the one
+    it replaces, at the other end: 1 - f_new/f_old when that lies in
+    (0, 1), else the Illinois 1/2.
     """
+    m = 1.0 - f_new / f_old if f_old else 0.5
+    return m if 0.0 < m < 1.0 else 0.5  # NaN, from inf/inf, fails both
+
+
+def _solve_threshold(
+    rate_of: RateOfTau, protocol: str, block_n: float, near: float | None = None
+) -> tuple[float, int]:
+    """(smallest lattice tau with a positive rate, number of probes).
+
+    Every probe is a point tau = e^(k THRESHOLD_TOL_LN) of one lattice in
+    ln(tau), k an integer from _THRESHOLD_FLOOR_LN / THRESHOLD_TOL_LN up
+    to 0, and the solve stops when its bracket is two adjacent lattice
+    points, returning the upper one.  Assuming the signed rate changes
+    sign once in tau, that is the smallest lattice tau with a positive
+    rate: a function of the protocol records alone.  near, a tau in (0, 1]
+    such as the threshold of a neighbouring block size, seeds the search.
+    That it changes the number of probes and not the result rests on that
+    single-crossing assumption: for a rate whose sign changes more than
+    once (some decoy records do) the hint can pick which crossing is
+    found.  At the default records a solve takes 10-12
+    probes, or 6-8 seeded from the next smaller block size.
+
+    The bracket search starts at the lattice point k0 of ln(near), or at
+    tau = 1 without a hint, and probes k0 -+ s 2^j for j = 0, 1, 2, ...:
+    down while the rate stays positive, to the floor, or up while it does
+    not, to tau = 1.  s is one unit of ln(tau), so that an unhinted search
+    probes tau = 1, e^-1, e^-2, e^-4, ..., or an eighth of one from a hint.
+    Inside the bracket, each probe is an Anderson-Bjorck secant step on
+    the signed rate, rounded to an interior lattice point, or a bisection
+    step while the lower end's signed rate is -inf (no finite margin) or 0
+    (a rate that has rounded to zero, which points the secant at that end
+    whatever the crossing), or after _STALE_STEPS steps in a row that have
+    not halved the bracket.  tau = 1 with no positive rate raises
+    InfeasibleScenario.  A rate that stays positive down to the floor,
+    tau = e^_THRESHOLD_FLOOR_LN, brackets no crossing: that floor tau is
+    returned, and max_secure_altitude decides whether the channel reaches it.
+    """
+    if near is not None and not 0.0 < near <= 1.0:
+        raise ValueError(f"near must be in (0, 1]: {near!r}")
     probes = 0
 
-    def signed_rate(tau: float) -> float:
+    def signed_rate(k: int) -> float:
         nonlocal probes
         probes += 1
+        tau = _lattice_tau(k)
         try:
             return rate_of(tau).signed_rate
         except (ValueError, ArithmeticError) as exc:  # OverflowError, ZeroDivisionError
@@ -277,69 +320,85 @@ def _solve_threshold(rate_of: RateOfTau, protocol: str, block_n: float) -> tuple
                 f"{protocol} threshold probe at tau={tau!r}, block_size={block_n!r}: {exc}"
             ) from exc
 
-    f_hi = signed_rate(1.0)
-    if not f_hi > 0.0:
-        raise InfeasibleScenario(
-            f"{protocol} rate is non-positive even at tau=1 (block_size={block_n:g})"
-        )
-    hi, tau_hi, lo = 0.0, 1.0, -1.0
-    f_lo = signed_rate(math.exp(lo))
-    while f_lo > 0.0:
-        if lo <= _THRESHOLD_FLOOR_LN:
-            return math.exp(lo), probes
-        hi, tau_hi, f_hi, lo = lo, math.exp(lo), f_lo, 2.0 * lo
-        f_lo = signed_rate(math.exp(lo))
-    half_tol = 0.5 * THRESHOLD_TOL_LN
+    if near is None:
+        start, step = 0, _LATTICE_PER_LN
+    else:
+        start = min(max(round(math.log(near) * _LATTICE_PER_LN), _FLOOR_K), 0)
+        step = _LATTICE_PER_LN // 8
+    k, f = start, signed_rate(start)
+    down = f > 0.0  # walk down to a non-positive rate, or up to a positive one
+    while True:
+        if down and k == _FLOOR_K:
+            return _lattice_tau(k), probes
+        if not down and k == 0:
+            raise InfeasibleScenario(
+                f"{protocol} rate is non-positive even at tau=1 (block_size={block_n:g})"
+            )
+        x = max(start - step, _FLOOR_K) if down else min(start + step, 0)
+        f_x = signed_rate(x)
+        if (f_x > 0.0) != down:
+            break
+        k, f, step = x, f_x, 2 * step
+    (lo, f_lo), (hi, f_hi) = ((x, f_x), (k, f)) if down else ((k, f), (x, f_x))
     side = 0  # +1 after the upper end moved, -1 after the lower end moved
-    while hi - lo > THRESHOLD_TOL_LN:
-        if -math.inf < f_lo < 0.0:
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            x = min(max(x, lo + half_tol), hi - half_tol)
+    stale, width = 0, hi - lo  # steps since the bracket last halved, and its width then
+    while hi - lo > 1:
+        if stale < _STALE_STEPS and -math.inf < f_lo < 0.0:
+            x = round(hi - f_hi * (hi - lo) / (f_hi - f_lo))
+            x = min(max(x, lo + 1), hi - 1)
         else:
-            x = 0.5 * (lo + hi)
-        tau_x = math.exp(x)
-        f_x = signed_rate(tau_x)
+            x = (lo + hi) // 2
+        f_x = signed_rate(x)
         if f_x > 0.0:
-            hi, tau_hi, f_hi = x, tau_x, f_x
             if side == 1:
-                f_lo *= 0.5  # Illinois: the lower end stayed twice
-            side = 1
+                f_lo *= _anderson_bjorck(f_x, f_hi)  # the lower end stayed twice
+            hi, f_hi, side = x, f_x, 1
         else:
-            lo, f_lo = x, f_x
             if side == -1:
-                f_hi *= 0.5
-            side = -1
-    return tau_hi, probes
+                f_hi *= _anderson_bjorck(f_x, f_lo)
+            lo, f_lo, side = x, f_x, -1
+        if 2 * (hi - lo) <= width:
+            stale, width = 0, hi - lo
+        else:
+            stale += 1
+    return _lattice_tau(hi), probes
 
 
 def max_secure_altitude(
-    protocol: str, block_n: float, cfg: SimulationConfig, threshold: float | None = None
+    protocol: str,
+    block_n: float,
+    cfg: SimulationConfig,
+    threshold: float | None = None,
+    *,
+    near: float | None = None,
 ) -> SecureAltitudeResult:
     """The highest altitude in [100, 2000] km with a positive key rate.
 
     threshold, when given, must lie in (0, 1] and be the secure threshold
     tau* of these protocol records, such as the .threshold of an earlier
-    result; when None, this call solves it, in 10-13 probes at the
-    defaults.  The channel alone places tau* in the bracket, and the rate
-    is probed once: at 2000 km, flagged unbounded, when the channel still
-    passes tau* there; at 100 km when it passes less than tau* there,
-    raising InfeasibleScenario if the rate is non-positive; otherwise at
-    the altitude where the channel delivers tau*, in closed form, within
-    half a metre below the exact crossing (17-43 cm at the default
-    ladders).  The channel is evaluated at 100 km and 2000 km only when
-    that altitude lies within ALTITUDE_TOL_KM of either, or when no
-    altitude gives tau*.  A threshold at or below the solve's floor,
-    tau = e^-512, is a rate that stays positive down there: unbounded
-    when the channel passes it at 2000 km, a ValueError otherwise.
-    InfeasibleScenario is also raised when even tau = 1 gives no key.
-    iterations counts the rate probes this call made, the threshold's
-    included.
+    result; when None, this call solves it, in 10-12 probes at the
+    defaults.  near, used only by that solve, is a tau in (0, 1] to start
+    it from, such as the threshold of a neighbouring block size: 6-8
+    probes at the default ladders, with the same tau* as without it.  The
+    channel alone places tau* in the bracket, and the rate is probed once:
+    at 2000 km, flagged unbounded, when the channel still passes tau*
+    there; at 100 km when it passes less than tau* there, raising
+    InfeasibleScenario if the rate is non-positive; otherwise at the
+    altitude where the channel delivers tau*, in closed form, within half
+    a metre below the exact crossing (16-41 cm at the default ladders).
+    The channel is evaluated at 100 km and 2000 km only when that altitude
+    lies within ALTITUDE_TOL_KM of either, or when no altitude gives tau*.
+    A threshold at or below the solve's floor, tau = e^-512, is a rate
+    that stays positive down there: unbounded when the channel passes it
+    at 2000 km, a ValueError otherwise.  InfeasibleScenario is also raised
+    when even tau = 1 gives no key.  iterations counts the rate probes
+    this call made, the threshold's included.
     """
     rate_of = _rate_of_tau(protocol, block_n, cfg)
     lo, hi = ALTITUDE_BRACKET_KM
     probes = 0
     if threshold is None:
-        threshold, probes = _solve_threshold(rate_of, protocol, block_n)
+        threshold, probes = _solve_threshold(rate_of, protocol, block_n, near)
     elif not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1]: {threshold!r}")
     try:
@@ -386,8 +445,10 @@ def max_secure_altitude(
 def max_altitude_table(cfg: SimulationConfig) -> SweepTable:
     """One secure ceiling per configured block size for sweep.protocol."""
     rows = []
+    near = None
     for block_n in sorted(cfg.sweep.block_sizes):
-        res = max_secure_altitude(cfg.sweep.protocol, block_n, cfg)
+        res = max_secure_altitude(cfg.sweep.protocol, block_n, cfg, near=near)
+        near = res.threshold
         rows.append(
             (
                 block_n,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -486,8 +487,8 @@ def test_ceiling_is_the_altitude_of_the_threshold(protocol):
         assert given.max_secure_altitude_km == res.max_secure_altitude_km
         assert given.iterations == 1
         assert given == res.replace(iterations=1)
-        # 10-13 threshold probes, and the one at the ceiling
-        assert res.iterations <= 16
+        # 10-12 threshold probes, and the one at the ceiling
+        assert res.iterations <= 13
         above = cfg.channel.at_altitude(res.max_secure_altitude_km + ALTITUDE_TOL_KM)
         assert _key_rate(protocol, above.transmissivity, block_n, cfg) == 0.0
 
@@ -674,6 +675,113 @@ def test_threshold_infeasible_at_unit_transmissivity():
         max_secure_altitude("qkd", math.inf, cfg)
 
 
+def _is_lattice_tau(tau):
+    """Whether ln(tau) is a whole number of threshold lattice steps."""
+    from qlinksim import sweeps
+
+    return tau == sweeps._lattice_tau(round(math.log(tau) / THRESHOLD_TOL_LN))
+
+
+# the most probes a hinted default solve took: over 20 seeds of the 42
+# hints per solve drawn below, the worst was 46
+_HINTED_PROBES = 46
+
+
+@pytest.mark.parametrize("protocol", ["dv", "cv"])
+def test_a_hint_changes_the_probes_not_the_threshold(protocol):
+    from qlinksim import sweeps
+
+    cfg = load_config()
+    rng = random.Random(1)
+    for block_n in (1e9, 1e10, 1e11, math.inf):
+        rate_of = sweeps._rate_of_tau(protocol, block_n, cfg)
+        eta, _ = sweeps._solve_threshold(rate_of, protocol, block_n)
+        assert _is_lattice_tau(eta)
+        # log-uniform over (e^-512, 1], tau = 1 itself and the threshold
+        hints = [math.exp(-512.0 * rng.random()) for _ in range(40)] + [1.0, eta]
+        for near in hints:
+            hinted, probes = sweeps._solve_threshold(rate_of, protocol, block_n, near)
+            assert hinted == eta, near
+            assert probes <= _HINTED_PROBES, near
+
+
+@pytest.mark.parametrize("near", [0.0, -1e-3, 1.0 + 1e-12, math.inf, math.nan])
+def test_a_hint_outside_the_unit_interval_is_rejected(near, monkeypatch):
+    from qlinksim import sweeps
+
+    def probed(*args, **kwargs):
+        raise AssertionError("probed")
+
+    with pytest.raises(ValueError, match=r"^near must be in \(0, 1\]"):
+        sweeps._solve_threshold(probed, "dv", 1e9, near)
+    monkeypatch.setattr(sweeps, "finite_key_rate", probed)
+    with pytest.raises(ValueError, match=r"^near must be in \(0, 1\]"):
+        max_secure_altitude("dv", 1e9, load_config(), near=near)
+
+
+def test_a_hint_inside_a_second_secure_window_finds_its_lower_edge():
+    from qlinksim import sweeps
+
+    # records whose decoy key rate changes sign twice in tau (a FOUND line in
+    # CHANGES.md): positive on a window around e^-2.15, not from e^-2.0 to 1
+    dv = DecoyProtocolParams(
+        mu=0.125, nu=0.001953125, eta_receiver=1.0, e_mis=0.0859375,
+        y0_stray=2.7715e-4, y0_dark=0.0, f_ec=1.25, sift_q=1.0,
+    )
+    rate_of = sweeps._rate_of_tau("dv", 1e10, load_config().replace(dv=dv))
+    inside = math.exp(-2.15)
+    assert rate_of(inside).signed_rate > 0.0 >= rate_of(math.exp(-2.0)).signed_rate
+    # unhinted, the solve starts at tau = 1 and sees no key there
+    with pytest.raises(InfeasibleScenario, match="non-positive even at tau=1"):
+        sweeps._solve_threshold(rate_of, "dv", 1e10)
+    eta, _ = sweeps._solve_threshold(rate_of, "dv", 1e10, inside)
+    assert _is_lattice_tau(eta)
+    assert -2.3 < math.log(eta) < -2.15
+    below = sweeps._lattice_tau(round(math.log(eta) / THRESHOLD_TOL_LN) - 1)
+    assert rate_of(eta).signed_rate > 0.0 >= rate_of(below).signed_rate
+
+
+# the default max-altitude ladders: (block size, ceiling km, most probes)
+DEFAULT_LADDERS = {
+    "dv": ((1e9, 355.0954, 12), (1e10, 491.5456, 9), (1e11, 559.2786, 8), (math.inf, 596.8655, 7)),
+    "cv": ((1e9, 230.7762, 12), (1e10, 328.3904, 9), (1e11, 386.5763, 8), (math.inf, 423.3706, 7)),
+}
+# a ceiling is the altitude of a lattice threshold, and one lattice step in
+# ln(tau) is 16-41 cm of altitude here: another libm may move a ceiling by
+# a step, and a 1 m move is a change of the model
+LADDER_TOL_KM = 5e-4
+
+
+def _ladder_drifts(protocol, table):
+    """Every way a max-altitude table departs from DEFAULT_LADDERS[protocol]."""
+    want = DEFAULT_LADDERS[protocol]
+    got = list(zip(*(_column(table, c) for c in ("block_size", "max_secure_altitude_km", "iterations"))))
+    if [row[0] for row in got] != [row[0] for row in want]:
+        return [f"{protocol}: block sizes {[row[0] for row in got]}"]
+    drifts = []
+    for (block_n, km, probes), (_, want_km, most) in zip(got, want):
+        if not abs(km - want_km) <= LADDER_TOL_KM:
+            drifts.append(f"{protocol} N={block_n:g}: ceiling {km!r} km, stated {want_km} km")
+        if probes > most:
+            drifts.append(f"{protocol} N={block_n:g}: {probes:g} probes, at most {most}")
+    return drifts
+
+
+@pytest.mark.parametrize("protocol", ["dv", "cv"])
+def test_default_ladders_hold_their_ceilings_and_probe_counts(protocol):
+    cfg = load_config(overrides=[f"sweep.protocol={protocol}"])
+    table = run_scenario("max-altitude", cfg)
+    assert _ladder_drifts(protocol, table) == []
+    # a 1 m move of any one ceiling, or one more probe, is caught
+    km, probes = table.columns.index("max_secure_altitude_km"), table.columns.index("iterations")
+    for i, row in enumerate(table.rows):
+        for col, delta in ((km, 1e-3), (km, -1e-3), (probes, 1.0)):
+            moved = list(row)
+            moved[col] += delta
+            drifted = table.replace(rows=table.rows[:i] + (tuple(moved),) + table.rows[i + 1:])
+            assert _ladder_drifts(protocol, drifted), (i, col, delta)
+
+
 def _calibration_script(monkeypatch):
     """A fresh module of scripts/calibrate_defaults.py, bound to the package as it is now."""
     import types
@@ -689,16 +797,18 @@ def _calibration_script(monkeypatch):
 def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     from qlinksim import sweeps
 
-    bisections, ceilings = [], []
+    bisections, ceilings, probes = [], [], []
     bisect, ceiling = sweeps._solve_threshold, sweeps.max_secure_altitude
 
-    def counted_bisection(*args):
-        bisections.append(args[1:])
-        return bisect(*args)
+    def counted_bisection(rate_of, protocol, block_n, near=None):
+        bisections.append((protocol, block_n))
+        eta, count = bisect(rate_of, protocol, block_n, near)
+        probes.append(count)
+        return eta, count
 
-    def counted_ceiling(protocol, block_n, cfg, threshold=None):
+    def counted_ceiling(protocol, block_n, cfg, threshold=None, *, near=None):
         ceilings.append((protocol, threshold is None))
-        return ceiling(protocol, block_n, cfg, threshold)
+        return ceiling(protocol, block_n, cfg, threshold, near=near)
 
     monkeypatch.setattr(sweeps, "_solve_threshold", counted_bisection)
     monkeypatch.setattr(sweeps, "max_secure_altitude", counted_ceiling)
@@ -711,6 +821,9 @@ def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     assert sorted(set(bisections)) == sorted(
         (protocol, n) for protocol in ("dv", "cv") for n in (1e9, 1e10, 1e11, math.inf)
     )
+    # each solve after the first of its protocol and block size is seeded
+    # with the threshold before it: 280 probes in all, 499 unseeded
+    assert sum(probes) <= 300
     # one ceiling per distinct (protocol, N, records): a DV ceiling for each
     # of the 11 distinct jitters, a CV one for each of the 59 distinct pairs:
     # 280, not the 480 of one per point
