@@ -20,7 +20,7 @@ Run from the repository root:
 
     python3 scripts/calibrate_defaults.py
 
-Takes about 0.1 s end to end (min 107 ms, median 113 ms of 15 runs on a
+Takes under 0.1 s end to end (min 71 ms, median 78 ms of 15 runs on a
 2-core Xeon KVM host, interpreter start and compiling the package from
 source included, numpy never imported).  Each grid point needs eight
 ceilings, one per protocol and block size, each max_secure_altitude's
@@ -30,11 +30,13 @@ threshold depends on neither knob and the CV threshold only on the leak,
 so the 60 grid points need only 40 threshold solves: 4 for DV and 4 for
 each of the 9 distinct leaks.  The first ceiling of each threshold
 solves it, and every later one is handed the tau* that first result
-carries.  The first solve of each protocol and block size starts at
-tau = 1 and takes 9-12 rate probes; each later one, at a new leak, is
-seeded (near=) with the last threshold solved for that protocol and
-block size and takes 5-7, which gives the same tau* as an unseeded
-solve: 280 threshold probes in all, against 499 unseeded.  A DV ceiling
+carries.  Only the first solve of each protocol starts at tau = 1, and
+takes 11 rate probes.  Every other solve is seeded (near=), which gives
+the same tau* as an unseeded solve: the first at each larger block size
+with the threshold of the block size before it, as max_altitude_table
+seeds its ladder, in 6-9 probes, and each later one, at a new leak, with
+the last threshold solved for that protocol and block size, in 5-7:
+262 threshold probes in all, against 499 unseeded.  A DV ceiling
 depends on the jitter alone and a CV ceiling on the pair, so a run
 solves 280 ceilings, not 480: 4 DV ones for each of the 11 distinct
 jitters and 4 CV ones for each of the 59 distinct pairs (the fine grid's
@@ -98,14 +100,19 @@ def ceiling(protocol: str, n: float, cfg):
     leak but not the jitter, so a CV ceiling at a new jitter is handed the
     threshold of the first ceiling with its records and skips the solve.
     A solve is seeded (near=) with the last threshold solved for the same
-    protocol and block size: for CV, the threshold at the previous leak.
+    protocol and block size (for CV, the threshold at the previous leak),
+    else for the same protocol at another block size.
     """
     key = (protocol, n, *(getattr(cfg, field) for field, _ in SECTIONS[protocol]))
     res = CEILINGS.get((key, cfg.channel))
     if res is None:
         threshold, near = THRESHOLDS.get(key), None
         if threshold is None:
-            near = next((t for k, t in reversed(THRESHOLDS.items()) if k[:2] == key[:2]), None)
+            # the last threshold of this protocol and block size, else of this protocol
+            seeds = [t for k, t in THRESHOLDS.items() if k[:2] == key[:2]] or [
+                t for k, t in THRESHOLDS.items() if k[0] == protocol
+            ]
+            near = seeds[-1] if seeds else None
         res = CEILINGS[key, cfg.channel] = max_secure_altitude(
             protocol, n, cfg, threshold, near=near
         )

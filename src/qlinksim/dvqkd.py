@@ -22,7 +22,6 @@ __all__ = [
     "DecoyProtocolParams",
     "FiniteSizeConfig",
     "DvDiagnostics",
-    "NoSinglePhotonSignal",
     "gains_and_qber",
     "decoy_bounds",
     "finite_key_rate",
@@ -31,10 +30,6 @@ __all__ = [
 
 # the largest argument for which math.exp is finite
 _MAX_EXP_ARG = math.log(sys.float_info.max)
-
-
-class NoSinglePhotonSignal(ValueError):
-    """Raised when the decoy bound certifies no extractable single-photon yield."""
 
 
 class DecoyProtocolParams(Record):
@@ -158,7 +153,8 @@ def decoy_bounds(
     e1 <= (E_nu Q_nu e^nu - e0 Y0) / (Y1 nu)
 
     gain_vac is the vacuum-decoy estimate of Y0.  Both bounds clamp to
-    [0, 1].  Raises NoSinglePhotonSignal when the Y1 bound is <= 0.
+    [0, 1].  Where the Y1 bound is <= 0 it certifies nothing, and the
+    trivial bounds (0.0, 1.0) are returned.
     """
     for name, value in (("gain_mu", gain_mu), ("gain_nu", gain_nu), ("gain_vac", gain_vac)):
         if not 0.0 <= value <= 1.0:
@@ -173,7 +169,7 @@ def decoy_bounds(
         - ((mu * mu - nu * nu) / (mu * mu)) * y0
     )
     if y1 <= 0.0:
-        raise NoSinglePhotonSignal("two-decoy bound certifies no single-photon yield")
+        return 0.0, 1.0
     y1 = min(y1, 1.0)
     e1_num = qber_nu * gain_nu * math.exp(nu) - params.e0 * y0
     e1 = e1_num / (y1 * nu)
@@ -232,11 +228,10 @@ def finite_key_rate(
     gain_mu_hi = min(gain_mu + hoeffding_deviation(pulses_mu, eps), 1.0)
     gain_nu_lo = max(gain_nu - hoeffding_deviation(pulses_nu, eps), 0.0)
     qber_nu_hi = min(qber_nu + hoeffding_deviation(_sample(pulses_nu, gain_nu), eps), 1.0)
-    try:
-        # Y0 stands in for the vacuum-intensity gain: Q_0 = Y0 exactly here
-        y1, e1 = decoy_bounds(gain_mu_hi, gain_nu_lo, params.y0, qber_nu_hi, params)
-    except NoSinglePhotonSignal:
-        y1, e1_ph, rate = 0.0, 1.0, -math.inf
+    # Y0 stands in for the vacuum-intensity gain: Q_0 = Y0 exactly here
+    y1, e1 = decoy_bounds(gain_mu_hi, gain_nu_lo, params.y0, qber_nu_hi, params)
+    if y1 == 0.0:  # no certified single-photon yield: the trivial e1 = 1, no finite margin
+        e1_ph, rate = e1, -math.inf
     else:
         q1 = y1 * params.mu * math.exp(-params.mu)
         e1_ph = min(max(e1 + hoeffding_deviation(_sample(pulses_mu, q1), eps), 0.0), 0.5)

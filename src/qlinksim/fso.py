@@ -204,35 +204,33 @@ class FsoChannelParams(Record):
         return a, b, self.tau_zenith**sec_z
 
     def altitude_at(self, transmissivity: float) -> float:
-        """The altitude in km at which at_altitude gives this transmissivity.
+        """The highest altitude in km that passes at least this transmissivity.
 
-        The closed-form inverse of at_altitude: with eta_ext the extinction,
-        w*^2 = -2 a^2 / log1p(-eta / eta_ext), z*^2 = (w*^2 - A) / B (see
-        _range_law), and h* = q / (sqrt(q + R^2) + R) with
-        q = z*^2 + 2 z* R cos(zeta), which is sqrt(q + R^2) - R without
-        its cancellation.  Raises ValueError for a transmissivity that no
-        altitude gives: outside (0, eta_ext), or above the zero-range value.
+        The closed-form inverse of at_altitude, total on (0, 1]: with eta_ext
+        the extinction, w*^2 = -2 a^2 / log1p(-eta / eta_ext),
+        z*^2 = (w*^2 - A) / B (see _range_law), and h* = q / (sqrt(q + R^2) + R)
+        with q = z*^2 + 2 z* R cos(zeta), sqrt(q + R^2) - R without its
+        cancellation.  0.0 where no altitude passes eta (at or above eta_ext
+        or the zero-range value), inf where every one does (z* = inf makes
+        h* inf / inf).  ValueError for eta outside (0, 1], and for a channel
+        whose law leaves floating-point range.
         """
+        if not 0.0 < transmissivity <= 1.0:
+            raise ValueError(f"transmissivity must lie in (0, 1]: {transmissivity!r}")
         try:
             a, b, eta_ext = self._range_law()
-            if not 0.0 < transmissivity < eta_ext:
-                raise ValueError(
-                    f"transmissivity must lie in (0, {eta_ext!r}): {transmissivity!r}"
-                )
+            if transmissivity >= eta_ext:
+                return 0.0
             w_sq = -2.0 * self.aperture_m**2 / math.log1p(-transmissivity / eta_ext)
             z_m_sq = (w_sq - a) / b
-            if not z_m_sq > 0.0:
-                raise ValueError(
-                    f"transmissivity {transmissivity!r} is above the zero-range value of {self!r}"
-                )
-            z_km = math.sqrt(z_m_sq) * 1e-3
-            r = EARTH_RADIUS_KM
-            q = z_km * z_km + 2.0 * z_km * r * math.cos(math.radians(self.zenith_deg))
-            altitude_km = q / (math.sqrt(q + r * r) + r)
         except ArithmeticError as exc:  # OverflowError, ZeroDivisionError
             raise ValueError(
                 f"transmissivity {transmissivity!r} leaves floating-point range: {self!r}"
             ) from exc
-        if not math.isfinite(altitude_km):
-            raise ValueError(f"transmissivity {transmissivity!r} is too small: {self!r}")
-        return altitude_km
+        if not z_m_sq > 0.0:
+            return 0.0
+        z_km = math.sqrt(z_m_sq) * 1e-3
+        r = EARTH_RADIUS_KM
+        q = z_km * z_km + 2.0 * z_km * r * math.cos(math.radians(self.zenith_deg))
+        altitude_km = q / (math.sqrt(q + r * r) + r)
+        return altitude_km if math.isfinite(altitude_km) else math.inf

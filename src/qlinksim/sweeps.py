@@ -11,8 +11,10 @@ classical throughput carried with it.  So max_secure_altitude, the one
 way to a ceiling, works in two steps: _solve_threshold finds the smallest
 tau with a positive key rate, the secure threshold tau*, on a fixed lattice
 in ln(tau) by Anderson-Bjorck secant steps on the signed rate, using the
-protocol records alone, and FsoChannelParams.altitude_at maps tau* to an
-altitude in closed form.  The result carries tau*, so that a caller can
+protocol records alone, and FsoChannelParams.altitude_at maps tau* to the
+highest altitude that passes it, in closed form, which is clamped into the
+altitude bracket and decides alone whether the ceiling is the floor,
+unbounded or inside.  The result carries tau*, so that a caller can
 hand it to the next ceiling with the same protocol records and skip the
 solve, or, as near, to a ceiling with other records to seed its solve.
 """
@@ -380,19 +382,21 @@ def max_secure_altitude(
     defaults.  near, used only by that solve, is a tau in (0, 1] to start
     it from, such as the threshold of a neighbouring block size: 6-8
     probes at the default ladders, with the same tau* as without it.  The
-    channel alone places tau* in the bracket, and the rate is probed once:
-    at 2000 km, flagged unbounded, when the channel still passes tau*
-    there; at 100 km when it passes less than tau* there, raising
-    InfeasibleScenario if the rate is non-positive; otherwise at the
-    altitude where the channel delivers tau*, in closed form, within half
-    a metre below the exact crossing (16-41 cm at the default ladders).
-    The channel is evaluated at 100 km and 2000 km only when that altitude
-    lies within ALTITUDE_TOL_KM of either, or when no altitude gives tau*.
-    A threshold at or below the solve's floor, tau = e^-512, is a rate
-    that stays positive down there: unbounded when the channel passes it
-    at 2000 km, a ValueError otherwise.  InfeasibleScenario is also raised
-    when even tau = 1 gives no key.  iterations counts the rate probes
-    this call made, the threshold's included.
+    channel alone places tau*: FsoChannelParams.altitude_at(tau*), the
+    highest altitude that passes tau* (0 where none does, inf where every
+    one does), clamped into the bracket, and the rate is probed there.
+    At 2000 km the ceiling is unbounded, probed once; at 100 km it is the
+    floor, probed once, raising InfeasibleScenario if the rate is
+    non-positive; inside, it lies within half a metre below the exact
+    crossing (16-41 cm at the default ladders), and up to _CEILING_STEPS
+    one-ulp steps down are probed until the rate is positive, a step that
+    reaches 100 km ending as the floor does.  The channel is evaluated at
+    the probed altitudes alone.  A threshold at or below the solve's
+    floor, tau = e^-512, is a rate that stays positive down there:
+    unbounded when the channel passes it at 2000 km, a ValueError
+    otherwise.  InfeasibleScenario is also raised when even tau = 1 gives
+    no key.  iterations counts the rate probes this call made, the
+    threshold's included.
     """
     rate_of = _rate_of_tau(protocol, block_n, cfg)
     lo, hi = ALTITUDE_BRACKET_KM
@@ -401,40 +405,24 @@ def max_secure_altitude(
         threshold, probes = _solve_threshold(rate_of, protocol, block_n, near)
     elif not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1]: {threshold!r}")
-    try:
-        altitude, no_altitude = cfg.channel.altitude_at(threshold), None
-    except ValueError as exc:
-        altitude, no_altitude = None, exc
-    if no_altitude is None and min(abs(altitude - lo), abs(altitude - hi)) > ALTITUDE_TOL_KM:
-        # tau falls with altitude, so a closed-form altitude this far from both
-        # ends places tau* against tau(100 km) and tau(2000 km) unread
-        unbounded, floor = altitude > hi, altitude < lo
-    else:
-        unbounded = threshold <= cfg.channel.at_altitude(hi).transmissivity
-        # at the floor the crossing lies below 100 km, or above it closer
-        # than the threshold's resolution
-        floor = not unbounded and threshold >= cfg.channel.at_altitude(lo).transmissivity
+    altitude = min(max(cfg.channel.altitude_at(threshold), lo), hi)
+    unbounded = altitude == hi
     if threshold <= math.exp(_THRESHOLD_FLOOR_LN) and not unbounded:
         raise ValueError(
             f"{protocol} rate stays positive down to tau={threshold!r} (block_size={block_n!r})"
         )
-    if unbounded or floor:
-        altitude, steps = (hi if unbounded else lo), 1
-    elif no_altitude is not None:
-        raise no_altitude
-    else:
-        steps = _CEILING_STEPS
+    steps = _CEILING_STEPS if lo < altitude < hi else 1
     for _ in range(steps):
         rate = _rate_at_altitude("max-altitude", rate_of, altitude, block_n, cfg)[1]
         probes += 1
         if rate.key_rate > 0.0:
             return SecureAltitudeResult(altitude, threshold, rate, probes, unbounded)
+        if altitude == lo:  # the floor, placed there or reached by the steps down
+            raise InfeasibleScenario(
+                f"{protocol} rate is non-positive at the {lo:.0f} km bracket "
+                f"(block_size={block_n:g})"
+            )
         altitude = math.nextafter(altitude, lo)
-    if floor:
-        raise InfeasibleScenario(
-            f"{protocol} rate is non-positive at the {lo:.0f} km bracket "
-            f"(block_size={block_n:g})"
-        )
     raise ValueError(
         f"{protocol} rate is non-positive at every altitude probed ({steps}) where the "
         f"channel passes tau={threshold!r} or more (block_size={block_n!r}); "

@@ -12,7 +12,6 @@ from qlinksim.dvqkd import (
     DecoyProtocolParams,
     DvDiagnostics,
     FiniteSizeConfig,
-    NoSinglePhotonSignal,
     decoy_bounds,
     finite_key_rate,
     gains_and_qber,
@@ -126,9 +125,9 @@ def test_decoy_bounds_reject_bad_inputs():
 
 
 def test_decoy_bounds_raise_when_yield_not_certifiable():
-    # a signal gain far above the weak-decoy gain drives the bound negative
-    with pytest.raises(NoSinglePhotonSignal):
-        decoy_bounds(0.9, 1e-6, 0.0, 0.01, PARAMS)
+    # a signal gain far above the weak-decoy gain drives the bound negative:
+    # it certifies nothing, and the trivial bounds are returned
+    assert decoy_bounds(0.9, 1e-6, 0.0, 0.01, PARAMS) == (0.0, 1.0)
 
 
 def test_decoy_bounds_bracket_truth_randomized():
@@ -372,9 +371,8 @@ def asymptotic_reference(eta: float, params: DecoyProtocolParams) -> float:
     """
     gain_mu, qber_mu = gains_and_qber(eta, params, params.mu)
     gain_nu, qber_nu = gains_and_qber(eta, params, params.nu)
-    try:
-        y1, e1 = decoy_bounds(gain_mu, gain_nu, params.y0, qber_nu, params)
-    except NoSinglePhotonSignal:
+    y1, e1 = decoy_bounds(gain_mu, gain_nu, params.y0, qber_nu, params)
+    if y1 == 0.0:
         return -math.inf
     q1 = y1 * params.mu * math.exp(-params.mu)
     return params.sift_q * (

@@ -433,14 +433,40 @@ def test_altitude_at_inverts_at_altitude(params):
 
 def test_altitude_at_rejects_transmissivities_no_altitude_gives():
     eta_ext = PARAMS.at_altitude(500.0).extinction
-    for bad in (0.0, -0.1, eta_ext, 1.0, 1.5, math.nan):
-        with pytest.raises(ValueError, match="transmissivity must lie in"):
+    for bad in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"transmissivity must lie in \(0, 1\]"):
             PARAMS.altitude_at(bad)
-    # just below the extinction: more than the beam delivers at zero range
-    with pytest.raises(ValueError, match="above the zero-range value"):
-        PARAMS.altitude_at(math.nextafter(eta_ext, 0.0))
-    with pytest.raises(ValueError, match="too small"):
-        PARAMS.altitude_at(5e-324)
+    # no altitude passes the extinction, 1, or just below the extinction
+    # (more than the beam delivers at zero range)
+    for eta in (eta_ext, 1.0, math.nextafter(eta_ext, 0.0)):
+        assert PARAMS.altitude_at(eta) == 0.0, eta
+    # every altitude passes the smallest subnormal
+    assert PARAMS.altitude_at(5e-324) == math.inf
+
+
+def test_altitude_at_is_the_highest_altitude_that_passes_eta():
+    rng = random.Random(20261021)
+    for params, altitude_km in _random_channels(20261021, 200):
+        eta_ext = params._range_law()[2]
+        above = [eta_ext, math.nextafter(eta_ext, 1.0), 0.5 * (eta_ext + 1.0), 1.0]
+        for eta in above:
+            assert params.altitude_at(eta) == 0.0, (params, eta)
+        # log-uniform over (5e-324, 1], with the extinction and its neighbours
+        etas = sorted(
+            [5e-324, math.nextafter(eta_ext, 0.0)]
+            + [math.exp(-744.0 * rng.random()) for _ in range(40)]
+            + above
+        )
+        altitudes = [params.altitude_at(eta) for eta in etas]
+        assert altitudes == sorted(altitudes, reverse=True), params
+        # the inverse, where the collected fraction resolves the altitude: neither
+        # saturated at 1 nor lost to the cancellation in 1 - exp(-x) at small x
+        out = params.at_altitude(altitude_km)
+        if 1e-4 <= out.geometric_collection <= 1.0 - 1e-4:
+            assert abs(params.altitude_at(out.transmissivity) - altitude_km) <= 1e-9, (
+                params,
+                altitude_km,
+            )
 
 
 def test_out_of_range_channel_values_raise_value_error():

@@ -503,6 +503,62 @@ def test_threshold_at_the_bracket_floor_reports_the_floor():
 
 
 @pytest.mark.parametrize("protocol", ["dv", "cv"])
+def test_a_threshold_next_to_a_bracket_end_gives_a_ceiling_inside_the_bracket(protocol):
+    # thresholds up to 20 ulps either side of tau(100 km) and tau(2000 km):
+    # each call raises, or returns a ceiling in the bracket that is unbounded
+    # exactly at its top
+    lo, hi = ALTITUDE_BRACKET_KM
+    configs = [
+        load_config(),
+        load_config(
+            overrides=["channel.zenith_deg=0", "channel.jitter_urad=0.01", "channel.aperture_m=0.5"]
+        ),
+    ]
+    ceilings = set()
+    for cfg in configs:
+        for end in (lo, hi):
+            tau_end = cfg.channel.at_altitude(end).transmissivity
+            for k in range(-20, 21):
+                threshold = tau_end * (1.0 + k * 2.0**-52)
+                try:
+                    res = max_secure_altitude(protocol, 1e9, cfg, threshold)
+                except (InfeasibleScenario, ValueError):  # not a threshold of the protocol
+                    continue
+                altitude = res.max_secure_altitude_km
+                assert lo <= altitude <= hi, (cfg.channel, threshold, altitude)
+                assert res.unbounded == (altitude == hi), (cfg.channel, threshold, altitude)
+                assert res.rate.key_rate > 0.0
+                ceilings.add(altitude)
+    # both ends are reached
+    assert {lo, hi} <= ceilings
+
+
+def test_steps_down_that_reach_the_floor_end_as_the_floor_does(monkeypatch):
+    from qlinksim import sweeps
+
+    # a threshold whose closed-form altitude lies just above 100 km, on a
+    # channel with no key there: the steps down reach 100 km, probe it once
+    # and raise as the floor does
+    cfg = load_config(overrides=["channel.jitter_urad=50"])
+    lo = ALTITUDE_BRACKET_KM[0]
+    threshold = cfg.channel.at_altitude(lo).transmissivity
+    while not cfg.channel.altitude_at(threshold) > lo:
+        threshold = math.nextafter(threshold, 0.0)
+    probed = []
+    real = sweeps._rate_at_altitude
+
+    def counted(scenario, rate_of, altitude_km, block_n, c):
+        probed.append(altitude_km)
+        return real(scenario, rate_of, altitude_km, block_n, c)
+
+    monkeypatch.setattr(sweeps, "_rate_at_altitude", counted)
+    with pytest.raises(InfeasibleScenario, match="non-positive at the 100 km bracket"):
+        max_secure_altitude("cv", 1e9, cfg, threshold)
+    assert probed[0] > lo and probed[-1] == lo
+    assert probed == sorted(set(probed), reverse=True)
+
+
+@pytest.mark.parametrize("protocol", ["dv", "cv"])
 def test_each_ceiling_exit_probes_the_rate_once(protocol, monkeypatch):
     from qlinksim import sweeps
 
@@ -557,28 +613,24 @@ def test_the_channel_is_read_at_the_bracket_ends_only_next_to_them(monkeypatch):
         return real(self, altitude_km)
 
     monkeypatch.setattr(FsoChannelParams, "at_altitude", counted)
-    # (config, threshold, channel evaluations): the closed-form altitude
-    # decides alone when it lies more than ALTITUDE_TOL_KM from both ends
+    eta_ext = cfg.channel.at_altitude(lo).extinction
+    # (config, threshold, ceiling): the closed-form altitude, clamped into the
+    # bracket, decides alone, and the channel is read once, at the probe
     cases = [
-        (cfg, eta, [cfg.channel.altitude_at(eta)]),  # 355 km: the probe only
-        (wide, eta, [hi]),  # 30,000 km: unbounded, probed at the top
-        (cfg, tau_lo, [hi, lo, lo]),  # 100 km to rounding: both ends read
+        (cfg, eta, cfg.channel.altitude_at(eta)),  # 355 km
+        (wide, eta, hi),  # 30,000 km: unbounded, probed at the top
+        (cfg, tau_lo, lo),  # 100 km to rounding: the floor
+        (cfg, eta_ext, lo),  # no altitude passes the extinction: the floor
     ]
-    for c, threshold, want in cases:
+    for c, threshold, altitude in cases:
         altitudes.clear()
-        max_secure_altitude("dv", 1e9, c, threshold)
-        assert altitudes == want
-    # 15 km: the floor, without reading either end; the probe there fails
+        assert max_secure_altitude("dv", 1e9, c, threshold).max_secure_altitude_km == altitude
+        assert altitudes == [altitude]
+    # 15 km: the floor; the probe there fails
     altitudes.clear()
     with pytest.raises(InfeasibleScenario):
         max_secure_altitude("dv", 1e9, narrow, eta)
     assert altitudes == [lo]
-    # a threshold that no altitude gives (altitude_at rejects the extinction
-    # itself) is placed by reading both ends
-    eta_ext = cfg.channel.at_altitude(lo).extinction
-    altitudes.clear()
-    assert max_secure_altitude("dv", 1e9, cfg, eta_ext).max_secure_altitude_km == lo
-    assert altitudes == [hi, lo, lo]
 
 
 def test_a_threshold_below_the_protocols_is_rejected():
@@ -821,9 +873,9 @@ def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     assert sorted(set(bisections)) == sorted(
         (protocol, n) for protocol in ("dv", "cv") for n in (1e9, 1e10, 1e11, math.inf)
     )
-    # each solve after the first of its protocol and block size is seeded
-    # with the threshold before it: 280 probes in all, 499 unseeded
-    assert sum(probes) <= 300
+    # each solve after the first of its protocol is seeded with the threshold
+    # before it: 262 probes in all, 499 unseeded
+    assert sum(probes) <= 270
     # one ceiling per distinct (protocol, N, records): a DV ceiling for each
     # of the 11 distinct jitters, a CV one for each of the 59 distinct pairs:
     # 280, not the 480 of one per point
