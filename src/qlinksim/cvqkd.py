@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from .mathfn import ber_to_snr_amplitude, bosonic_entropy
-from .record import RateResult, Record
+from .record import RateResult, Record, derived
 
 __all__ = [
     "CvProtocolParams",
@@ -42,7 +42,10 @@ class CvProtocolParams(Record):
     eta_lo is the transmissivity equivalent of the local-oscillator
     handling loss (0.63 dB -> 10**(-0.063) ~ 0.865); together with
     eta_det it forms the trusted receiver efficiency.  d_bits is the
-    discretization depth of the reconciliation alphabet.
+    discretization depth of the reconciliation alphabet.  What the
+    kernels derive from these fields alone (eta_receiver, amplitude,
+    chi_hom, aep_correction, theta_correction) is computed once per
+    record, on first read.
     """
 
     v_mod: float = 5.0
@@ -91,10 +94,37 @@ class CvProtocolParams(Record):
         if not (isinstance(self.d_bits, int) and 1 <= self.d_bits < 2048):
             raise ValueError(f"d_bits must be an integer in [1, 2047]: {self.d_bits!r}")
 
-    @property
+    @derived
     def eta_receiver(self) -> float:
         """Total trusted receiver transmissivity eta_det * eta_lo."""
         return self.eta_det * self.eta_lo
+
+    @derived
+    def amplitude(self) -> float:
+        """Displacement amplitude, in bit-decision noise units, that meets ber_target."""
+        return ber_to_snr_amplitude(self.ber_target)
+
+    @derived
+    def chi_hom(self) -> float:
+        """Trusted homodyne receiver noise (1 - eta)/eta + v_el/eta, in SNU."""
+        eta = self.eta_receiver
+        return (1.0 - eta) / eta + self.v_el / eta
+
+    @derived
+    def aep_correction(self) -> float:
+        """Asymptotic-equipartition penalty coefficient Delta_aep."""
+        return (
+            4.0
+            * math.log2(2.0 ** (self.d_bits / 2.0) + 2.0)
+            * math.sqrt(math.log2(18.0 / (self.p_ec**2 * self.eps_sec**4)))
+        )
+
+    @derived
+    def theta_correction(self) -> float:
+        """Order-(1/n) composable correction Theta."""
+        return math.log2(self.p_ec * (1.0 - self.eps_sec**2 / 3.0)) + 2.0 * math.log2(
+            math.sqrt(2.0) * self.eps_hash
+        )
 
 
 class PhaseEncodingNoise(Record):
@@ -153,7 +183,7 @@ def _detection_noise(
     """
     tau_total = ch.tau * p.eta_receiver
     background = p.eta_receiver * (1.0 - ch.tau) * 2.0 * ch.n_thermal
-    amp = ber_to_snr_amplitude(p.ber_target)
+    amp = p.amplitude
     leak = noise.eps_classical * amp * amp
     if leak >= 1.0:
         raise ValueError(
@@ -251,7 +281,7 @@ def holevo_bound(
     g = w - u * v  # b - a
     det = tau + v * w  # ab - c^2
 
-    chi_hom = (1.0 - eta) / eta + p.v_el / eta
+    chi_hom = p.chi_hom
 
     # two-mode closed form (Weedbrook et al., RMP 84, 621 (2012)):
     # nu1,2 = (sqrt((a + b)^2 - 4 c^2) +- |b - a|) / 2, radicand (b - a)^2 + 4 det
@@ -278,22 +308,6 @@ class CvDiagnostics(Record):
     chi_e: float
     nus: tuple[float, float, float, float, float]
     displacement_amplitude: float
-
-
-def aep_correction(p: CvProtocolParams) -> float:
-    """Asymptotic-equipartition penalty coefficient Delta_aep."""
-    return (
-        4.0
-        * math.log2(2.0 ** (p.d_bits / 2.0) + 2.0)
-        * math.sqrt(math.log2(18.0 / (p.p_ec**2 * p.eps_sec**4)))
-    )
-
-
-def theta_correction(p: CvProtocolParams) -> float:
-    """Order-(1/n) composable correction Theta."""
-    return math.log2(p.p_ec * (1.0 - p.eps_sec**2 / 3.0)) + 2.0 * math.log2(
-        math.sqrt(2.0) * p.eps_hash
-    )
 
 
 def composable_key_rate(
@@ -345,8 +359,8 @@ def composable_key_rate(
         n_key = block_size_n / 2.0
         bracket = (
             bracket
-            - aep_correction(p) / math.sqrt(n_key)
-            - theta_correction(p) / n_key
+            - p.aep_correction / math.sqrt(n_key)
+            - p.theta_correction / n_key
         )
         rate = p.p_ec * (n_key / block_size_n) * bracket
 

@@ -16,7 +16,7 @@ import math
 import sys
 
 from .mathfn import binary_entropy, hoeffding_deviation
-from .record import RateResult, Record
+from .record import RateResult, Record, derived
 
 __all__ = [
     "DecoyProtocolParams",
@@ -39,7 +39,9 @@ class DecoyProtocolParams(Record):
     the third intensity is vacuum.  y0_stray and y0_dark add up to the
     background yield Y0, a device constant that stands in for the vacuum
     gain Q_0.  check_fraction is the fraction of direct-transmission
-    rounds spent on eavesdropping checks.
+    rounds spent on eavesdropping checks.  y0 and the exponentials that
+    decoy_bounds and finite_key_rate weight by are computed once per
+    record, on first read.
     """
 
     mu: float = 0.6
@@ -86,13 +88,34 @@ class DecoyProtocolParams(Record):
         if self.f_ec < 1.0:
             raise ValueError(f"error-correction efficiency must be >= 1: {self.f_ec!r}")
 
-    @property
+    @derived
     def y0(self) -> float:
+        """Background yield Y0 = y0_stray + y0_dark."""
         return self.y0_stray + self.y0_dark
+
+    @derived
+    def exp_mu(self) -> float:
+        """e^mu, the weight of the signal gain in decoy_bounds."""
+        return math.exp(self.mu)
+
+    @derived
+    def exp_nu(self) -> float:
+        """e^nu, the weight of the weak-decoy gain in decoy_bounds."""
+        return math.exp(self.nu)
+
+    @derived
+    def exp_neg_mu(self) -> float:
+        """e^-mu, the single-photon share of a signal pulse."""
+        return math.exp(-self.mu)
 
 
 class FiniteSizeConfig(Record):
-    """Block size, failure budget and intensity schedule of one run."""
+    """Block size, failure budget and intensity schedule of one run.
+
+    The pulse counts, the two Hoeffding deviations that do not depend on
+    the channel and the composable term of finite_key_rate are computed
+    once per record, on first read.
+    """
 
     block_size_n: float = math.inf
     epsilon: float = 1e-10
@@ -110,6 +133,32 @@ class FiniteSizeConfig(Record):
         # the vacuum pulses take the rest of the schedule
         if not self.p_mu + self.p_nu < 1.0:
             raise ValueError(f"p_mu + p_nu must be < 1: {self.p_mu + self.p_nu!r}")
+
+    @derived
+    def pulses_mu(self) -> float:
+        """Signal pulses in the block."""
+        return self.block_size_n * self.p_mu
+
+    @derived
+    def pulses_nu(self) -> float:
+        """Weak-decoy pulses in the block."""
+        return self.block_size_n * self.p_nu
+
+    @derived
+    def deviation_mu(self) -> float:
+        """Hoeffding deviation of the signal gain, over the signal pulses."""
+        return hoeffding_deviation(self.pulses_mu, self.epsilon)
+
+    @derived
+    def deviation_nu(self) -> float:
+        """Hoeffding deviation of the weak-decoy gain, over the weak-decoy pulses."""
+        return hoeffding_deviation(self.pulses_nu, self.epsilon)
+
+    @derived
+    def composable_term(self) -> float:
+        """6 log2(19/eps) / (N p_mu), the key length finite_key_rate gives up per pulse."""
+        # log2(19) - log2(eps), not log2(19 / eps), which overflows at tiny eps
+        return 6.0 * (math.log2(19.0) - math.log2(self.epsilon)) / self.pulses_mu
 
 
 class DvDiagnostics(Record):
@@ -164,14 +213,14 @@ def decoy_bounds(
     mu, nu = params.mu, params.nu
     y0 = gain_vac
     y1 = (mu / (mu * nu - nu * nu)) * (
-        gain_nu * math.exp(nu)
-        - gain_mu * math.exp(mu) * (nu * nu) / (mu * mu)
+        gain_nu * params.exp_nu
+        - gain_mu * params.exp_mu * (nu * nu) / (mu * mu)
         - ((mu * mu - nu * nu) / (mu * mu)) * y0
     )
     if y1 <= 0.0:
         return 0.0, 1.0
     y1 = min(y1, 1.0)
-    e1_num = qber_nu * gain_nu * math.exp(nu) - params.e0 * y0
+    e1_num = qber_nu * gain_nu * params.exp_nu - params.e0 * y0
     e1 = e1_num / (y1 * nu)
     e1 = min(max(e1, 0.0), 1.0)
     return y1, e1
@@ -222,24 +271,20 @@ def finite_key_rate(
     gain_mu, qber_mu = gains_and_qber(eta_total, params, params.mu)
     gain_nu, qber_nu = gains_and_qber(eta_total, params, params.nu)
     eps = fs.epsilon
-    pulses_mu = fs.block_size_n * fs.p_mu
-    pulses_nu = fs.block_size_n * fs.p_nu
-
-    gain_mu_hi = min(gain_mu + hoeffding_deviation(pulses_mu, eps), 1.0)
-    gain_nu_lo = max(gain_nu - hoeffding_deviation(pulses_nu, eps), 0.0)
-    qber_nu_hi = min(qber_nu + hoeffding_deviation(_sample(pulses_nu, gain_nu), eps), 1.0)
+    gain_mu_hi = min(gain_mu + fs.deviation_mu, 1.0)
+    gain_nu_lo = max(gain_nu - fs.deviation_nu, 0.0)
+    qber_nu_hi = min(qber_nu + hoeffding_deviation(_sample(fs.pulses_nu, gain_nu), eps), 1.0)
     # Y0 stands in for the vacuum-intensity gain: Q_0 = Y0 exactly here
     y1, e1 = decoy_bounds(gain_mu_hi, gain_nu_lo, params.y0, qber_nu_hi, params)
     if y1 == 0.0:  # no certified single-photon yield: the trivial e1 = 1, no finite margin
         e1_ph, rate = e1, -math.inf
     else:
-        q1 = y1 * params.mu * math.exp(-params.mu)
-        e1_ph = min(max(e1 + hoeffding_deviation(_sample(pulses_mu, q1), eps), 0.0), 0.5)
+        q1 = y1 * params.mu * params.exp_neg_mu
+        e1_ph = min(max(e1 + hoeffding_deviation(_sample(fs.pulses_mu, q1), eps), 0.0), 0.5)
         rate = params.sift_q * (
             q1 * (1.0 - binary_entropy(e1_ph))
             - gain_mu * params.f_ec * binary_entropy(qber_mu)
-            # log2(19) - log2(eps), not log2(19 / eps), which overflows at tiny eps
-            - 6.0 * (math.log2(19.0) - math.log2(eps)) / pulses_mu
+            - fs.composable_term
         )
     return RateResult(
         signed_rate=rate,

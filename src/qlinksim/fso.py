@@ -14,7 +14,7 @@ import sys
 from functools import lru_cache
 
 from .mathfn import EARTH_RADIUS_KM
-from .record import Record
+from .record import Record, derived
 
 __all__ = ["ChannelOutput", "FsoChannelParams", "slant_range"]
 
@@ -170,7 +170,7 @@ class FsoChannelParams(Record):
     def _at_altitude(self, altitude_km: float) -> ChannelOutput:
         z_km = slant_range(altitude_km, self.zenith_deg)
         z_m = z_km * 1e3
-        a, b, eta_ext = self._range_law()
+        a, b, eta_ext = self._range_law
         w_sq = a + b * (z_m * z_m)
         if not math.isfinite(w_sq):
             raise OverflowError(f"long-term beam radius squared is not finite: {w_sq!r}")
@@ -181,6 +181,7 @@ class FsoChannelParams(Record):
             long_term_beam_radius_m=math.sqrt(w_sq),
         )
 
+    @derived
     def _range_law(self) -> tuple[float, float, float]:
         """(A, B, eta_ext), the channel law that at_altitude and altitude_at share.
 
@@ -190,7 +191,8 @@ class FsoChannelParams(Record):
         rho_0 = c z and the turbulence term 2 (lambda z / (pi rho_0))^2 =
         2 (lambda / (pi c))^2 is constant: A = w0^2 + 2 (lambda / (pi c))^2,
         and B = w0^2 / z_R^2 + sigma^2 collects the diffraction and jitter
-        terms that grow as z^2.
+        terms that grow as z^2.  Computed once per record, on first read; a
+        law that leaves floating-point range raises on every read.
         """
         wavelength_m = self.wavelength_nm * 1e-9
         sec_z = 1.0 / math.cos(math.radians(self.zenith_deg))
@@ -218,7 +220,7 @@ class FsoChannelParams(Record):
         if not 0.0 < transmissivity <= 1.0:
             raise ValueError(f"transmissivity must lie in (0, 1]: {transmissivity!r}")
         try:
-            a, b, eta_ext = self._range_law()
+            a, b, eta_ext = self._range_law
             if transmissivity >= eta_ext:
                 return 0.0
             w_sq = -2.0 * self.aperture_m**2 / math.log1p(-transmissivity / eta_ext)

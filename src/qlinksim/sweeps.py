@@ -21,7 +21,6 @@ solve, or, as near, to a ceiling with other records to seed its solve.
 
 from __future__ import annotations
 
-import io
 import math
 from collections.abc import Callable
 
@@ -148,7 +147,11 @@ def _rate_of_tau(protocol: str, block_n: float, cfg: SimulationConfig) -> RateOf
 
     The one place that knows how each protocol is evaluated.  Reads only
     the records of the protocol's config section, config.SECTIONS[protocol];
-    the finite-size record is built once, here.
+    the finite-size record is built once, here, so the values derived from
+    it and from the protocol records (pulse counts, constant Hoeffding
+    deviations, exponentials, the CV amplitude and corrections) are
+    computed at the first call and read by every later one.  Each call
+    builds and checks only what depends on tau.
     """
     if protocol == "dv":
         dv, fs = cfg.dv, cfg.dv_fs(block_n)
@@ -162,12 +165,21 @@ def _rate_of_tau(protocol: str, block_n: float, cfg: SimulationConfig) -> RateOf
 
 
 def _rate_at_altitude(
-    scenario: str, rate_of: RateOfTau, altitude_km: float, block_n: float, cfg: SimulationConfig
+    scenario: str,
+    rate_of: RateOfTau,
+    altitude_km: float,
+    block_n: float,
+    cfg: SimulationConfig,
+    tau: float | None = None,
 ) -> tuple[float, RateResult]:
-    """(tau, rate result) at altitude_km; errors are prefixed with the row that reproduces them."""
-    tau = None
+    """(tau, rate result) at altitude_km; errors are prefixed with the row that reproduces them.
+
+    tau, when given, is the channel's transmissivity at altitude_km, read
+    earlier; when None, the channel is read here.
+    """
     try:
-        tau = cfg.channel.at_altitude(altitude_km).transmissivity
+        if tau is None:
+            tau = cfg.channel.at_altitude(altitude_km).transmissivity
         return tau, rate_of(tau)
     except (ValueError, ArithmeticError) as exc:  # OverflowError, ZeroDivisionError
         where = f"{scenario} row at altitude_km={altitude_km!r}, block_size={block_n!r}"
@@ -183,12 +195,21 @@ def _altitude_sweep(
     pick: Callable[[float, RateResult], tuple[float, ...]],
     cfg: SimulationConfig,
 ) -> SweepTable:
-    """Rows (altitude, block size) + pick(tau, rate result) over the altitude grid."""
+    """Rows (altitude, block size) + pick(tau, rate result) over the altitude grid.
+
+    Rows run block size by block size, each over the whole grid.  The
+    channel is read once per altitude, during the first block size, and
+    its tau is reused by the others, so the rows, and the first error and
+    its message, are those of reading it for every row.
+    """
     rows = []
+    altitudes = cfg.sweep.altitudes_km()
+    taus: list[float | None] = [None] * len(altitudes)
     for n in sorted(cfg.sweep.block_sizes):
         rate_of = _rate_of_tau(protocol, n, cfg)
-        for alt in cfg.sweep.altitudes_km():
-            tau, res = _rate_at_altitude(scenario, rate_of, alt, n, cfg)
+        for i, alt in enumerate(altitudes):
+            tau, res = _rate_at_altitude(scenario, rate_of, alt, n, cfg, taus[i])
+            taus[i] = tau
             rows.append((alt, n) + pick(tau, res))
     return SweepTable(scenario, columns, tuple(rows))
 
@@ -489,6 +510,11 @@ def run_scenario(scenario: str, cfg: SimulationConfig) -> SweepTable:
     return SCENARIOS[scenario].run(cfg)
 
 
+# rows per block of render_csv: fig2 and fig3 are one block each, and a
+# long table such as fig4 (4000 rows) holds only one block's cells at once
+_CSV_BLOCK_ROWS = 256
+
+
 def _format_cell(value: float) -> str:
     # ints, such as iteration counts, have no is_integer before Python 3.12
     f = float(value)
@@ -498,18 +524,30 @@ def _format_cell(value: float) -> str:
     return repr(f)
 
 
+def _format_column(values: tuple[float, ...]) -> list[str]:
+    """The column's cells, each distinct value formatted once."""
+    distinct = set(values)
+    if len(distinct) == len(values):
+        return list(map(_format_cell, values))
+    formatted = {value: _format_cell(value) for value in distinct}
+    return list(map(formatted.__getitem__, values))
+
+
 def render_csv(table: SweepTable, cfg: SimulationConfig) -> str:
     """Render rows as CSV with a '#'-prefixed resolved-config header block.
 
     The header records scenario plus every resolved parameter, so the
     file regenerates itself; formatting is fixed (repr floats, '\\n'
-    newlines) to keep repeated runs byte-identical.
+    newlines) to keep repeated runs byte-identical.  Cells are formatted
+    in blocks of _CSV_BLOCK_ROWS rows, column by column, each distinct
+    value of a block's column once: equal values format alike (0.0 and
+    -0.0 both as "0").
     """
-    buf = io.StringIO()
-    buf.write(f"# scenario = {table.scenario}\n")
-    for section, key, value in resolved_items(cfg):
-        buf.write(f"# {section}.{key} = {value}\n")
-    buf.write(",".join(table.columns) + "\n")
-    for row in table.rows:
-        buf.write(",".join(map(_format_cell, row)) + "\n")
-    return buf.getvalue()
+    lines = [f"# scenario = {table.scenario}"]
+    lines += [f"# {section}.{key} = {value}" for section, key, value in resolved_items(cfg)]
+    lines.append(",".join(table.columns))
+    rows = table.rows
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        cells = [_format_column(column) for column in zip(*rows[start : start + _CSV_BLOCK_ROWS])]
+        lines += map(",".join, zip(*cells))
+    return "\n".join(lines) + "\n"

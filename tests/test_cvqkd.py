@@ -14,10 +14,8 @@ from qlinksim.cvqkd import (
     PhaseEncodingNoise,
     ThermalLossChannel,
     _detection_noise,
-    aep_correction,
     composable_key_rate,
     holevo_bound,
-    theta_correction,
 )
 from qlinksim.mathfn import NU_CLAMP_TOL, ber_to_snr_amplitude
 from qlinksim.record import RateResult
@@ -56,7 +54,7 @@ def test_params_validation():
     for eps_sec in (1e-100, 1e-78):
         with pytest.raises(ValueError, match=f"finite: eps_sec={eps_sec!r}, p_ec=0.9"):
             CvProtocolParams(eps_sec=eps_sec)
-    assert math.isfinite(aep_correction(CvProtocolParams(eps_sec=1e-76)))
+    assert math.isfinite(CvProtocolParams(eps_sec=1e-76).aep_correction)
     with pytest.raises(ValueError):
         CvProtocolParams(d_bits=0)
     with pytest.raises(ValueError):
@@ -282,14 +280,14 @@ def test_holevo_grows_with_thermal_occupancy():
 
 
 def test_finite_size_correction_values():
-    assert aep_correction(PARAMS) == pytest.approx(
+    assert PARAMS.aep_correction == pytest.approx(
         4.0
         * math.log2(2.0**2.5 + 2.0)
         * math.sqrt(math.log2(18.0 / (0.9**2 * 1e-40))),
         rel=1e-12, abs=0.0,
     )
-    assert aep_correction(PARAMS) == pytest.approx(137.67124315011603, rel=1e-12, abs=0.0)
-    assert theta_correction(PARAMS) == pytest.approx(-65.5905649911923, rel=1e-12, abs=0.0)
+    assert PARAMS.aep_correction == pytest.approx(137.67124315011603, rel=1e-12, abs=0.0)
+    assert PARAMS.theta_correction == pytest.approx(-65.5905649911923, rel=1e-12, abs=0.0)
 
 
 def test_dead_channel_short_circuits():
@@ -331,8 +329,8 @@ def test_finite_block_reference_point():
     expected = 0.9 * 0.5 * (
         PARAMS.beta * result.diagnostics.i_ab
         - result.diagnostics.chi_e
-        - aep_correction(PARAMS) / math.sqrt(n_key)
-        - theta_correction(PARAMS) / n_key
+        - PARAMS.aep_correction / math.sqrt(n_key)
+        - PARAMS.theta_correction / n_key
     )
     assert result.key_rate == pytest.approx(expected, rel=1e-12, abs=0.0)
 

@@ -371,7 +371,7 @@ def test_channel_params_at_altitude_matches_components():
 def test_at_altitude_evaluates_the_range_law():
     # the law altitude_at inverts is the one at_altitude evaluates, to the last bit
     for params, altitude_km in _random_channels(20261020, 200):
-        a, b, eta_ext = params._range_law()
+        a, b, eta_ext = params._range_law
         z_m = slant_range(altitude_km, params.zenith_deg) * 1e3
         w_sq = a + b * (z_m * z_m)
         out = params.at_altitude(altitude_km)
@@ -447,7 +447,7 @@ def test_altitude_at_rejects_transmissivities_no_altitude_gives():
 def test_altitude_at_is_the_highest_altitude_that_passes_eta():
     rng = random.Random(20261021)
     for params, altitude_km in _random_channels(20261021, 200):
-        eta_ext = params._range_law()[2]
+        eta_ext = params._range_law[2]
         above = [eta_ext, math.nextafter(eta_ext, 1.0), 0.5 * (eta_ext + 1.0), 1.0]
         for eta in above:
             assert params.altitude_at(eta) == 0.0, (params, eta)

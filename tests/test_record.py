@@ -8,7 +8,7 @@ import math
 import pytest
 
 from qlinksim import atmosphere, config, cvqkd, dvqkd, fso, sweeps
-from qlinksim.record import RateResult, Record
+from qlinksim.record import RateResult, Record, derived
 
 _DV_DIAG = dvqkd.DvDiagnostics(q_mu=0.1, e_mu=0.02, y1_lower=0.3, e1_upper=0.04)
 _DV_RATE = RateResult(1e-5, 1e-3, _DV_DIAG)
@@ -122,3 +122,72 @@ def test_key_rate_is_the_signed_rate_clamped_at_0_for_both_protocols(tau, block_
     for res in results:
         assert type(res) is RateResult
         assert res.key_rate.hex() == max(res.signed_rate, 0.0).hex()
+
+
+def _derived_names(cls: type) -> list[str]:
+    return [name for name, member in vars(cls).items() if isinstance(member, derived)]
+
+
+def _with_derived_read(cls: type):
+    """A record of cls with every derived value read, and a fresh twin."""
+    make = (lambda: cls(1e10)) if cls is dvqkd.FiniteSizeConfig else cls
+    record = make()
+    for name in _derived_names(cls):
+        getattr(record, name)
+    return record, make()
+
+
+def test_derived_values_do_not_count_in_record_identity():
+    classes = {cls for cls in Record.__subclasses__() if _derived_names(cls)}
+    assert classes == {
+        fso.FsoChannelParams, dvqkd.DecoyProtocolParams, dvqkd.FiniteSizeConfig, cvqkd.CvProtocolParams
+    }
+    for cls in classes:
+        record, fresh = _with_derived_read(cls)
+        names = _derived_names(cls)
+        assert set(names) <= set(vars(record))
+        assert set(names).isdisjoint(cls._fields)
+        assert record == fresh and hash(record) == hash(fresh)
+        assert repr(record) == repr(fresh) and record._values() == fresh._values()
+        assert {fresh: cls.__name__}[record] == cls.__name__
+        # a replaced record computes its derived values afresh, to the same values
+        copy = record.replace()
+        assert copy == fresh
+        for name in names:
+            assert getattr(copy, name) == getattr(record, name), (cls.__name__, name)
+        with pytest.raises(AttributeError):
+            setattr(record, names[0], 0.0)
+    # whole configs stay dict keys after a run has read every derived value
+    cfg = config.load_config()
+    for protocol in ("dv", "cv"):
+        sweeps.max_secure_altitude(protocol, 1e10, cfg)
+    assert {config.load_config(): 1}[cfg] == 1
+
+
+def test_a_replaced_record_gives_the_rate_of_a_freshly_built_one():
+    cfg = config.load_config()
+    tau = cfg.channel.at_altitude(400.0).transmissivity
+    ch = cvqkd.ThermalLossChannel(tau, cfg.cv.n_bg)
+    fs = dvqkd.FiniteSizeConfig(1e10)
+
+    def cv_rate(p):
+        return cvqkd.composable_key_rate(ch, p, cfg.cv_noise, block_size_n=1e10)
+
+    def dv_rate(params, finite):
+        return dvqkd.finite_key_rate(tau * params.eta_receiver, params, finite)
+
+    # the rates at the defaults read every derived value of cfg.cv, cfg.dv and fs
+    cv_default, dv_default = cv_rate(cfg.cv), dv_rate(cfg.dv, fs)
+    for changes in ({"ber_target": 1e-4}, {"eps_sec": 1e-12}, {"p_ec": 0.8, "d_bits": 3},
+                    {"v_el": 0.05, "eta_det": 0.6}):
+        got = cv_rate(cfg.cv.replace(**changes))
+        assert got == cv_rate(cvqkd.CvProtocolParams(**changes)) and got != cv_default, changes
+    for changes in ({"epsilon": 1e-12}, {"p_mu": 0.6}):
+        got = dv_rate(cfg.dv, fs.replace(**changes))
+        assert got == dv_rate(cfg.dv, dvqkd.FiniteSizeConfig(1e10, **changes)) and got != dv_default
+    for changes in ({"mu": 0.5}, {"nu": 0.1}, {"y0_dark": 1e-5}):
+        got = dv_rate(cfg.dv.replace(**changes), fs)
+        assert got == dv_rate(dvqkd.DecoyProtocolParams(**changes), fs) and got != dv_default
+    channel = cfg.channel.replace(jitter_urad=2.0)
+    assert channel.at_altitude(400.0) == fso.FsoChannelParams(jitter_urad=2.0).at_altitude(400.0)
+    assert channel.at_altitude(400.0).transmissivity != tau
