@@ -81,8 +81,11 @@ def rate_layers():
     residual = cvqkd._detection_noise(ch, cfg.cv, cfg.cv_noise)[3]
     fig2, fig3 = load_config("configs/fig2_dv_rates.ini"), load_config("configs/fig3_cv_rates.ini")
     table2 = sweeps.dv_sweep(fig2)
+    # the default 1e9 DV threshold, whose closed-form altitude the inverse corrects
+    eta = sweeps.max_secure_altitude("dv", 1e9, cfg).threshold
     return {
         "fso.at_altitude": (1000, lambda: cfg.channel.at_altitude(500.0)),
+        "fso.altitude_at": (1000, lambda: cfg.channel.altitude_at(eta)),
         "dvqkd.finite_key_rate": (
             1000, lambda: dvqkd.finite_key_rate(tau * cfg.dv.eta_receiver, cfg.dv, fs)),
         "cvqkd.composable_key_rate": (
@@ -130,6 +133,7 @@ print(json.dumps(out))
 '''
 LAYERS = (
     "fso.at_altitude",
+    "fso.altitude_at",
     "dvqkd.finite_key_rate",
     "cvqkd.composable_key_rate",
     "cvqkd.holevo_bound",

@@ -22,6 +22,9 @@ MAX_ZENITH_DEG = 80.0
 # fields the channel formulas square, and the bound that keeps each square finite
 _SQUARED_FIELDS = ("wavelength_nm", "w0_m", "aperture_m", "hv_wind", "jitter_urad")
 _SQUARE_LIMIT = math.sqrt(sys.float_info.max)
+# the smallest 2 a^2 / w^2 at which the evaluated collection, -expm1(-x), is
+# 1: from there exp(-x) is under half an ulp of 1
+_SATURATED_X = 54.0 * math.log(2.0)
 
 
 def slant_range(altitude_km: float, zenith_deg: float) -> float:
@@ -152,34 +155,42 @@ class FsoChannelParams(Record):
         the long-term beam radius is
         w_LT^2 = w_d^2(z) + 2 (lambda z / (pi rho_0))^2 + (z sigma_jitter)^2,
         with w_d the vacuum Gaussian-beam radius at range z.  The aperture
-        collects 1 - exp(-2 a^2 / w_LT^2) of the beam, and extinction
-        follows the airmass law tau_zenith ** sec(zeta).  All of it is
-        evaluated through _range_law's w_LT^2 = A + B z^2, the law that
-        altitude_at inverts; a beam radius that is not representable
-        raises ValueError.
+        collects 1 - exp(-2 a^2 / w_LT^2) of the beam, formed as
+        -expm1(-2 a^2 / w_LT^2) so that no digit cancels in the far field,
+        and extinction follows the airmass law tau_zenith ** sec(zeta).
+        All of it is evaluated by _law_at, through _range_law's
+        w_LT^2 = A + B z^2, the law whose reads altitude_at checks its
+        answer with; a beam radius that is not representable raises
+        ValueError.
         """
         if not altitude_km > 0.0:
             raise ValueError(f"altitude must be > 0 km: {altitude_km!r}")
         try:
-            return self._at_altitude(altitude_km)
+            z_km, w_sq, collection = self._law_at(altitude_km)
+            if not math.isfinite(w_sq):
+                raise OverflowError(f"long-term beam radius squared is not finite: {w_sq!r}")
         except ArithmeticError as exc:  # OverflowError, ZeroDivisionError
             raise ValueError(
                 f"channel leaves floating-point range at altitude_km={altitude_km!r}: {self!r}"
             ) from exc
-
-    def _at_altitude(self, altitude_km: float) -> ChannelOutput:
-        z_km = slant_range(altitude_km, self.zenith_deg)
-        z_m = z_km * 1e3
-        a, b, eta_ext = self._range_law
-        w_sq = a + b * (z_m * z_m)
-        if not math.isfinite(w_sq):
-            raise OverflowError(f"long-term beam radius squared is not finite: {w_sq!r}")
         return ChannelOutput(
-            geometric_collection=1.0 - math.exp(-2.0 * self.aperture_m**2 / w_sq),
-            extinction=eta_ext,
+            geometric_collection=collection,
+            extinction=self._range_law[2],
             slant_range_km=z_km,
             long_term_beam_radius_m=math.sqrt(w_sq),
         )
+
+    def _law_at(self, altitude_km: float) -> tuple[float, float, float]:
+        """(slant range in km, w_LT^2 in m^2, collected fraction) at altitude_km.
+
+        The collected fraction times the extinction, _range_law[2], is the
+        transmissivity, as ChannelOutput forms it.
+        """
+        z_km = slant_range(altitude_km, self.zenith_deg)
+        z_m = z_km * 1e3
+        a, b, _ = self._range_law
+        w_sq = a + b * (z_m * z_m)
+        return z_km, w_sq, -math.expm1(-2.0 * self.aperture_m**2 / w_sq)
 
     @derived
     def _range_law(self) -> tuple[float, float, float]:
@@ -208,22 +219,37 @@ class FsoChannelParams(Record):
     def altitude_at(self, transmissivity: float) -> float:
         """The highest altitude in km that passes at least this transmissivity.
 
-        The closed-form inverse of at_altitude, total on (0, 1]: with eta_ext
-        the extinction, w*^2 = -2 a^2 / log1p(-eta / eta_ext),
+        Passing means at_altitude(h).transmissivity >= eta, rounding
+        included.  Total on (0, 1]: 0.0 where no altitude passes eta (above
+        eta_ext, the extinction, or the zero-range value), inf where every
+        one does.  ValueError for eta outside (0, 1], and for a channel
+        whose law leaves floating-point range.
+
+        The closed form inverts the exact law: x* = -log1p(-eta / eta_ext)
+        is the 2 a^2 / w^2 that collects eta / eta_ext, w*^2 = 2 a^2 / x*,
         z*^2 = (w*^2 - A) / B (see _range_law), and h* = q / (sqrt(q + R^2) + R)
         with q = z*^2 + 2 z* R cos(zeta), sqrt(q + R^2) - R without its
-        cancellation.  0.0 where no altitude passes eta (at or above eta_ext
-        or the zero-range value), inf where every one does (z* = inf makes
-        h* inf / inf).  ValueError for eta outside (0, 1], and for a channel
-        whose law leaves floating-point range.
+        cancellation; z* = inf makes h* inf / inf.  The evaluated collection
+        is exactly 1 from x = 54 ln 2 up, so eta = eta_ext maps to that x.
+        An h* that rounding leaves short of eta is corrected down by reads
+        of the evaluated law (_law_at): steps of 1, 2, 4, ... ulps to an
+        altitude that passes, then bisection to the float above which the
+        law stops passing.  The steps end within 54 reads, the bisection
+        within 54 more while the answer lies above h* / 2; the default
+        ceilings take 1-9 reads in all.  An h* that passes is returned as
+        it is: within 1e-9 km of the highest that passes while the
+        collection stays under 1 - 1e-4, and possibly far below it closer
+        to 1, where eta hardly resolves the altitude.
         """
         if not 0.0 < transmissivity <= 1.0:
             raise ValueError(f"transmissivity must lie in (0, 1]: {transmissivity!r}")
         try:
             a, b, eta_ext = self._range_law
-            if transmissivity >= eta_ext:
+            if transmissivity > eta_ext:
                 return 0.0
-            w_sq = -2.0 * self.aperture_m**2 / math.log1p(-transmissivity / eta_ext)
+            ratio = transmissivity / eta_ext
+            x = -math.log1p(-ratio) if ratio < 1.0 else _SATURATED_X
+            w_sq = 2.0 * self.aperture_m**2 / x
             z_m_sq = (w_sq - a) / b
         except ArithmeticError as exc:  # OverflowError, ZeroDivisionError
             raise ValueError(
@@ -235,4 +261,25 @@ class FsoChannelParams(Record):
         r = EARTH_RADIUS_KM
         q = z_km * z_km + 2.0 * z_km * r * math.cos(math.radians(self.zenith_deg))
         altitude_km = q / (math.sqrt(q + r * r) + r)
-        return altitude_km if math.isfinite(altitude_km) else math.inf
+        if not math.isfinite(altitude_km):
+            return math.inf
+
+        def passes(h: float) -> bool:
+            return self._law_at(h)[2] * eta_ext >= transmissivity
+
+        if passes(altitude_km):
+            return altitude_km
+        # gallop down to an altitude that passes, keeping the last one that did not
+        step = math.ulp(altitude_km)
+        hi, lo = altitude_km, altitude_km - step
+        while not passes(lo):
+            if lo == 0.0:
+                return 0.0
+            hi, step = lo, 2.0 * step
+            lo = max(altitude_km - step, 0.0)
+        # bisect: lo passes, hi does not
+        while True:
+            mid = lo + 0.5 * (hi - lo)
+            if mid in (lo, hi):
+                return lo
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)

@@ -12,11 +12,12 @@ way to a ceiling, works in two steps: _solve_threshold finds the smallest
 tau with a positive key rate, the secure threshold tau*, on a fixed lattice
 in ln(tau) by Anderson-Bjorck secant steps on the signed rate, using the
 protocol records alone, and FsoChannelParams.altitude_at maps tau* to the
-highest altitude that passes it, in closed form, which is clamped into the
-altitude bracket and decides alone whether the ceiling is the floor,
-unbounded or inside.  The result carries tau*, so that a caller can
-hand it to the next ceiling with the same protocol records and skip the
-solve, or, as near, to a ceiling with other records to seed its solve.
+highest altitude whose evaluated transmissivity is at least tau*, which is
+clamped into the altitude bracket and decides alone whether the ceiling is
+the floor, unbounded or inside; the rate is probed there once.  The result
+carries tau*, so that a caller can hand it to the next ceiling with the
+same protocol records and skip the solve, or, as near, to a ceiling with
+other records to seed its solve.
 """
 
 from __future__ import annotations
@@ -90,9 +91,6 @@ _FLOOR_K = int(_THRESHOLD_FLOOR_LN) * _LATTICE_PER_LN
 # secant steps in a row that may leave the threshold bracket wider than
 # half its width before them; the next step bisects
 _STALE_STEPS = 4
-# steps of one ulp down from the closed-form ceiling before giving up; it
-# lies a rounding error from a transmissivity with a positive rate
-_CEILING_STEPS = 64
 
 # the map from tau to a protocol's rate result at that transmissivity
 RateOfTau = Callable[[float], RateResult]
@@ -121,10 +119,11 @@ class SecureAltitudeResult(Record):
     """Highest altitude with a positive key rate.
 
     threshold is the secure threshold tau* the altitude was placed from,
-    solved or handed in; rate is the record.RateResult probed at that
-    altitude, so rate.key_rate and rate.throughput are the key and the
-    classical bits per use at the ceiling; iterations counts the rate
-    probes the call made.
+    solved or handed in, and the channel passes at least tau* at the
+    altitude; rate is the record.RateResult of the one probe made there,
+    so rate.key_rate and rate.throughput are the key and the classical
+    bits per use at the ceiling; iterations counts the rate probes the
+    call made, that one included.
     """
 
     max_secure_altitude_km: float
@@ -404,20 +403,19 @@ def max_secure_altitude(
     it from, such as the threshold of a neighbouring block size: 6-8
     probes at the default ladders, with the same tau* as without it.  The
     channel alone places tau*: FsoChannelParams.altitude_at(tau*), the
-    highest altitude that passes tau* (0 where none does, inf where every
-    one does), clamped into the bracket, and the rate is probed there.
-    At 2000 km the ceiling is unbounded, probed once; at 100 km it is the
-    floor, probed once, raising InfeasibleScenario if the rate is
-    non-positive; inside, it lies within half a metre below the exact
-    crossing (16-41 cm at the default ladders), and up to _CEILING_STEPS
-    one-ulp steps down are probed until the rate is positive, a step that
-    reaches 100 km ending as the floor does.  The channel is evaluated at
-    the probed altitudes alone.  A threshold at or below the solve's
-    floor, tau = e^-512, is a rate that stays positive down there:
-    unbounded when the channel passes it at 2000 km, a ValueError
-    otherwise.  InfeasibleScenario is also raised when even tau = 1 gives
-    no key.  iterations counts the rate probes this call made, the
-    threshold's included.
+    highest altitude whose evaluated transmissivity is at least tau* (0
+    where none does, inf where every one does), clamped into the bracket.
+    The rate is probed there, once, and the channel is read there alone.
+    At 2000 km the ceiling is unbounded; at 100 km it is the floor, and a
+    non-positive rate raises InfeasibleScenario; inside, it lies within
+    half a metre below the exact crossing (16-41 cm at the default
+    ladders).  A non-positive rate at 2000 km or inside, where the channel
+    passes tau*, raises ValueError: tau* is not this protocol's threshold.
+    A threshold at or below the solve's floor, tau = e^-512, is a rate
+    that stays positive down there: unbounded when the channel passes it
+    at 2000 km, a ValueError otherwise.  InfeasibleScenario is also raised
+    when even tau = 1 gives no key.  iterations counts the rate probes
+    this call made, the threshold's included.
     """
     rate_of = _rate_of_tau(protocol, block_n, cfg)
     lo, hi = ALTITUDE_BRACKET_KM
@@ -432,21 +430,17 @@ def max_secure_altitude(
         raise ValueError(
             f"{protocol} rate stays positive down to tau={threshold!r} (block_size={block_n!r})"
         )
-    steps = _CEILING_STEPS if lo < altitude < hi else 1
-    for _ in range(steps):
-        rate = _rate_at_altitude("max-altitude", rate_of, altitude, block_n, cfg)[1]
-        probes += 1
-        if rate.key_rate > 0.0:
-            return SecureAltitudeResult(altitude, threshold, rate, probes, unbounded)
-        if altitude == lo:  # the floor, placed there or reached by the steps down
-            raise InfeasibleScenario(
-                f"{protocol} rate is non-positive at the {lo:.0f} km bracket "
-                f"(block_size={block_n:g})"
-            )
-        altitude = math.nextafter(altitude, lo)
+    rate = _rate_at_altitude("max-altitude", rate_of, altitude, block_n, cfg)[1]
+    if rate.key_rate > 0.0:
+        return SecureAltitudeResult(altitude, threshold, rate, probes + 1, unbounded)
+    if altitude == lo:
+        raise InfeasibleScenario(
+            f"{protocol} rate is non-positive at the {lo:.0f} km bracket "
+            f"(block_size={block_n:g})"
+        )
     raise ValueError(
-        f"{protocol} rate is non-positive at every altitude probed ({steps}) where the "
-        f"channel passes tau={threshold!r} or more (block_size={block_n!r}); "
+        f"{protocol} rate is non-positive at altitude_km={altitude!r}, where the channel "
+        f"passes tau={threshold!r} or more (block_size={block_n!r}); "
         "is it this protocol's threshold?"
     )
 

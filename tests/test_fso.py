@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -320,7 +321,7 @@ def _layered_at_altitude(p: FsoChannelParams, altitude_km: float) -> tuple[float
     w_jit_sq = (z_m * p.jitter_urad * 1e-6) ** 2
     w_lt = math.sqrt(w_diff_sq + w_turb_sq + w_jit_sq)
     # collection and extinction
-    eta_geo = 1.0 - math.exp(-2.0 * p.aperture_m**2 / (w_lt * w_lt))
+    eta_geo = -math.expm1(-2.0 * p.aperture_m**2 / (w_lt * w_lt))
     eta_ext = p.tau_zenith ** (1.0 / math.cos(math.radians(p.zenith_deg)))
     return eta_geo * eta_ext, eta_geo, eta_ext, z_km, w_lt
 
@@ -377,8 +378,31 @@ def test_at_altitude_evaluates_the_range_law():
         out = params.at_altitude(altitude_km)
         assert out.long_term_beam_radius_m == math.sqrt(w_sq), (params, altitude_km)
         assert out.extinction == eta_ext
-        eta_geo = 1.0 - math.exp(-2.0 * params.aperture_m**2 / w_sq)
+        eta_geo = -math.expm1(-2.0 * params.aperture_m**2 / w_sq)
         assert out.transmissivity == eta_geo * eta_ext, (params, altitude_km)
+
+
+# far-field channels: at 1343 km the first collects 1.6e-6 of the beam
+FAR_FIELD = (
+    (FsoChannelParams(aperture_m=0.109, w0_m=0.0118, wavelength_nm=1320.0), 1343.0),
+    (FsoChannelParams(aperture_m=0.01, w0_m=0.01, wavelength_nm=2000.0, jitter_urad=10.0), 2000.0),
+)
+
+
+def test_collection_keeps_its_digits_in_the_far_field():
+    # against 1 - exp(-x) at 60 digits, from the same x = 2 a^2 / w_LT^2; the
+    # float form 1 - exp(-x) loses about log10(1/x) digits here
+    channels = [*FAR_FIELD, *_random_channels(20261022, 200)]
+    smallest = 1.0
+    for params, altitude_km in channels:
+        _, w_sq, collection = params._law_at(altitude_km)
+        x = 2.0 * params.aperture_m**2 / w_sq
+        with mpmath.workdps(60):
+            exact = -mpmath.expm1(-mpmath.mpf(x))
+            assert abs(collection - exact) <= 2.0**-52 * exact, (params, altitude_km)
+        assert params.at_altitude(altitude_km).geometric_collection == collection
+        smallest = min(smallest, collection)
+    assert smallest < 1e-7
 
 
 def test_channel_params_validation():
@@ -422,7 +446,9 @@ def test_transmissivity_default_operating_point_magnitude():
 
 
 @pytest.mark.parametrize(
-    "params", [FsoChannelParams(zenith_deg=0.0), PARAMS, NO_JITTER], ids=["zenith0", "zenith80", "jitter0"]
+    "params",
+    [FsoChannelParams(zenith_deg=0.0), PARAMS, NO_JITTER, *(p for p, _ in FAR_FIELD)],
+    ids=["zenith0", "zenith80", "jitter0", "far-field", "far-field-narrow"],
 )
 def test_altitude_at_inverts_at_altitude(params):
     for i in range(191):
@@ -436,37 +462,81 @@ def test_altitude_at_rejects_transmissivities_no_altitude_gives():
     for bad in (0.0, -0.1, 1.5, math.nan):
         with pytest.raises(ValueError, match=r"transmissivity must lie in \(0, 1\]"):
             PARAMS.altitude_at(bad)
-    # no altitude passes the extinction, 1, or just below the extinction
-    # (more than the beam delivers at zero range)
+    # no altitude passes the extinction (the default beam never fills the
+    # aperture), 1, or just below the extinction (more than the beam
+    # delivers at zero range)
     for eta in (eta_ext, 1.0, math.nextafter(eta_ext, 0.0)):
         assert PARAMS.altitude_at(eta) == 0.0, eta
     # every altitude passes the smallest subnormal
     assert PARAMS.altitude_at(5e-324) == math.inf
 
 
-def test_altitude_at_is_the_highest_altitude_that_passes_eta():
+def test_altitude_at_is_the_highest_altitude_that_passes_eta(monkeypatch):
     rng = random.Random(20261021)
+    reads = []
+    real = FsoChannelParams._law_at
+
+    def counted(self, altitude_km):
+        reads.append(altitude_km)
+        return real(self, altitude_km)
+
+    monkeypatch.setattr(FsoChannelParams, "_law_at", counted)
+    most_reads = 0
     for params, altitude_km in _random_channels(20261021, 200):
         eta_ext = params._range_law[2]
-        above = [eta_ext, math.nextafter(eta_ext, 1.0), 0.5 * (eta_ext + 1.0), 1.0]
+        above = [math.nextafter(eta_ext, 1.0), 0.5 * (eta_ext + 1.0), 1.0]
         for eta in above:
             assert params.altitude_at(eta) == 0.0, (params, eta)
-        # log-uniform over (5e-324, 1], with the extinction and its neighbours
+        # log-uniform over (5e-324, 1], with the extinction, its neighbours and
+        # taus (1 - 10^-u) of it for u up to 16, where the collection saturates
         etas = sorted(
-            [5e-324, math.nextafter(eta_ext, 0.0)]
+            [5e-324, eta_ext, math.nextafter(eta_ext, 0.0)]
             + [math.exp(-744.0 * rng.random()) for _ in range(40)]
+            + [eta_ext * (1.0 - 10.0 ** -rng.uniform(0.0, 16.0)) for _ in range(10)]
             + above
         )
-        altitudes = [params.altitude_at(eta) for eta in etas]
+        altitudes = []
+        for eta in etas:
+            reads.clear()
+            altitude = params.altitude_at(eta)
+            altitudes.append(altitude)
+            corrected = len(reads) > 1
+            most_reads = max(most_reads, len(reads))
+            if 0.0 < altitude < math.inf:
+                # the altitude passes eta, as at_altitude evaluates it; a
+                # corrected one is the last float down from the closed form that does
+                assert params.at_altitude(altitude).transmissivity >= eta, (params, eta)
+                if corrected:
+                    up = math.nextafter(altitude, math.inf)
+                    assert params.at_altitude(up).transmissivity < eta, (params, eta)
         assert altitudes == sorted(altitudes, reverse=True), params
-        # the inverse, where the collected fraction resolves the altitude: neither
-        # saturated at 1 nor lost to the cancellation in 1 - exp(-x) at small x
+        # the inverse, down into the far field: everywhere but where the
+        # collected fraction is so close to 1 that tau no longer resolves the altitude
         out = params.at_altitude(altitude_km)
-        if 1e-4 <= out.geometric_collection <= 1.0 - 1e-4:
+        if out.geometric_collection <= 1.0 - 1e-4:
             assert abs(params.altitude_at(out.transmissivity) - altitude_km) <= 1e-9, (
                 params,
                 altitude_km,
             )
+    # the closed form and its correction: a bounded number of reads of the law
+    assert 1 < most_reads <= 64
+
+
+def test_the_extinction_maps_to_where_the_collection_saturates():
+    # a 4.98 m aperture collects all of a 425 nm beam, to rounding, up to
+    # 2749 km: the channel passes its extinction exactly up to there
+    params = FsoChannelParams(
+        aperture_m=4.98, w0_m=0.338, wavelength_nm=425.0, zenith_deg=0.0,
+        tau_zenith=0.8399253004912931, jitter_urad=0.0,
+    )
+    eta_ext = params._range_law[2]
+    altitude = params.altitude_at(eta_ext)
+    assert 2748.0 < altitude < 2749.0
+    assert params.at_altitude(altitude).transmissivity == eta_ext
+    assert params.at_altitude(math.nextafter(altitude, math.inf)).transmissivity < eta_ext
+    # where 2 a^2 / w_LT^2 falls to 54 ln 2
+    _, w_sq, _ = params._law_at(altitude)
+    assert math.isclose(2.0 * params.aperture_m**2 / w_sq, 54.0 * math.log(2.0), rel_tol=1e-12)
 
 
 def test_out_of_range_channel_values_raise_value_error():
@@ -480,7 +550,8 @@ def test_out_of_range_channel_values_raise_value_error():
             params.at_altitude(altitude_km)
         assert isinstance(info.value.__cause__, ArithmeticError)
     # rejected exactly when the beam radius is not representable: at w0 = 1e-150
-    # the law gives w_LT^2 ~ 1.9e299 at 500 km, a finite radius that collects nothing
+    # the law gives w_LT^2 ~ 1.9e299 at 500 km, a finite radius that collects
+    # 2 a^2 / w_LT^2 ~ 5e-300 of the beam
     out = FsoChannelParams(w0_m=1e-150).at_altitude(500.0)
     assert math.isfinite(out.long_term_beam_radius_m)
-    assert out.transmissivity == 0.0
+    assert 0.0 < out.transmissivity < 1e-299

@@ -533,31 +533,6 @@ def test_a_threshold_next_to_a_bracket_end_gives_a_ceiling_inside_the_bracket(pr
     assert {lo, hi} <= ceilings
 
 
-def test_steps_down_that_reach_the_floor_end_as_the_floor_does(monkeypatch):
-    from qlinksim import sweeps
-
-    # a threshold whose closed-form altitude lies just above 100 km, on a
-    # channel with no key there: the steps down reach 100 km, probe it once
-    # and raise as the floor does
-    cfg = load_config(overrides=["channel.jitter_urad=50"])
-    lo = ALTITUDE_BRACKET_KM[0]
-    threshold = cfg.channel.at_altitude(lo).transmissivity
-    while not cfg.channel.altitude_at(threshold) > lo:
-        threshold = math.nextafter(threshold, 0.0)
-    probed = []
-    real = sweeps._rate_at_altitude
-
-    def counted(scenario, rate_of, altitude_km, block_n, c):
-        probed.append(altitude_km)
-        return real(scenario, rate_of, altitude_km, block_n, c)
-
-    monkeypatch.setattr(sweeps, "_rate_at_altitude", counted)
-    with pytest.raises(InfeasibleScenario, match="non-positive at the 100 km bracket"):
-        max_secure_altitude("cv", 1e9, cfg, threshold)
-    assert probed[0] > lo and probed[-1] == lo
-    assert probed == sorted(set(probed), reverse=True)
-
-
 @pytest.mark.parametrize("protocol", ["dv", "cv"])
 def test_each_ceiling_exit_probes_the_rate_once(protocol, monkeypatch):
     from qlinksim import sweeps
@@ -633,14 +608,55 @@ def test_the_channel_is_read_at_the_bracket_ends_only_next_to_them(monkeypatch):
     assert altitudes == [lo]
 
 
-def test_a_threshold_below_the_protocols_is_rejected():
+def test_a_threshold_below_the_protocols_is_rejected(monkeypatch):
+    from qlinksim import sweeps
+
     cfg = load_config()
     eta = max_secure_altitude("dv", 1e9, cfg).threshold
-    # the closed-form altitude of half the threshold, and the 2000 km top
-    # for a threshold the channel passes even there
-    for threshold, probes in ((0.5 * eta, 64), (1e-12, 1)):
-        with pytest.raises(ValueError, match=rf"every altitude probed \({probes}\)"):
+    probed = []
+    real = sweeps._rate_at_altitude
+
+    def counted(scenario, rate_of, altitude_km, block_n, c):
+        probed.append(altitude_km)
+        return real(scenario, rate_of, altitude_km, block_n, c)
+
+    monkeypatch.setattr(sweeps, "_rate_at_altitude", counted)
+    # the altitude of half the threshold, inside the bracket, and the 2000 km
+    # top for a threshold the channel passes even there: one probe each, and
+    # the message names the altitude and the threshold
+    for threshold, altitude in ((0.5 * eta, cfg.channel.altitude_at(0.5 * eta)), (1e-12, 2000.0)):
+        probed.clear()
+        message = (
+            f"dv rate is non-positive at altitude_km={altitude!r}, where the channel "
+            f"passes tau={threshold!r} or more (block_size=1000000000.0); "
+            "is it this protocol's threshold?"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             max_secure_altitude("dv", 1e9, cfg, threshold)
+        assert probed == [altitude]
+
+
+@pytest.mark.parametrize("protocol", ["dv", "cv"])
+@pytest.mark.parametrize("jitter, saturation_km", [("0", 2748.78), ("0.5", 1717.78)])
+def test_a_channel_that_collects_the_whole_beam_passes_its_extinction(
+    protocol, jitter, saturation_km
+):
+    # a 4.98 m aperture collects all of a 425 nm beam, to rounding, up to the
+    # altitude where 2 a^2 / w_LT^2 falls to 54 ln 2: a threshold equal to the
+    # extinction gives that altitude, clamped to 2000 km, not the 100 km floor
+    cfg = load_config(overrides=[
+        "channel.aperture_m=4.98", "channel.w0_m=0.338", "channel.wavelength_nm=425",
+        "channel.zenith_deg=0", "channel.tau_zenith=0.8399253004912931",
+        f"channel.jitter_urad={jitter}",
+    ])
+    eta_ext = cfg.channel.at_altitude(100.0).extinction
+    saturation = cfg.channel.altitude_at(eta_ext)
+    assert saturation == pytest.approx(saturation_km, abs=0.01)
+    ceiling = min(saturation, ALTITUDE_BRACKET_KM[1])
+    res = max_secure_altitude(protocol, 1e9, cfg, eta_ext)
+    assert (res.max_secure_altitude_km, res.iterations) == (ceiling, 1)
+    assert res.unbounded == (ceiling == ALTITUDE_BRACKET_KM[1])
+    assert cfg.channel.at_altitude(ceiling).transmissivity == eta_ext
 
 
 NOISELESS_DV = ["dv.y0_stray=0", "dv.y0_dark=0", "dv.e_mis=0", "sweep.block_sizes=inf"]
