@@ -17,12 +17,14 @@ process.  The file holds four sections:
   lower.  Then one `--trace 1` run per tree, on the first seed, gives the
   per-layer counts and times of perfbench's spans (calls, busy and self
   time, probes, bytes), the medians over its rounds.
-* cli: every scenario's command line as a subprocess, the min and median
-  wall time over --cli-runs runs per tree, alternating; `floor` is
-  `python3 -c pass`, the interpreter start that no change to the package
-  can remove.
+* cli: every scenario's command line as a subprocess, plus the
+  many-slant atmos-grid of 2000 slants: the min and median wall time and
+  the median peak RSS over --cli-runs runs per tree, alternating; `floor`
+  is `python3 -c pass`, the interpreter start that no change to the
+  package can remove.
 * layers: in-process times per call of the rate, channel, attenuation and
-  sweep layers, best of --layer-repeats batches, and their median.
+  sweep layers, best of --layer-repeats batches, and their median; each
+  batch runs in a child of its own, the trees alternating.
 * metadata: CPU count and model, Python and numpy versions, the SIMD
   features numpy dispatches to, the commit this tree was checked out at
   and whether its tracked files have uncommitted edits.
@@ -44,6 +46,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -60,6 +63,12 @@ CLI = {
     "max-altitude.cv": ["-m", "qlinksim", "max-altitude", "--override", "sweep.protocol=cv"],
     "atmos-grid": ["-m", "qlinksim", "atmos-grid", "--config", "configs/fig4_attenuation.ini"],
     "thermal-grid": ["-m", "qlinksim", "thermal-grid", "--config", "configs/fig5_thermal.ini"],
+    # 2000 slants at 30 degrees, 500 frequencies: 6,102 gamma nodes, run frequency-major
+    "atmos-grid.many-slant": [
+        "-m", "qlinksim", "atmos-grid", "--override", "sweep.slant_start_km=0.05",
+        "--override", "sweep.slant_stop_km=100", "--override", "sweep.slant_step_km=0.05",
+        "--override", "sweep.freq_step_ghz=2", "--override", "sweep.elevation_deg=30",
+    ],
     "calibrate_defaults": ["scripts/calibrate_defaults.py"],
 }
 TIMEOUT_S = 600
@@ -106,9 +115,14 @@ def gas_layers():
     h = np.linspace(0.0, 100.0, 303)
     factors = atmosphere._line_factors(
         *atmosphere.default_profile().states_at(h), *atmosphere.default_line_table())
+    # the call atmos-grid makes for fig4: 69 nodes, so gamma runs node-major,
+    # where the 303 nodes above run frequency-major
+    fig4_args = (fig4.sweep.elevation_deg, fig4.sweep.slants_km(), f)
     table4 = sweeps.atmos_grid(fig4)
     return {
         "atmosphere._gamma_blocks": (1, lambda: [g for _, g in atmosphere._gamma_blocks(f, factors)]),
+        "atmosphere.slant_attenuation_spectra.fig4": (
+            1, lambda: atmosphere.slant_attenuation_spectra(*fig4_args)),
         "atmosphere.slant_attenuation_spectrum": (
             1, lambda: atmosphere.slant_attenuation_spectrum(45.0, 20.0, f)),
         "sweeps.render_csv.fig4": (1, lambda: sweeps.render_csv(table4, fig4)),
@@ -143,6 +157,7 @@ LAYERS = (
     "sweeps.cv_sweep.fig3",
     "sweeps.render_csv.fig2",
     "atmosphere._gamma_blocks",
+    "atmosphere.slant_attenuation_spectra.fig4",
     "atmosphere.slant_attenuation_spectrum",
     "sweeps.render_csv.fig4",
 )
@@ -176,6 +191,23 @@ def run_child(tree: Path, argv: list[str]) -> str:
     if proc.returncode != 0:
         raise RuntimeError(f"{argv} exited {proc.returncode} in {tree.name}:\n{proc.stderr}")
     return proc.stdout
+
+
+def run_cli(tree: Path, argv: list[str]) -> tuple[float, float]:
+    """Wall time (s) and peak RSS (MB) of one command line run in tree, stdout discarded."""
+    with tempfile.TemporaryFile() as err:
+        start = perf_counter()
+        proc = subprocess.Popen([sys.executable, *argv], cwd=tree, env=child_env(tree),
+                                stdout=subprocess.DEVNULL, stderr=err)
+        # wait4, unlike Popen.wait, reports the child's own peak RSS (KB on Linux)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            raise RuntimeError(
+                f"{argv} exited {proc.returncode} in {tree.name}:\n{err.read().decode(errors='replace')}")
+    return wall, usage.ru_maxrss / 1024
 
 
 def summary(values: list[float]) -> dict:
@@ -238,23 +270,29 @@ def bench_workload(name: str, trees: dict[str, Path], pairs: int, seconds: float
 
 
 def bench_cli(trees: dict[str, Path], names: list[str], runs: int) -> dict:
-    walls: dict[str, dict[str, list[float]]] = {name: {label: [] for label in trees} for name in names}
+    results: dict[str, dict[str, list[tuple[float, float]]]] = {
+        name: {label: [] for label in trees} for name in names}
     for i in range(runs):
         for name in names:
             for label, tree in ordered(trees, i):
-                start = perf_counter()
-                run_child(tree, CLI[name])
-                walls[name][label].append(perf_counter() - start)
+                results[name][label].append(run_cli(tree, CLI[name]))
     return {
-        name: {label: {"min_s": min(w), "median_s": statistics.median(w), "runs": len(w)}
-               for label, w in by_tree.items()}
-        for name, by_tree in walls.items()
+        name: {label: {"min_s": min(w for w, _ in r), "median_s": statistics.median(w for w, _ in r),
+                       "peak_rss_mb": statistics.median(m for _, m in r), "runs": len(r)}
+               for label, r in by_tree.items()}
+        for name, by_tree in results.items()
     }
 
 
 def bench_layers(trees: dict[str, Path], names: list[str], repeats: int) -> dict:
-    times = {label: json.loads(run_child(tree, ["-c", LAYER_CODE, str(repeats), ",".join(names)]))
-             for label, tree in trees.items()}
+    # one batch per child, the trees alternating, so that the host's drift
+    # lands on both trees alike rather than on whichever ran second
+    times: dict[str, dict[str, list[float]]] = {label: {name: [] for name in names} for label in trees}
+    for i in range(repeats):
+        for label, tree in ordered(trees, i):
+            batch = json.loads(run_child(tree, ["-c", LAYER_CODE, "1", ",".join(names)]))
+            for name in names:
+                times[label][name] += batch[name]
     return {
         name: {label: {"best_s": min(times[label][name]), "median_s": statistics.median(times[label][name])}
                for label in trees}

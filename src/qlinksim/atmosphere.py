@@ -214,21 +214,26 @@ def default_profile() -> _ReferenceProfile:
 # ---------------------------------------------------------------------------
 
 
-# frequencies per gamma block: _gamma_blocks' four buffers are (rows x nodes)
-# and stay allocated for the whole call, and a block costs about 1,200 numpy
-# calls whatever its size, each with about 1 us of fixed overhead.  So a block
-# holds _BLOCK_ELEMENTS // nodes frequencies, but never fewer than _FREQ_BLOCK.
-# The budget: on a 2-core KVM host, one thread, 60 rounds in one process with
-# the budgets in shuffled order, the median fig4 + fig5 pass and fig4 gamma
-# call at fig4's 69 nodes read 73 / 58 ms at a fixed 84 rows, 69 / 51 ms at
-# 11.6k (168 rows), 66 / 52 ms at 17.25k (250 rows) and 66 / 51 ms at 34.5k
-# (500 rows).  A fresh process's peak RSS, about 35 MB at 84 rows, rose by
-# 0.2, 0.45 and 1.2 MB.  17.25k takes 34.5k's gain for under half its memory:
-# 250 rows at 69 nodes, 159 at the default grid's 108, the floor from 206 up.
+# frequencies per gamma block: _gamma_blocks' four buffers hold rows x nodes
+# elements and stay allocated for the whole call, and a block costs about
+# 1,200 numpy calls whatever its size, each with about 1 us of fixed overhead.
+# So a block holds _BLOCK_ELEMENTS // nodes frequencies, but never fewer than
+# _FREQ_BLOCK.
+# The budget, measured on the unbuffered kernel: on a 2-core KVM host, numpy
+# 2.4, one thread, 60 rounds in one process with the budgets in shuffled order,
+# the median fig4 + fig5 pass and fig4 gamma call at fig4's 69 nodes read
+# 50 / 41 ms at a fixed 84 rows, 38 / 29 ms at 11.6k (168 rows), 34 / 26 ms at
+# 17.25k (250 rows), 35 / 27 ms at 20k (289 rows) and 32 / 24 ms at 34.5k
+# (500 rows).  A fresh process's peak RSS, 34.5 MB at 84 rows, moved by under
+# 0.3 MB up to 20k and by 0.7 MB at 34.5k.  The traced peak of fig4's call
+# read 0.51, 0.77, 1.03, 1.16 and 1.83 MB, so 34.5k's gain would break the
+# 1.25 MB bound of test_gamma_buffers_bound_the_traced_peak_of_fig4.  17.25k
+# is the fastest budget inside it: 250 rows at 69 nodes, 159 at the default
+# grid's 108, the floor from 206 up.
 # The floor: 2000 slants at 30 degrees (6,102 nodes, 500 frequencies) get 2
 # rows from the budget alone, and the per-slant weighted sums, run once per
-# block, took 7.4-8.8 s there against 5.0-5.6 s at 84 rows; a fixed 250 rows
-# raised the peak RSS from 208 to 227 MB.
+# block, took that command 5.3-5.6 s against 3.3-3.4 s at 84 rows; a fixed 250
+# rows took 3.6-3.8 s.
 # The bytes do not depend on the block (fig4 at 1, 7, 125 and 1000 agree).
 _BLOCK_ELEMENTS = 17_250
 _FREQ_BLOCK = 84
@@ -239,29 +244,52 @@ def _block_rows(nodes: int) -> int:
     return max(_FREQ_BLOCK, _BLOCK_ELEMENTS // nodes)
 
 
+def _node_major(nodes: int) -> bool:
+    """Whether gamma's blocks on nodes states are (nodes x frequencies), frequencies contiguous.
+
+    The longer of the node count and the block's frequency count is the
+    contiguous axis.  fig4's 69 nodes with 250 frequencies, and the
+    default grid's 108 with 159, run node-major; from 132 nodes up the
+    block (130 frequencies, 84 from 206 nodes up) is the shorter axis,
+    and gamma is (frequencies x nodes).
+    """
+    return nodes <= _block_rows(nodes)
+
+
 def _line_factors(
     t_k: np.ndarray,
     p_total_hpa: np.ndarray,
     rho_g_m3: np.ndarray,
     oxygen_lines: np.ndarray,
     water_lines: np.ndarray,
+    node_major: bool | None = None,
 ) -> tuple:
-    """State-only factors of the line-by-line model, each of shape (1, len(states)).
+    """State-only factors of the line-by-line model, shaped for gamma's orientation.
 
-    Returns ``(p, theta2, d, nitrogen, oxygen, water)``: the dry-air
-    partial pressure, theta^2 with theta = 300/T, the Debye width of the
-    continuum (1.0 where it is 0, see below), the pressure-induced
-    nitrogen numerator 1.4e-12 p theta^1.5, and per line the centre
-    frequency with the factors that do not depend on frequency,
-    ``(fi, si, df, delta, df*df)`` for oxygen and ``(fi, si, df, df*df)``
-    for water vapour.  Computed once per call and shared, read-only, by
-    every frequency block.
+    Returns ``(node_major, p, theta2, d, nitrogen, oxygen, water)``: the
+    orientation, the dry-air partial pressure, theta^2 with theta =
+    300/T, the Debye width of the continuum (1.0 where it is 0, see
+    below), the pressure-induced nitrogen numerator 1.4e-12 p theta^1.5,
+    and per line the centre frequency with the factors that do not depend
+    on frequency, ``(fi, si, df, delta, df*df)`` for oxygen and
+    ``(fi, si, df, df*df)`` for water vapour.  Computed once per call and
+    shared, read-only, by every frequency block.
+
+    node_major defaults to _node_major(len(states)).  Node-major factors
+    are (len(states), 1) columns, so that gamma's blocks are (nodes x
+    frequencies) with the frequencies contiguous; the others are
+    (1, len(states)) rows, and the blocks (frequencies x nodes).  Only
+    the shapes differ: every element is the same in both.
     """
-    t = np.asarray(t_k, dtype=float)[None, :]  # (1, ns)
+    t = np.asarray(t_k, dtype=float)
+    if node_major is None:
+        node_major = _node_major(t.size)
+    shape = (-1, 1) if node_major else (1, -1)
+    t = t.reshape(shape)
     theta = 300.0 / t
-    e = np.asarray(rho_g_m3, dtype=float)[None, :] * t / 216.7
+    e = np.asarray(rho_g_m3, dtype=float).reshape(shape) * t / 216.7
     # the recommendation parametrizes widths with the dry-air partial pressure
-    p = np.maximum(np.asarray(p_total_hpa, dtype=float)[None, :] - e, 0.0)
+    p = np.maximum(np.asarray(p_total_hpa, dtype=float).reshape(shape) - e, 0.0)
 
     # the Debye width is 0 where p + e is (vacuum) or underflows with it; the
     # continuum's prefactor f p is then 0 or subnormal, and a width of 1 makes
@@ -285,89 +313,106 @@ def _line_factors(
         df = 0.535 * df + np.sqrt(0.217 * df * df + 2.1316e-12 * fi * fi / theta)
         water.append((fi, si, df, df * df))
 
-    return p, theta**2, d, 1.4e-12 * p * theta**1.5, oxygen, water
+    return node_major, p, theta**2, d, 1.4e-12 * p * theta**1.5, oxygen, water
 
 
 def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.ndarray]]:
     """Specific attenuation in dB/km, _block_rows(len(states)) frequencies at a time.
 
-    Yields ``(lo, gamma)`` with gamma of shape (block, len(states)) for
-    the frequencies ``f_ghz[lo : lo + block]``.  Van Vleck-Weisskopf line
-    shapes with pressure-induced interference for oxygen, Doppler-
-    broadened shapes for water vapour, plus the non-resonant Debye /
-    pressure-induced nitrogen continuum.
+    Yields ``(lo, gamma)`` for the frequencies ``f_ghz[lo : lo + block]``,
+    gamma C-contiguous and of shape (len(states), block) if the factors
+    are node-major (see _line_factors), else (block, len(states)).  Van
+    Vleck-Weisskopf line shapes with pressure-induced interference for
+    oxygen, Doppler-broadened shapes for water vapour, plus the
+    non-resonant Debye / pressure-induced nitrogen continuum.
 
-    gamma and its three work buffers, all four (rows x nodes), are
-    allocated once per call and overwritten by the next block, so consume
-    gamma before advancing.  Each line's fi - f, fi + f, their squares and
-    f / fi are (rows x 1) columns, written as plain expressions: buffers
-    for them saved no time.  Every full-size operation, the continuum's
-    included, is a correctly rounded +, -, x or / taken in the per-element
-    order of the expression form, which keeps every output byte
-    independent of the block size.
+    gamma and its three work buffers, each of rows x nodes elements, are
+    allocated once per call and overwritten by the next block, so
+    consume gamma before advancing; each block takes a prefix of each,
+    so a short last block is C-contiguous too.  Each line's fi - f,
+    fi + f, their squares and f / fi are frequency-only rows (node-major)
+    or columns, written as plain expressions: buffers for them saved no
+    time.  Every full-size operation, the continuum's included, is a
+    correctly rounded +, -, x or / taken in the per-element order of the
+    expression form, which keeps every output byte independent of the
+    block size and of the orientation.
+
+    The full-size operations broadcast a node column against a frequency
+    row.  NumPy copies such an operation through its ufunc buffer (8192
+    elements by default) whenever the contiguous axis is shorter than
+    that buffer, so each block computes with a 16-element buffer, which
+    runs them unbuffered, and along the longer axis (_node_major).  The
+    buffer size is scoped to an np.errstate that each block leaves before
+    it yields, so the caller's own work, and a generator abandoned
+    between blocks, keep the caller's buffer size.
     """
-    p, theta2, d, nitrogen, oxygen, water = factors
-    f_all = np.asarray(f_ghz, dtype=float).reshape(-1, 1)  # (nf, 1)
-    block = _block_rows(p.shape[1])
-    rows = min(block, f_all.shape[0])
-    grids = [np.empty((rows, p.shape[1])) for _ in range(4)]
+    node_major, p, theta2, d, nitrogen, oxygen, water = factors
+    nodes = p.size
+    f_all = np.asarray(f_ghz, dtype=float).reshape(-1)
+    block = _block_rows(nodes)
+    flat = [np.empty(min(block, f_all.size) * nodes) for _ in range(4)]
 
-    for lo in range(0, f_all.shape[0], block):
+    for lo in range(0, f_all.size, block):
         f = f_all[lo : lo + block]
-        n_total, x, y, z = (g[: f.shape[0]] for g in grids)
-        n_total.fill(0.0)
+        shape = (nodes, f.size) if node_major else (f.size, nodes)
+        f = f.reshape((1, -1) if node_major else (-1, 1))
+        n_total, x, y, z = (g[: f.size * nodes].reshape(shape) for g in flat)
+        with np.errstate():
+            np.setbufsize(16)
+            n_total.fill(0.0)
 
-        for fi, si, df, delta, df2 in oxygen:
-            below, above = fi - f, fi + f
-            # (df - delta (fi - f)) / ((fi - f)^2 + df^2)
-            np.multiply(delta, below, out=x)
-            np.subtract(df, x, out=x)
-            np.add(below * below, df2, out=y)
-            np.divide(x, y, out=x)
-            # + (df - delta (fi + f)) / ((fi + f)^2 + df^2)
-            np.multiply(delta, above, out=y)
-            np.subtract(df, y, out=y)
-            np.add(above * above, df2, out=z)
-            np.divide(y, z, out=y)
-            np.add(x, y, out=x)
-            # n_total += si (f / fi) shape
-            np.multiply(si, f / fi, out=y)
-            np.multiply(y, x, out=y)
-            np.add(n_total, y, out=n_total)
+            for fi, si, df, delta, df2 in oxygen:
+                below, above = fi - f, fi + f
+                # (df - delta (fi - f)) / ((fi - f)^2 + df^2)
+                np.multiply(delta, below, out=x)
+                np.subtract(df, x, out=x)
+                np.add(below * below, df2, out=y)
+                np.divide(x, y, out=x)
+                # + (df - delta (fi + f)) / ((fi + f)^2 + df^2)
+                np.multiply(delta, above, out=y)
+                np.subtract(df, y, out=y)
+                np.add(above * above, df2, out=z)
+                np.divide(y, z, out=y)
+                np.add(x, y, out=x)
+                # n_total += si (f / fi) shape
+                np.multiply(si, f / fi, out=y)
+                np.multiply(y, x, out=y)
+                np.add(n_total, y, out=n_total)
 
-        # dry continuum: Debye spectrum of oxygen plus pressure-induced nitrogen,
-        # n_total += f p theta^2 (6.14e-5 / (d (1 + (f/d)^2))
-        #                         + 1.4e-12 p theta^1.5 / (1 + 1.9e-5 f^1.5))
-        np.multiply(f, p, out=x)
-        x *= theta2
-        # below about 1e-151 f[GHz] hPa of dry plus vapour pressure, f/d or its
-        # square overflows to inf and the Debye term reads its limit, an exact 0;
-        # that overflow is the answer, not an error.  No byte changes
-        with np.errstate(over="ignore"):
-            np.divide(f, d, out=y)
-            y *= y
-            y += 1.0
-            y *= d
-        np.divide(6.14e-5, y, out=y)
-        np.divide(nitrogen, 1.0 + 1.9e-5 * f**1.5, out=z)
-        y += z
-        x *= y
-        n_total += x
+            # dry continuum: Debye spectrum of oxygen plus pressure-induced nitrogen,
+            # n_total += f p theta^2 (6.14e-5 / (d (1 + (f/d)^2))
+            #                         + 1.4e-12 p theta^1.5 / (1 + 1.9e-5 f^1.5))
+            np.multiply(f, p, out=x)
+            x *= theta2
+            # below about 1e-151 f[GHz] hPa of dry plus vapour pressure, f/d or its
+            # square overflows to inf and the Debye term reads its limit, an exact 0;
+            # that overflow is the answer, not an error.  No byte changes
+            with np.errstate(over="ignore"):
+                np.divide(f, d, out=y)
+                y *= y
+                y += 1.0
+                y *= d
+            np.divide(6.14e-5, y, out=y)
+            np.divide(nitrogen, 1.0 + 1.9e-5 * f**1.5, out=z)
+            y += z
+            x *= y
+            n_total += x
 
-        for fi, si, df, df2 in water:
-            below, above = fi - f, fi + f
-            # df / ((fi - f)^2 + df^2) + df / ((fi + f)^2 + df^2)
-            np.add(below * below, df2, out=x)
-            np.divide(df, x, out=x)
-            np.add(above * above, df2, out=y)
-            np.divide(df, y, out=y)
-            np.add(x, y, out=x)
-            np.multiply(si, f / fi, out=y)
-            np.multiply(y, x, out=y)
-            np.add(n_total, y, out=n_total)
+            for fi, si, df, df2 in water:
+                below, above = fi - f, fi + f
+                # df / ((fi - f)^2 + df^2) + df / ((fi + f)^2 + df^2)
+                np.add(below * below, df2, out=x)
+                np.divide(df, x, out=x)
+                np.add(above * above, df2, out=y)
+                np.divide(df, y, out=y)
+                np.add(x, y, out=x)
+                np.multiply(si, f / fi, out=y)
+                np.multiply(y, x, out=y)
+                np.add(n_total, y, out=n_total)
 
-        np.multiply(0.1820 * f, n_total, out=n_total)
-        yield lo, np.maximum(n_total, 0.0, out=n_total)
+            np.multiply(0.1820 * f, n_total, out=n_total)
+            np.maximum(n_total, 0.0, out=n_total)
+        yield lo, n_total
 
 
 def _check_freq(frequency_ghz: np.ndarray | float) -> None:
@@ -435,11 +480,18 @@ def slant_attenuation_spectra(
     between the ray's 1 km-altitude crossings.  The slants share every
     panel but their last, so gamma is evaluated once, on the union of
     their nodes: its state-only line factors in one pass, then blockwise
-    over frequency in buffers reused by every block.  Each slant's
-    integral is the sum of gamma times its weights over its own nodes,
-    an elementwise product summed along a contiguous axis.  A slant's
-    nodes depend on the ray and that slant alone, so its bytes do not
-    depend on the other slants, nor on the block size.
+    over frequency in buffers reused by every block.  Each block runs
+    unbuffered along its longer axis (see _gamma_blocks): node-major,
+    gamma (nodes x frequencies), where the union has no more nodes than a
+    block has frequencies, as for fig4 and the default grid; else
+    (frequencies x nodes), as for a ray of hundreds of slants.  NumPy's
+    ufunc buffer size is the caller's again when this returns.  Each
+    slant's integral is the sum of gamma times its weights over its own
+    nodes, an elementwise product summed along the contiguous axis of a
+    (frequencies x that slant's nodes) copy in either orientation.  A
+    slant's nodes depend on the ray and that slant alone, so its bytes do
+    not depend on the other slants, nor on the block size or the
+    orientation.
     """
     _check_freq(frequency_ghz)
     if len(slants_km) == 0:
@@ -459,11 +511,22 @@ def slant_attenuation_spectra(
     factors = _line_factors(
         *default_profile().states_at(np.clip(h, 0.0, TOP_ALTITUDE_KM)), *default_line_table()
     )
+    node_major = factors[0]
     for lo, gamma in _gamma_blocks(f, factors):
         for j, (i, (_, weights)) in enumerate(zip(idx, rules)):
-            # np.take, unlike gamma[:, i], returns a C-contiguous copy, so
-            # each row is summed in the same order whatever the block
-            out[j, lo : lo + gamma.shape[0]] = (np.take(gamma, i, axis=1) * weights).sum(axis=1)
+            # np.take, unlike gamma[:, i], returns a C-contiguous copy.  Each
+            # slant's sum runs along the contiguous axis of a (frequencies x
+            # its nodes) copy, so each row is summed in the same order whatever
+            # the block and the orientation; a node-major block's weighted rows
+            # are transposed into that copy first
+            if node_major:
+                part = np.take(gamma, i, axis=0)
+                part *= weights[:, None]
+                part = np.ascontiguousarray(part.T)
+            else:
+                part = np.take(gamma, i, axis=1)
+                part *= weights
+            out[j, lo : lo + part.shape[0]] = part.sum(axis=1)
     return out
 
 

@@ -13,12 +13,17 @@ import numpy as np
 from qlinksim.atmosphere import _gamma_blocks, _line_factors, default_line_table
 
 
-def gamma_at(f_ghz, t_k, p_hpa, rho_g_m3) -> np.ndarray:
-    """gamma in dB/km, shape (len(f), len(states)); each state column is a scalar or a sequence."""
+def gamma_at(f_ghz, t_k, p_hpa, rho_g_m3, node_major=None) -> np.ndarray:
+    """gamma in dB/km, shape (len(f), len(states)); each state column is a scalar or a sequence.
+
+    node_major picks the kernel's orientation (see _line_factors): True
+    or False forces it, None takes the package's rule for len(states).
+    """
     f = np.asarray(f_ghz, dtype=float).reshape(-1)
-    states = (np.atleast_1d(np.asarray(column, dtype=float)) for column in (t_k, p_hpa, rho_g_m3))
-    factors = _line_factors(*states, *default_line_table())
-    out = np.empty((f.size, factors[0].shape[1]))
+    states = [np.atleast_1d(np.asarray(column, dtype=float)) for column in (t_k, p_hpa, rho_g_m3)]
+    factors = _line_factors(*states, *default_line_table(), node_major=node_major)
+    out = np.empty((f.size, states[0].size))
     for lo, gamma in _gamma_blocks(f, factors):
-        out[lo : lo + gamma.shape[0]] = gamma
+        block = gamma.T if factors[0] else gamma
+        out[lo : lo + block.shape[0]] = block
     return out

@@ -305,8 +305,9 @@ _TOP = tuple(float(c[0]) for c in default_profile().states_at(np.array([TOP_ALTI
 def test_gamma_blocks_equal_the_expression_form_bit_for_bit(freqs, states):
     t, p, rho = (list(column) for column in zip(*states))
     want = _gamma_grid(np.array(freqs), t, p, rho, _OXYGEN, _WATER)
-    got = gamma_at(freqs, t, p, rho)
-    assert got.tobytes() == want.tobytes()
+    for node_major in (True, False):
+        got = gamma_at(freqs, t, p, rho, node_major=node_major)
+        assert got.tobytes() == want.tobytes(), node_major
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -355,11 +356,91 @@ def test_block_rows_fill_the_element_budget_down_to_the_floor(nodes, rows):
     assert atmosphere._block_rows(nodes) == rows
 
 
+def test_slant_spectra_bytes_do_not_depend_on_the_orientation(monkeypatch):
+    # three blocks of 50, 50 and 34 frequencies on about 60 nodes, forced
+    # into each orientation: a short last block and each slant's sum alike
+    freqs = np.concatenate([np.linspace(1.0, 1000.0, 131), _OXYGEN[:3, 0]])
+    monkeypatch.setattr(atmosphere, "_BLOCK_ELEMENTS", 0)
+    monkeypatch.setattr(atmosphere, "_FREQ_BLOCK", 50)
+    spectra = []
+    for node_major in (True, False):
+        monkeypatch.setattr(atmosphere, "_node_major", lambda nodes, major=node_major: major)
+        spectra.append(slant_attenuation_spectra(45.0, [1.0, 10.0, 28.0], freqs).tobytes())
+    assert spectra[0] == spectra[1]
+
+
+@pytest.mark.parametrize(
+    ("nodes", "node_major", "rows"),
+    # fig4's 69 nodes and the default grid's 108 run node-major, up to 131
+    # nodes, whose block is 131 frequencies; from 132 nodes (130 frequencies)
+    # up, as at 303 nodes and at the 6,102 of 2000 slants, frequency-major
+    [
+        (1, True, 17_250),
+        (69, True, 250),
+        (108, True, 159),
+        (131, True, 131),
+        (132, False, 130),
+        (303, False, 84),
+        (6_102, False, 84),
+    ],
+)
+def test_gamma_blocks_run_unbuffered_along_the_longer_axis(nodes, node_major, rows):
+    caller = np.getbufsize()
+    seen = []
+
+    class BufsizeSpy(float):
+        """A line centre that records the ufunc buffer size where the kernel subtracts it."""
+
+        def __sub__(self, other):
+            seen.append(np.getbufsize())
+            return float(self) - other
+
+    states = default_profile().states_at(np.linspace(0.0, TOP_ALTITUDE_KM, nodes))
+    factors = atmosphere._line_factors(*states, *default_line_table())
+    assert factors[0] is node_major
+    assert factors[1].shape == ((nodes, 1) if node_major else (1, nodes))
+    oxygen = factors[5]
+    oxygen[0] = (BufsizeSpy(oxygen[0][0]), *oxygen[0][1:])
+    # a full block and a short last one
+    shapes = []
+    for _, gamma in atmosphere._gamma_blocks(np.linspace(1.0, 1000.0, rows + 7), factors):
+        assert gamma.flags.c_contiguous
+        assert np.getbufsize() == caller
+        shapes.append(gamma.shape)
+    assert shapes == ([(nodes, rows), (nodes, 7)] if node_major else [(rows, nodes), (7, nodes)])
+    assert seen == [16, 16]
+
+
+def test_slant_spectra_and_abandoned_blocks_keep_the_callers_buffer_size():
+    caller = np.getbufsize()
+    freqs = np.linspace(1.0, 1000.0, 300)
+    slant_attenuation_spectra(45.0, [1.0, 10.0, 28.0], freqs)
+    assert np.getbufsize() == caller
+    states = default_profile().states_at(np.linspace(0.0, 20.0, 69))
+    factors = atmosphere._line_factors(*states, *default_line_table())
+    blocks = atmosphere._gamma_blocks(freqs, factors)
+    next(blocks)
+    assert np.getbufsize() == caller
+    blocks.close()
+    assert np.getbufsize() == caller
+
+
+def test_slant_spectra_keep_a_buffer_size_the_caller_set():
+    args = (45.0, [1.0, 10.0, 28.0], np.linspace(1.0, 1000.0, 300))
+    want = slant_attenuation_spectra(*args).tobytes()
+    with np.errstate():
+        np.setbufsize(4096)
+        got = slant_attenuation_spectra(*args).tobytes()
+        assert np.getbufsize() == 4096
+    assert got == want
+
+
 def test_gamma_buffers_bound_the_traced_peak_of_fig4():
-    # fig4's call allocates gamma's four (250 x 69) buffers once, 552 kB in
-    # all.  Traced peaks on a 2-core KVM host, numpy 2.4: 1.10 MB with the
-    # buffers; 1.48 MB with the full-size operations written as expressions,
-    # whose temporaries this bound is there to keep out
+    # fig4's call allocates gamma's four (69 x 250) buffers once, 552 kB in
+    # all.  Traced peaks on a 2-core KVM host, numpy 2.4: 1.03 MB with the
+    # buffers, node-major and unbuffered (1.10 MB frequency-major and
+    # buffered); 1.48 MB with the full-size operations written as
+    # expressions, whose temporaries this bound is there to keep out
     cfg = load_config(str(REPO_ROOT / "configs" / "fig4_attenuation.ini"))
     args = (cfg.sweep.elevation_deg, cfg.sweep.slants_km(), np.array(cfg.sweep.frequencies_ghz()))
     slant_attenuation_spectra(*args)  # loads the line table and the profile

@@ -50,6 +50,7 @@ def test_bench_writes_every_section_for_one_minimal_pair(tmp_path):
     for by_tree in report["cli"].values():
         for label in ("change", "against"):
             assert 0.0 < by_tree[label]["min_s"] <= by_tree[label]["median_s"]
+            assert by_tree[label]["peak_rss_mb"] > 0.0
     assert set(report["layers"]) == {"fso.at_altitude"}
     for label in ("change", "against"):
         assert 0.0 < report["layers"]["fso.at_altitude"][label]["best_s"]
