@@ -23,8 +23,7 @@ process.  The file holds four sections:
   is `python3 -c pass`, the interpreter start that no change to the
   package can remove.
 * layers: in-process times per call of the rate, channel, attenuation and
-  sweep layers, best of --layer-repeats batches, and their median; each
-  batch runs in a child of its own, the trees alternating.
+  sweep layers, best of --layer-repeats batches, and their median.
 * metadata: CPU count and model, Python and numpy versions, the SIMD
   features numpy dispatches to, the commit this tree was checked out at
   and whether its tracked files have uncommitted edits.
@@ -285,14 +284,8 @@ def bench_cli(trees: dict[str, Path], names: list[str], runs: int) -> dict:
 
 
 def bench_layers(trees: dict[str, Path], names: list[str], repeats: int) -> dict:
-    # one batch per child, the trees alternating, so that the host's drift
-    # lands on both trees alike rather than on whichever ran second
-    times: dict[str, dict[str, list[float]]] = {label: {name: [] for name in names} for label in trees}
-    for i in range(repeats):
-        for label, tree in ordered(trees, i):
-            batch = json.loads(run_child(tree, ["-c", LAYER_CODE, "1", ",".join(names)]))
-            for name in names:
-                times[label][name] += batch[name]
+    times = {label: json.loads(run_child(tree, ["-c", LAYER_CODE, str(repeats), ",".join(names)]))
+             for label, tree in trees.items()}
     return {
         name: {label: {"best_s": min(times[label][name]), "median_s": statistics.median(times[label][name])}
                for label in trees}

@@ -262,7 +262,6 @@ def _line_factors(
     rho_g_m3: np.ndarray,
     oxygen_lines: np.ndarray,
     water_lines: np.ndarray,
-    node_major: bool | None = None,
 ) -> tuple:
     """State-only factors of the line-by-line model, shaped for gamma's orientation.
 
@@ -275,15 +274,14 @@ def _line_factors(
     ``(fi, si, df, df*df)`` for water vapour.  Computed once per call and
     shared, read-only, by every frequency block.
 
-    node_major defaults to _node_major(len(states)).  Node-major factors
+    The orientation is _node_major(len(states)).  Node-major factors
     are (len(states), 1) columns, so that gamma's blocks are (nodes x
     frequencies) with the frequencies contiguous; the others are
     (1, len(states)) rows, and the blocks (frequencies x nodes).  Only
     the shapes differ: every element is the same in both.
     """
     t = np.asarray(t_k, dtype=float)
-    if node_major is None:
-        node_major = _node_major(t.size)
+    node_major = _node_major(t.size)
     shape = (-1, 1) if node_major else (1, -1)
     t = t.reshape(shape)
     theta = 300.0 / t

@@ -438,9 +438,9 @@ def test_slant_spectra_keep_a_buffer_size_the_caller_set():
 def test_gamma_buffers_bound_the_traced_peak_of_fig4():
     # fig4's call allocates gamma's four (69 x 250) buffers once, 552 kB in
     # all.  Traced peaks on a 2-core KVM host, numpy 2.4: 1.03 MB with the
-    # buffers, node-major and unbuffered (1.10 MB frequency-major and
-    # buffered); 1.48 MB with the full-size operations written as
-    # expressions, whose temporaries this bound is there to keep out
+    # buffers, node-major and unbuffered; 1.48 MB with the full-size
+    # operations written as expressions, whose temporaries this bound is
+    # there to keep out
     cfg = load_config(str(REPO_ROOT / "configs" / "fig4_attenuation.ini"))
     args = (cfg.sweep.elevation_deg, cfg.sweep.slants_km(), np.array(cfg.sweep.frequencies_ghz()))
     slant_attenuation_spectra(*args)  # loads the line table and the profile
