@@ -20,9 +20,10 @@ Run from the repository root:
 
     python3 scripts/calibrate_defaults.py
 
-Takes under 0.1 s end to end (min 71 ms, median 78 ms of 15 runs on a
+Takes under 0.1 s end to end (min 68 ms, median 71 ms of 15 runs on a
 2-core Xeon KVM host, interpreter start and compiling the package from
-source included, numpy never imported).  Each grid point needs eight
+source included, numpy never imported); one main() in a warm process
+takes about 9 ms (best of 40).  Each grid point needs eight
 ceilings, one per protocol and block size, each max_secure_altitude's
 closed-form altitude of a secure threshold tau*, and reads the payload
 and classical rates from the one rate probe it makes there.  The DV
@@ -52,7 +53,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qlinksim.config import SECTIONS, load_config
+from qlinksim.config import load_config
 from qlinksim.sweeps import max_secure_altitude
 
 # Published maximum secure altitudes (km) per block size.
@@ -72,13 +73,17 @@ LABELS = {n: (f"dv_alt_{n:g}", f"payload_{n:g}", f"cv_alt_{n:g}", f"cls_{n:g}") 
 
 # What one run of main() has worked out, emptied when the run ends so that
 # no result outlives the run that needed it; kept in the script, not in
-# qlinksim.  THRESHOLDS holds the secure thresholds tau* that ceilings
-# carry, keyed by the protocol, the block size and the records of
-# config.SECTIONS[protocol]; CEILINGS the max_secure_altitude results,
-# keyed the same plus the channel; DEFAULT_CONFIG the one load of the
+# qlinksim.  cfg_with changes only the two knobs, so a result is keyed by
+# the protocol, the block size and the knobs it depends on, as plain
+# floats: THRESHOLDS holds the secure thresholds tau*, keyed (protocol, n)
+# for DV, which depends on neither knob, and (protocol, n, leak) for CV;
+# CEILINGS the max_secure_altitude results, keyed the same plus the
+# jitter; LAST_SOLVED the last threshold solved, keyed (protocol, n) and
+# protocol, which seeds the next solve; DEFAULT_CONFIG the one load of the
 # default config.
 THRESHOLDS = {}
 CEILINGS = {}
+LAST_SOLVED = {}
 DEFAULT_CONFIG = {}
 
 
@@ -98,25 +103,21 @@ def ceiling(protocol: str, n: float, cfg):
     A DV ceiling depends on the jitter but not the leak, so it is reused
     across the leaks scanned at one jitter; a CV threshold depends on the
     leak but not the jitter, so a CV ceiling at a new jitter is handed the
-    threshold of the first ceiling with its records and skips the solve.
-    A solve is seeded (near=) with the last threshold solved for the same
+    threshold of the first ceiling at its leak and skips the solve.  A
+    solve is seeded (near=) with the last threshold solved for the same
     protocol and block size (for CV, the threshold at the previous leak),
     else for the same protocol at another block size.
     """
-    key = (protocol, n, *(getattr(cfg, field) for field, _ in SECTIONS[protocol]))
-    res = CEILINGS.get((key, cfg.channel))
+    key = (protocol, n) if protocol == "dv" else (protocol, n, cfg.cv_noise.eps_classical)
+    ceiling_key = (*key, cfg.channel.jitter_urad)
+    res = CEILINGS.get(ceiling_key)
     if res is None:
         threshold, near = THRESHOLDS.get(key), None
         if threshold is None:
-            # the last threshold of this protocol and block size, else of this protocol
-            seeds = [t for k, t in THRESHOLDS.items() if k[:2] == key[:2]] or [
-                t for k, t in THRESHOLDS.items() if k[0] == protocol
-            ]
-            near = seeds[-1] if seeds else None
-        res = CEILINGS[key, cfg.channel] = max_secure_altitude(
-            protocol, n, cfg, threshold, near=near
-        )
-        THRESHOLDS.setdefault(key, res.threshold)
+            near = LAST_SOLVED.get((protocol, n), LAST_SOLVED.get(protocol))
+        res = CEILINGS[ceiling_key] = max_secure_altitude(protocol, n, cfg, threshold, near=near)
+        if threshold is None:
+            THRESHOLDS[key] = LAST_SOLVED[protocol, n] = LAST_SOLVED[protocol] = res.threshold
     return res
 
 
@@ -216,6 +217,7 @@ def main() -> int:
         # in one process do not share it
         THRESHOLDS.clear()
         CEILINGS.clear()
+        LAST_SOLVED.clear()
         DEFAULT_CONFIG.clear()
 
 

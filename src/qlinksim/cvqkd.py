@@ -336,10 +336,8 @@ def composable_key_rate(
     if not block_size_n > 0:
         raise ValueError(f"block size must be > 0: {block_size_n!r}")
     if ch.tau == 0.0:
-        diag = CvDiagnostics(
-            snr=0.0, i_ab=0.0, chi_e=0.0, nus=(1.0,) * 5, displacement_amplitude=math.inf
-        )
-        return RateResult(signed_rate=-math.inf, throughput=0.0, diagnostics=diag)
+        diag = CvDiagnostics(0.0, 0.0, 0.0, (1.0,) * 5, math.inf)
+        return RateResult(-math.inf, 0.0, diag)
 
     # shared by the SNR, the Holevo bound and the displacement: computed once
     tau_total, background, sigma_bit_sq, residual, amp = _detection_noise(ch, p, noise)
@@ -364,11 +362,6 @@ def composable_key_rate(
         )
         rate = p.p_ec * (n_key / block_size_n) * bracket
 
-    diag = CvDiagnostics(
-        snr=snr,
-        i_ab=i_raw,
-        chi_e=chi_e,
-        nus=nus,
-        displacement_amplitude=delta,
-    )
-    return RateResult(signed_rate=rate, throughput=p.beta * i_raw, diagnostics=diag)
+    # positional, in field order: binding keywords costs more than the record
+    diag = CvDiagnostics(snr, i_raw, chi_e, nus, delta)
+    return RateResult(rate, p.beta * i_raw, diag)

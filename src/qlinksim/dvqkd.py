@@ -286,8 +286,8 @@ def finite_key_rate(
             - gain_mu * params.f_ec * binary_entropy(qber_mu)
             - fs.composable_term
         )
+    # positional, in field order: (signed_rate, throughput, diagnostics) and
+    # (q_mu, e_mu, y1_lower, e1_upper)
     return RateResult(
-        signed_rate=rate,
-        throughput=_payload(gain_mu, qber_mu, params),
-        diagnostics=DvDiagnostics(q_mu=gain_mu, e_mu=qber_mu, y1_lower=y1, e1_upper=e1_ph),
+        rate, _payload(gain_mu, qber_mu, params), DvDiagnostics(gain_mu, qber_mu, y1, e1_ph)
     )

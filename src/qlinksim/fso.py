@@ -173,24 +173,34 @@ class FsoChannelParams(Record):
             raise ValueError(
                 f"channel leaves floating-point range at altitude_km={altitude_km!r}: {self!r}"
             ) from exc
-        return ChannelOutput(
-            geometric_collection=collection,
-            extinction=self._range_law[2],
-            slant_range_km=z_km,
-            long_term_beam_radius_m=math.sqrt(w_sq),
-        )
+        # positional, in field order: (geometric_collection, extinction,
+        # slant_range_km, long_term_beam_radius_m)
+        return ChannelOutput(collection, self._range_law[2], z_km, math.sqrt(w_sq))
 
     def _law_at(self, altitude_km: float) -> tuple[float, float, float]:
         """(slant range in km, w_LT^2 in m^2, collected fraction) at altitude_km.
 
         The collected fraction times the extinction, _range_law[2], is the
-        transmissivity, as ChannelOutput forms it.
+        transmissivity, as ChannelOutput forms it.  The slant range is
+        slant_range's, operation for operation, from _law_constants.
         """
-        z_km = slant_range(altitude_km, self.zenith_deg)
+        r_sin_sq, r_cos, two_a_sq = self._law_constants
+        z_km = math.sqrt((EARTH_RADIUS_KM + altitude_km) ** 2 - r_sin_sq) - r_cos
         z_m = z_km * 1e3
         a, b, _ = self._range_law
         w_sq = a + b * (z_m * z_m)
-        return z_km, w_sq, -math.expm1(-2.0 * self.aperture_m**2 / w_sq)
+        return z_km, w_sq, -math.expm1(-two_a_sq / w_sq)
+
+    @derived
+    def _law_constants(self) -> tuple[float, float, float]:
+        """((R sin(zeta))^2, R cos(zeta), 2 a^2): what _law_at reads that no altitude changes.
+
+        Computed once per record, so that each read of the law, of which
+        altitude_at makes several, pays for no trigonometry.
+        """
+        zeta = math.radians(self.zenith_deg)
+        r = EARTH_RADIUS_KM
+        return (r * math.sin(zeta)) ** 2, r * math.cos(zeta), 2.0 * self.aperture_m**2
 
     @derived
     def _range_law(self) -> tuple[float, float, float]:
@@ -231,15 +241,18 @@ class FsoChannelParams(Record):
         with q = z*^2 + 2 z* R cos(zeta), sqrt(q + R^2) - R without its
         cancellation; z* = inf makes h* inf / inf.  The evaluated collection
         is exactly 1 from x = 54 ln 2 up, so eta = eta_ext maps to that x.
-        An h* that rounding leaves short of eta is corrected down by reads
-        of the evaluated law (_law_at): steps of 1, 2, 4, ... ulps to an
-        altitude that passes, then bisection to the float above which the
-        law stops passing.  The steps end within 54 reads, the bisection
-        within 54 more while the answer lies above h* / 2; the default
-        ceilings take 1-9 reads in all.  An h* that passes is returned as
-        it is: within 1e-9 km of the highest that passes while the
-        collection stays under 1 - 1e-4, and possibly far below it closer
-        to 1, where eta hardly resolves the altitude.
+        Rounding can leave h* off the highest altitude that passes, either
+        way, so reads of the evaluated law (_law_at) correct it: from an h*
+        that passes, steps of 1, 2, 4, ... ulps up to an altitude that does
+        not, and from one that does not, the same steps down to one that
+        does; then bisection to the float above which the law stops
+        passing.  An h* whose next float up fails takes two reads.  The
+        steps end within 55 reads and the bisection within 53 more while
+        the answer lies within a factor of two of h*, which holds while the
+        collection stays under 1 - 1e-4 (the answer is then within 1e-9 km
+        of h*); closer to 1, where eta hardly resolves the altitude, the
+        answer can lie further off, and the search takes a few reads more
+        per factor of two.  The default ceilings take 2-9 reads in all.
         """
         if not 0.0 < transmissivity <= 1.0:
             raise ValueError(f"transmissivity must lie in (0, 1]: {transmissivity!r}")
@@ -267,16 +280,21 @@ class FsoChannelParams(Record):
         def passes(h: float) -> bool:
             return self._law_at(h)[2] * eta_ext >= transmissivity
 
-        if passes(altitude_km):
-            return altitude_km
-        # gallop down to an altitude that passes, keeping the last one that did not
         step = math.ulp(altitude_km)
-        hi, lo = altitude_km, altitude_km - step
-        while not passes(lo):
-            if lo == 0.0:
-                return 0.0
-            hi, step = lo, 2.0 * step
-            lo = max(altitude_km - step, 0.0)
+        if passes(altitude_km):
+            # gallop up to an altitude that does not pass, keeping the last one that did
+            lo, hi = altitude_km, altitude_km + step
+            while passes(hi):
+                lo, step = hi, 2.0 * step
+                hi = altitude_km + step
+        else:
+            # gallop down to an altitude that passes, keeping the last one that did not
+            hi, lo = altitude_km, altitude_km - step
+            while not passes(lo):
+                if lo == 0.0:
+                    return 0.0
+                hi, step = lo, 2.0 * step
+                lo = max(altitude_km - step, 0.0)
         # bisect: lo passes, hi does not
         while True:
             mid = lo + 0.5 * (hi - lo)

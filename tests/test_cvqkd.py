@@ -304,6 +304,30 @@ def test_block_size_must_be_positive():
         composable_key_rate(ThermalLossChannel(0.5), PARAMS, NOISE, block_size_n=0.0)
 
 
+def test_diagnostics_are_the_named_intermediates():
+    # each field holds the intermediate it names, recomputed from the helpers
+    for n in (math.inf, 1e9):
+        for tau in (0.05, 0.1, 0.5):
+            ch = ThermalLossChannel(tau, 9.31e-10)
+            result = composable_key_rate(ch, PARAMS, NOISE, block_size_n=n)
+            tau_total, background, sigma_bit_sq, residual, amp = _detection_noise(ch, PARAMS, NOISE)
+            snr = tau_total * PARAMS.v_mod / (1.0 + PARAMS.v_el + background + residual)
+            i_ab = 0.5 * math.log2(1.0 + snr)
+            chi_e, nus = holevo_bound(ch, PARAMS, residual)
+            delta = amp * math.sqrt(sigma_bit_sq / tau_total)
+            d = result.diagnostics
+            assert (d.snr, d.i_ab, d.chi_e, d.nus, d.displacement_amplitude) == (
+                snr, i_ab, chi_e, nus, delta
+            )
+            assert len({snr, i_ab, chi_e, delta}) == 4, (n, tau)
+            assert result.throughput == PARAMS.beta * i_ab
+            bracket = PARAMS.beta * i_ab - chi_e
+            if n == math.inf:
+                assert result.signed_rate == PARAMS.p_ec * bracket
+            else:
+                assert result.signed_rate < PARAMS.p_ec * bracket / 2.0
+
+
 def test_asymptotic_reference_point():
     ch = ThermalLossChannel(0.1, 9.31e-10)
     result = composable_key_rate(ch, PARAMS, NOISE)

@@ -16,7 +16,7 @@ from qlinksim.dvqkd import (
     finite_key_rate,
     gains_and_qber,
 )
-from qlinksim.mathfn import binary_entropy
+from qlinksim.mathfn import binary_entropy, hoeffding_deviation
 from qlinksim.record import RateResult
 
 PARAMS = DecoyProtocolParams()
@@ -261,6 +261,37 @@ def test_result_rejects_negative_rates():
     assert RateResult(signed_rate=-math.inf, throughput=0.0, diagnostics=diag).key_rate == 0.0
     assert RateResult(signed_rate=-1e-9, throughput=0.0, diagnostics=diag).key_rate == 0.0
     assert RateResult(signed_rate=1e-9, throughput=0.0, diagnostics=diag).key_rate == 1e-9
+
+
+def test_diagnostics_are_the_named_intermediates():
+    # each field holds the intermediate it names, from the helper that forms it
+    for fs in (ASYMPTOTIC, FiniteSizeConfig(block_size_n=1e10)):
+        for eta in (0.003, 0.01, 0.1):
+            result = finite_key_rate(eta, PARAMS, fs)
+            gain_mu, qber_mu = gains_and_qber(eta, PARAMS, PARAMS.mu)
+            gain_nu, qber_nu = gains_and_qber(eta, PARAMS, PARAMS.nu)
+            qber_nu_hi = min(qber_nu + hoeffding_deviation(fs.pulses_nu * gain_nu, fs.epsilon), 1.0)
+            y1, e1 = decoy_bounds(
+                min(gain_mu + fs.deviation_mu, 1.0),
+                max(gain_nu - fs.deviation_nu, 0.0),
+                PARAMS.y0,
+                qber_nu_hi,
+                PARAMS,
+            )
+            q1 = y1 * PARAMS.mu * PARAMS.exp_neg_mu
+            e1_ph = min(e1 + hoeffding_deviation(fs.pulses_mu * q1, fs.epsilon), 0.5)
+            d = result.diagnostics
+            assert (d.q_mu, d.e_mu, d.y1_lower, d.e1_upper) == (gain_mu, qber_mu, y1, e1_ph)
+            assert len({gain_mu, qber_mu, y1, e1_ph}) == 4, (fs, eta)
+            payload = (1.0 - PARAMS.check_fraction) * gain_mu * (
+                1.0 - PARAMS.f_ec * binary_entropy(qber_mu)
+            )
+            assert result.throughput == payload
+            assert result.signed_rate == PARAMS.sift_q * (
+                q1 * (1.0 - binary_entropy(e1_ph))
+                - gain_mu * PARAMS.f_ec * binary_entropy(qber_mu)
+                - fs.composable_term
+            )
 
 
 def test_asymptotic_rate_reference_point():

@@ -382,6 +382,23 @@ def test_at_altitude_evaluates_the_range_law():
         assert out.transmissivity == eta_geo * eta_ext, (params, altitude_km)
 
 
+def test_channel_output_fields_are_the_laws_reads():
+    # each field holds what it names: the collection and slant range from
+    # _law_at, the extinction from _range_law, the radius from w_LT^2; and
+    # _law_at's slant range is slant_range's, to the last bit
+    for params, altitude_km in _random_channels(20261023, 50):
+        z_km, w_sq, collection = params._law_at(altitude_km)
+        assert z_km == slant_range(altitude_km, params.zenith_deg)
+        out = params.at_altitude(altitude_km)
+        fields = (
+            out.geometric_collection,
+            out.extinction,
+            out.slant_range_km,
+            out.long_term_beam_radius_m,
+        )
+        assert fields == (collection, params._range_law[2], z_km, math.sqrt(w_sq))
+
+
 # far-field channels: at 1343 km the first collects 1.6e-6 of the beam
 FAR_FIELD = (
     (FsoChannelParams(aperture_m=0.109, w0_m=0.0118, wavelength_nm=1320.0), 1343.0),
@@ -500,15 +517,9 @@ def test_altitude_at_is_the_highest_altitude_that_passes_eta(monkeypatch):
             reads.clear()
             altitude = params.altitude_at(eta)
             altitudes.append(altitude)
-            corrected = len(reads) > 1
             most_reads = max(most_reads, len(reads))
             if 0.0 < altitude < math.inf:
-                # the altitude passes eta, as at_altitude evaluates it; a
-                # corrected one is the last float down from the closed form that does
-                assert params.at_altitude(altitude).transmissivity >= eta, (params, eta)
-                if corrected:
-                    up = math.nextafter(altitude, math.inf)
-                    assert params.at_altitude(up).transmissivity < eta, (params, eta)
+                _assert_last_float_that_passes(params, eta, altitude)
         assert altitudes == sorted(altitudes, reverse=True), params
         # the inverse, down into the far field: everywhere but where the
         # collected fraction is so close to 1 that tau no longer resolves the altitude
@@ -518,8 +529,42 @@ def test_altitude_at_is_the_highest_altitude_that_passes_eta(monkeypatch):
                 params,
                 altitude_km,
             )
-    # the closed form and its correction: a bounded number of reads of the law
-    assert 1 < most_reads <= 64
+    # the closed form and its correction: a bounded number of reads of the law,
+    # the most where the collection is within an ulp or so of 1 and the answer
+    # lies several times h* away (see the near-saturated case below)
+    assert 1 < most_reads <= 110
+
+
+def _assert_last_float_that_passes(params, eta, altitude):
+    """altitude passes eta, as at_altitude evaluates it, and the next float up does not."""
+    assert params.at_altitude(altitude).transmissivity >= eta, (params, eta, altitude)
+    up = math.nextafter(altitude, math.inf)
+    assert params.at_altitude(up).transmissivity < eta, (params, eta, altitude)
+
+
+def test_altitude_at_searches_up_from_a_closed_form_that_passes():
+    # at tau = 0.30503 the closed form of 42 of these channels passes but is
+    # not the highest altitude that does: up to 9.1e-13 km below it
+    found = 0
+    for params, _ in _random_channels(20261021, 200):
+        altitude = params.altitude_at(0.30503)
+        if 0.0 < altitude < math.inf:
+            _assert_last_float_that_passes(params, 0.30503, altitude)
+            found += 1
+    assert found >= 80
+    # near saturation: this channel collects 1 - 1.7e-15 of the beam there,
+    # and its closed form, 0.594 km, passes while every altitude up to 1.897 km does
+    params = FsoChannelParams(
+        wavelength_nm=764.0997039803797, w0_m=0.37581183328459283,
+        aperture_m=1.551946543266186, zenith_deg=31.2994928722404,
+        hv_ground_cn2=8.681235136775984e-13, hv_wind=0.0,
+        jitter_urad=5.506215077640491, tau_zenith=0.3625663221286152,
+    )
+    eta = 0.3050282653401504
+    altitude = params.altitude_at(eta)
+    assert 1.89 < altitude < 1.90
+    _assert_last_float_that_passes(params, eta, altitude)
+    assert params.at_altitude(0.594478401232517).transmissivity >= eta
 
 
 def test_the_extinction_maps_to_where_the_collection_saturates():

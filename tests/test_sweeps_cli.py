@@ -240,8 +240,8 @@ def test_kernel_errors_name_their_row(monkeypatch):
 
     monkeypatch.setattr(sweeps, "finite_key_rate", boom)
     monkeypatch.setattr(sweeps, "composable_key_rate", boom)
-    # a threshold at tau(100 km) sends the one probe to the 100 km floor
-    at_floor = SMALL_CV.channel.at_altitude(100.0).transmissivity
+    # a threshold no altitude above 100 km passes sends the one probe to the floor
+    at_floor = _floor_threshold(SMALL_CV)
     cases = [
         (lambda: dv_sweep(SMALL_DV), "dv-sweep", 300.0, 1e10, SMALL_DV),
         (lambda: cv_sweep(SMALL_CV), "cv-sweep", 200.0, 1e10, SMALL_CV),
@@ -493,11 +493,24 @@ def test_ceiling_is_the_altitude_of_the_threshold(protocol):
         assert _key_rate(protocol, above.transmissivity, block_n, cfg) == 0.0
 
 
+def _floor_threshold(cfg):
+    """The smallest tau that the channel passes only below the 100 km floor.
+
+    The evaluated law is flat over a few ulps of altitude, so tau(100 km)
+    itself is passed a little above 100 km (to 100.00000000000045 km at the
+    defaults); the next float up is passed only below it.
+    """
+    tau_lo = cfg.channel.at_altitude(ALTITUDE_BRACKET_KM[0]).transmissivity
+    assert cfg.channel.altitude_at(tau_lo) >= ALTITUDE_BRACKET_KM[0]
+    return math.nextafter(tau_lo, 1.0)
+
+
 def test_threshold_at_the_bracket_floor_reports_the_floor():
     cfg = load_config()
     lo = ALTITUDE_BRACKET_KM[0]
-    tau_lo = cfg.channel.at_altitude(lo).transmissivity
-    res = max_secure_altitude("dv", 1e9, cfg, tau_lo)
+    threshold = _floor_threshold(cfg)
+    assert cfg.channel.altitude_at(threshold) < lo
+    res = max_secure_altitude("dv", 1e9, cfg, threshold)
     assert res.max_secure_altitude_km == lo
     assert res.iterations == 1
 
@@ -545,7 +558,7 @@ def test_each_ceiling_exit_probes_the_rate_once(protocol, monkeypatch):
     ])
     exits = [
         (cfg, eta, cfg.channel.altitude_at(eta), False),  # closed form
-        (cfg, cfg.channel.at_altitude(lo).transmissivity, lo, False),  # 100 km floor
+        (cfg, _floor_threshold(cfg), lo, False),  # 100 km floor
         (wide, eta, hi, True),  # unbounded
     ]
     kernel = "finite_key_rate" if protocol == "dv" else "composable_key_rate"
@@ -575,7 +588,7 @@ def test_the_channel_is_read_at_the_bracket_ends_only_next_to_them(monkeypatch):
     cfg = load_config()
     eta = max_secure_altitude("dv", 1e9, cfg).threshold
     lo, hi = ALTITUDE_BRACKET_KM
-    tau_lo = cfg.channel.at_altitude(lo).transmissivity
+    tau_lo = _floor_threshold(cfg)
     wide = load_config(overrides=[
         "channel.aperture_m=5", "channel.zenith_deg=0", "channel.jitter_urad=0"
     ])
@@ -594,7 +607,7 @@ def test_the_channel_is_read_at_the_bracket_ends_only_next_to_them(monkeypatch):
     cases = [
         (cfg, eta, cfg.channel.altitude_at(eta)),  # 355 km
         (wide, eta, hi),  # 30,000 km: unbounded, probed at the top
-        (cfg, tau_lo, lo),  # 100 km to rounding: the floor
+        (cfg, tau_lo, lo),  # passed only below 100 km: the floor
         (cfg, eta_ext, lo),  # no altitude passes the extinction: the floor
     ]
     for c, threshold, altitude in cases:
@@ -881,6 +894,9 @@ def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     monkeypatch.setattr(sweeps, "_solve_threshold", counted_bisection)
     monkeypatch.setattr(sweeps, "max_secure_altitude", counted_ceiling)
     script = _calibration_script(monkeypatch)
+    # every dict the script starts empty is one it fills during a run
+    memos = {name for name, value in vars(script).items() if isinstance(value, dict) and not value}
+    assert {"THRESHOLDS", "CEILINGS", "LAST_SOLVED", "DEFAULT_CONFIG"} <= memos
     assert script.main() == 0
     # 4 DV thresholds, and 4 CV ones for each of the 9 distinct leaks: only
     # the first ceiling of each solves one, and the rest are handed its tau*
@@ -891,7 +907,7 @@ def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     )
     # each solve after the first of its protocol is seeded with the threshold
     # before it: 262 probes in all, 499 unseeded
-    assert sum(probes) <= 270
+    assert sum(probes) == 262
     # one ceiling per distinct (protocol, N, records): a DV ceiling for each
     # of the 11 distinct jitters, a CV one for each of the 59 distinct pairs:
     # 280, not the 480 of one per point
@@ -900,7 +916,21 @@ def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     assert protocols.count("cv") == 59 * 4
     assert "calibrated pointing jitter : 2.91 urad" in capsys.readouterr().out
     # a run leaves nothing it worked out behind for the next one
-    assert script.THRESHOLDS == script.CEILINGS == script.DEFAULT_CONFIG == {}
+    assert {name: vars(script)[name] for name in memos} == dict.fromkeys(memos, {})
+
+
+def test_calibration_configs_differ_from_the_default_only_in_the_two_knobs(monkeypatch):
+    # the script keys what it has worked out by these two floats alone
+    script = _calibration_script(monkeypatch)
+    default = load_config()
+    for jitter, leak in ((2.7, 3.0e-5), (2.91, 3.9e-5), (3.13, 5.1e-5)):
+        cfg = script.cfg_with(jitter, leak)
+        assert (cfg.channel.jitter_urad, cfg.cv_noise.eps_classical) == (jitter, leak)
+        restored = cfg.replace(
+            channel=cfg.channel.replace(jitter_urad=default.channel.jitter_urad),
+            cv_noise=cfg.cv_noise.replace(eps_classical=default.cv_noise.eps_classical),
+        )
+        assert restored == default, (jitter, leak)
 
 
 def test_calibration_reuse_changes_no_result(monkeypatch, capsys):
