@@ -908,7 +908,7 @@ def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     # each solve after the first of its protocol is seeded with the threshold
     # before it: 262 probes in all, 499 unseeded
     assert sum(probes) == 262
-    # one ceiling per distinct (protocol, N, records): a DV ceiling for each
+    # one ceiling per distinct (protocol, N, knobs): a DV ceiling for each
     # of the 11 distinct jitters, a CV one for each of the 59 distinct pairs:
     # 280, not the 480 of one per point
     protocols = [protocol for protocol, _ in ceilings]
