@@ -23,8 +23,7 @@ process.  The file holds four sections:
   is `python3 -c pass`, the interpreter start that no change to the
   package can remove.
 * layers: in-process times per call of the rate, channel, attenuation and
-  sweep layers, and of one calibrate_defaults.main() on a fresh module
-  (stdout captured), best of --layer-repeats batches, and their median.
+  sweep layers, best of --layer-repeats batches, and their median.
 * metadata: CPU count and model, Python and numpy versions, the SIMD
   features numpy dispatches to, the commit this tree was checked out at
   and whether its tracked files have uncommitted edits.
@@ -93,7 +92,6 @@ def rate_layers():
     # the default 1e9 DV threshold, whose closed-form altitude the inverse corrects
     eta = sweeps.max_secure_altitude("dv", 1e9, cfg).threshold
     return {
-        "calibrate_defaults.main": (10, calibration_main()),
         "fso.at_altitude": (1000, lambda: cfg.channel.at_altitude(500.0)),
         "fso.altitude_at": (1000, lambda: cfg.channel.altitude_at(eta)),
         "dvqkd.finite_key_rate": (
@@ -107,25 +105,6 @@ def rate_layers():
         "sweeps.cv_sweep.fig3": (3, lambda: sweeps.cv_sweep(fig3)),
         "sweeps.render_csv.fig2": (10, lambda: sweeps.render_csv(table2, fig2)),
     }
-
-def calibration_main():
-    """One main() of scripts/calibrate_defaults.py on a fresh module, as perfbench runs it."""
-    import contextlib, io, types
-    path = "scripts/calibrate_defaults.py"
-    with open(path, encoding="utf-8") as handle:
-        code = compile(handle.read(), path, "exec")
-
-    def run():
-        module = types.ModuleType("calibrate_defaults")
-        module.__file__ = path
-        saved_path = sys.path[:]
-        try:
-            exec(code, vars(module))
-        finally:
-            sys.path[:] = saved_path
-        with contextlib.redirect_stdout(io.StringIO()):
-            module.main()
-    return run
 
 def gas_layers():
     import numpy as np
@@ -166,7 +145,6 @@ for name in wanted:
 print(json.dumps(out))
 '''
 LAYERS = (
-    "calibrate_defaults.main",
     "fso.at_altitude",
     "fso.altitude_at",
     "dvqkd.finite_key_rate",

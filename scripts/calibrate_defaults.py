@@ -78,12 +78,9 @@ LABELS = {n: (f"dv_alt_{n:g}", f"payload_{n:g}", f"cv_alt_{n:g}", f"cls_{n:g}") 
 # floats: THRESHOLDS holds the secure thresholds tau*, keyed (protocol, n)
 # for DV, which depends on neither knob, and (protocol, n, leak) for CV;
 # CEILINGS the max_secure_altitude results, keyed the same plus the
-# jitter; LAST_SOLVED the last threshold solved, keyed (protocol, n) and
-# protocol, which seeds the next solve; DEFAULT_CONFIG the one load of the
-# default config.
+# jitter; DEFAULT_CONFIG the one load of the default config.
 THRESHOLDS = {}
 CEILINGS = {}
-LAST_SOLVED = {}
 DEFAULT_CONFIG = {}
 
 
@@ -114,10 +111,13 @@ def ceiling(protocol: str, n: float, cfg):
     if res is None:
         threshold, near = THRESHOLDS.get(key), None
         if threshold is None:
-            near = LAST_SOLVED.get((protocol, n), LAST_SOLVED.get(protocol))
+            # the last threshold of this protocol and block size, else of this protocol
+            seeds = [t for k, t in THRESHOLDS.items() if k[:2] == key[:2]] or [
+                t for k, t in THRESHOLDS.items() if k[0] == protocol
+            ]
+            near = seeds[-1] if seeds else None
         res = CEILINGS[ceiling_key] = max_secure_altitude(protocol, n, cfg, threshold, near=near)
-        if threshold is None:
-            THRESHOLDS[key] = LAST_SOLVED[protocol, n] = LAST_SOLVED[protocol] = res.threshold
+        THRESHOLDS.setdefault(key, res.threshold)
     return res
 
 
@@ -217,7 +217,6 @@ def main() -> int:
         # in one process do not share it
         THRESHOLDS.clear()
         CEILINGS.clear()
-        LAST_SOLVED.clear()
         DEFAULT_CONFIG.clear()
 
 

@@ -32,9 +32,19 @@ def slant_range(altitude_km: float, zenith_deg: float) -> float:
 
     z = sqrt((R + h)^2 - R^2 sin^2(zeta)) - R cos(zeta).
     """
+    return _slant_range(altitude_km, *_slant_constants(zenith_deg))
+
+
+def _slant_constants(zenith_deg: float) -> tuple[float, float]:
+    """(R^2 sin^2(zeta), R cos(zeta)): the terms of the slant range that no altitude changes."""
     r = EARTH_RADIUS_KM
     zeta = math.radians(zenith_deg)
-    return math.sqrt((r + altitude_km) ** 2 - (r * math.sin(zeta)) ** 2) - r * math.cos(zeta)
+    return (r * math.sin(zeta)) ** 2, r * math.cos(zeta)
+
+
+def _slant_range(altitude_km: float, r_sin_sq: float, r_cos: float) -> float:
+    """slant_range from its constant terms, as _slant_constants gives them."""
+    return math.sqrt((EARTH_RADIUS_KM + altitude_km) ** 2 - r_sin_sq) - r_cos
 
 
 def _cn2(altitude_m: float, hv_ground_cn2: float, hv_wind_m_s: float) -> float:
@@ -182,10 +192,10 @@ class FsoChannelParams(Record):
 
         The collected fraction times the extinction, _range_law[2], is the
         transmissivity, as ChannelOutput forms it.  The slant range is
-        slant_range's, operation for operation, from _law_constants.
+        slant_range's, from the constant terms that _law_constants keeps.
         """
         r_sin_sq, r_cos, two_a_sq = self._law_constants
-        z_km = math.sqrt((EARTH_RADIUS_KM + altitude_km) ** 2 - r_sin_sq) - r_cos
+        z_km = _slant_range(altitude_km, r_sin_sq, r_cos)
         z_m = z_km * 1e3
         a, b, _ = self._range_law
         w_sq = a + b * (z_m * z_m)
@@ -198,9 +208,7 @@ class FsoChannelParams(Record):
         Computed once per record, so that each read of the law, of which
         altitude_at makes several, pays for no trigonometry.
         """
-        zeta = math.radians(self.zenith_deg)
-        r = EARTH_RADIUS_KM
-        return (r * math.sin(zeta)) ** 2, r * math.cos(zeta), 2.0 * self.aperture_m**2
+        return (*_slant_constants(self.zenith_deg), 2.0 * self.aperture_m**2)
 
     @derived
     def _range_law(self) -> tuple[float, float, float]:
@@ -251,8 +259,8 @@ class FsoChannelParams(Record):
         the answer lies within a factor of two of h*, which holds while the
         collection stays under 1 - 1e-4 (the answer is then within 1e-9 km
         of h*); closer to 1, where eta hardly resolves the altitude, the
-        answer can lie further off, and the search takes a few reads more
-        per factor of two.  The default ceilings take 2-9 reads in all.
+        answer can lie further off, and the steps take one read more per
+        further factor of two.  The default ceilings take 2-9 reads in all.
         """
         if not 0.0 < transmissivity <= 1.0:
             raise ValueError(f"transmissivity must lie in (0, 1]: {transmissivity!r}")
@@ -262,7 +270,7 @@ class FsoChannelParams(Record):
                 return 0.0
             ratio = transmissivity / eta_ext
             x = -math.log1p(-ratio) if ratio < 1.0 else _SATURATED_X
-            w_sq = 2.0 * self.aperture_m**2 / x
+            w_sq = self._law_constants[2] / x
             z_m_sq = (w_sq - a) / b
         except ArithmeticError as exc:  # OverflowError, ZeroDivisionError
             raise ValueError(

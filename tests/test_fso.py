@@ -517,9 +517,14 @@ def test_altitude_at_is_the_highest_altitude_that_passes_eta(monkeypatch):
             reads.clear()
             altitude = params.altitude_at(eta)
             altitudes.append(altitude)
-            most_reads = max(most_reads, len(reads))
+            count = len(reads)
             if 0.0 < altitude < math.inf:
                 _assert_last_float_that_passes(params, eta, altitude)
+                if params.at_altitude(altitude).geometric_collection > 1.0 - 1e-4:
+                    # near saturation: a bound of its own (reads[0] is h*)
+                    assert count <= _saturated_read_bound(reads[0], altitude), (params, eta)
+                    continue
+            most_reads = max(most_reads, count)
         assert altitudes == sorted(altitudes, reverse=True), params
         # the inverse, down into the far field: everywhere but where the
         # collected fraction is so close to 1 that tau no longer resolves the altitude
@@ -529,10 +534,19 @@ def test_altitude_at_is_the_highest_altitude_that_passes_eta(monkeypatch):
                 params,
                 altitude_km,
             )
-    # the closed form and its correction: a bounded number of reads of the law,
-    # the most where the collection is within an ulp or so of 1 and the answer
-    # lies several times h* away (see the near-saturated case below)
-    assert 1 < most_reads <= 110
+    # the closed form and its correction, wherever the collection at the
+    # answer is at most 1 - 1e-4: a bounded number of reads of the law
+    assert 1 < most_reads <= 64
+
+
+def _saturated_read_bound(h_star, altitude):
+    """Reads of the law that altitude_at may take from h* to an answer near saturation.
+
+    55 steps and 53 bisections while the answer lies within a factor of
+    two of h*, and one step more per further factor of two.
+    """
+    ratio = max(altitude / h_star, h_star / altitude)
+    return 108 + max(0, math.ceil(math.log2(ratio)) - 1)
 
 
 def _assert_last_float_that_passes(params, eta, altitude):
@@ -542,7 +556,7 @@ def _assert_last_float_that_passes(params, eta, altitude):
     assert params.at_altitude(up).transmissivity < eta, (params, eta, altitude)
 
 
-def test_altitude_at_searches_up_from_a_closed_form_that_passes():
+def test_altitude_at_searches_up_from_a_closed_form_that_passes(monkeypatch):
     # at tau = 0.30503 the closed form of 42 of these channels passes but is
     # not the highest altitude that does: up to 9.1e-13 km below it
     found = 0
@@ -561,7 +575,19 @@ def test_altitude_at_searches_up_from_a_closed_form_that_passes():
         jitter_urad=5.506215077640491, tau_zenith=0.3625663221286152,
     )
     eta = 0.3050282653401504
+    reads = []
+    real = FsoChannelParams._law_at
+
+    def counted(self, altitude_km):
+        reads.append(altitude_km)
+        return real(self, altitude_km)
+
+    monkeypatch.setattr(FsoChannelParams, "_law_at", counted)
     altitude = params.altitude_at(eta)
+    assert reads[0] == 0.594478401232517
+    # 3.2 times h*: 108 reads, one under the bound
+    assert len(reads) <= _saturated_read_bound(reads[0], altitude) == 109
+    monkeypatch.undo()
     assert 1.89 < altitude < 1.90
     _assert_last_float_that_passes(params, eta, altitude)
     assert params.at_altitude(0.594478401232517).transmissivity >= eta

@@ -896,7 +896,7 @@ def test_calibration_scan_solves_each_threshold_once(monkeypatch, capsys):
     script = _calibration_script(monkeypatch)
     # every dict the script starts empty is one it fills during a run
     memos = {name for name, value in vars(script).items() if isinstance(value, dict) and not value}
-    assert {"THRESHOLDS", "CEILINGS", "LAST_SOLVED", "DEFAULT_CONFIG"} <= memos
+    assert {"THRESHOLDS", "CEILINGS", "DEFAULT_CONFIG"} <= memos
     assert script.main() == 0
     # 4 DV thresholds, and 4 CV ones for each of the 9 distinct leaks: only
     # the first ceiling of each solves one, and the rest are handed its tau*
