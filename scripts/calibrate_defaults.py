@@ -20,10 +20,10 @@ Run from the repository root:
 
     python3 scripts/calibrate_defaults.py
 
-Takes under 0.1 s end to end (min 68 ms, median 71 ms of 15 runs on a
+Takes under 0.1 s end to end (min 67 ms, median 75 ms of 9 runs on a
 2-core Xeon KVM host, interpreter start and compiling the package from
 source included, numpy never imported); one main() in a warm process
-takes about 9 ms (best of 40).  Each grid point needs eight
+takes about 10 ms (best of 40).  Each grid point needs eight
 ceilings, one per protocol and block size, each max_secure_altitude's
 closed-form altitude of a secure threshold tau*, and reads the payload
 and classical rates from the one rate probe it makes there.  The DV
