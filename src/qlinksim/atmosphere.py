@@ -274,11 +274,12 @@ def _line_factors(
     ``(fi, si, df, df*df)`` for water vapour.  Computed once per call and
     shared, read-only, by every frequency block.
 
-    The orientation is _node_major(len(states)).  Node-major factors
-    are (len(states), 1) columns, so that gamma's blocks are (nodes x
-    frequencies) with the frequencies contiguous; the others are
-    (1, len(states)) rows, and the blocks (frequencies x nodes).  Only
-    the shapes differ: every element is the same in both.
+    The orientation gamma is computed in is _node_major(len(states)).
+    Node-major factors are (len(states), 1) columns, so that gamma is
+    computed (nodes x frequencies) with the frequencies contiguous; the
+    others are (1, len(states)) rows, and gamma is computed (frequencies
+    x nodes).  Only the shapes differ: every element is the same in both,
+    and _gamma_blocks hands gamma out as (frequencies x nodes) either way.
     """
     t = np.asarray(t_k, dtype=float)
     node_major = _node_major(t.size)
@@ -318,8 +319,9 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
     """Specific attenuation in dB/km, _block_rows(len(states)) frequencies at a time.
 
     Yields ``(lo, gamma)`` for the frequencies ``f_ghz[lo : lo + block]``,
-    gamma C-contiguous and of shape (len(states), block) if the factors
-    are node-major (see _line_factors), else (block, len(states)).  Van
+    gamma of shape (block, len(states)) in either orientation: if the
+    factors are node-major (see _line_factors), the transposed view of a
+    C-contiguous (len(states), block) array, else C-contiguous itself.  Van
     Vleck-Weisskopf line shapes with pressure-induced interference for
     oxygen, Doppler-broadened shapes for water vapour, plus the
     non-resonant Debye / pressure-induced nitrogen continuum.
@@ -410,7 +412,7 @@ def _gamma_blocks(f_ghz: np.ndarray, factors: tuple) -> Iterator[tuple[int, np.n
 
             np.multiply(0.1820 * f, n_total, out=n_total)
             np.maximum(n_total, 0.0, out=n_total)
-        yield lo, n_total
+        yield lo, n_total.T if node_major else n_total
 
 
 def _check_freq(frequency_ghz: np.ndarray | float) -> None:
@@ -479,17 +481,16 @@ def slant_attenuation_spectra(
     panel but their last, so gamma is evaluated once, on the union of
     their nodes: its state-only line factors in one pass, then blockwise
     over frequency in buffers reused by every block.  Each block runs
-    unbuffered along its longer axis (see _gamma_blocks): node-major,
-    gamma (nodes x frequencies), where the union has no more nodes than a
-    block has frequencies, as for fig4 and the default grid; else
-    (frequencies x nodes), as for a ray of hundreds of slants.  NumPy's
-    ufunc buffer size is the caller's again when this returns.  Each
-    slant's integral is the sum of gamma times its weights over its own
-    nodes, an elementwise product summed along the contiguous axis of a
-    (frequencies x that slant's nodes) copy in either orientation.  A
-    slant's nodes depend on the ray and that slant alone, so its bytes do
-    not depend on the other slants, nor on the block size or the
-    orientation.
+    unbuffered along its longer axis (see _gamma_blocks): node-major
+    where the union has no more nodes than a block has frequencies, as
+    for fig4 and the default grid, else frequency-major, as for a ray of
+    hundreds of slants; either way gamma arrives (frequencies x nodes).
+    NumPy's ufunc buffer size is the caller's again when this returns.
+    Each slant's integral is the sum of gamma times its weights over its
+    own nodes, an elementwise product summed along the contiguous axis of
+    a (frequencies x that slant's nodes) copy.  A slant's nodes depend on
+    the ray and that slant alone, so its bytes do not depend on the other
+    slants, nor on the block size or the orientation.
     """
     _check_freq(frequency_ghz)
     if len(slants_km) == 0:
@@ -509,21 +510,13 @@ def slant_attenuation_spectra(
     factors = _line_factors(
         *default_profile().states_at(np.clip(h, 0.0, TOP_ALTITUDE_KM)), *default_line_table()
     )
-    node_major = factors[0]
     for lo, gamma in _gamma_blocks(f, factors):
         for j, (i, (_, weights)) in enumerate(zip(idx, rules)):
-            # np.take, unlike gamma[:, i], returns a C-contiguous copy.  Each
-            # slant's sum runs along the contiguous axis of a (frequencies x
-            # its nodes) copy, so each row is summed in the same order whatever
-            # the block and the orientation; a node-major block's weighted rows
-            # are transposed into that copy first
-            if node_major:
-                part = np.take(gamma, i, axis=0)
-                part *= weights[:, None]
-                part = np.ascontiguousarray(part.T)
-            else:
-                part = np.take(gamma, i, axis=1)
-                part *= weights
+            # np.take, unlike gamma[:, i], returns a C-contiguous copy, so each
+            # slant's row is summed in one order whatever the block and the
+            # orientation gamma was computed in
+            part = np.take(gamma, i, axis=1)
+            part *= weights
             out[j, lo : lo + part.shape[0]] = part.sum(axis=1)
     return out
 

@@ -212,9 +212,13 @@ def _collect(path: str | None, overrides: list[str] | tuple[str, ...]) -> dict[s
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
+        where = f"config file {path!r}"
+        if parser.defaults():
+            # configparser would copy its keys into every section, or drop them
+            raise ConfigError(f"unknown section {parser.default_section!r} in {where}")
         for section in parser.sections():
             for key, raw in parser.items(section):
-                assign(section, key, raw, f"config file {path!r}")
+                assign(section, key, raw, where)
 
     for item in overrides:
         head, sep, raw = item.partition("=")

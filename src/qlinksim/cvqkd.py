@@ -63,8 +63,8 @@ class CvProtocolParams(Record):
     def _validate(self) -> None:
         if not 0.0 < self.v_mod < math.inf:
             raise ValueError(f"v_mod must be finite and > 0: {self.v_mod!r}")
-        if self.v_el < 0.0:
-            raise ValueError(f"electronic noise must be >= 0: {self.v_el!r}")
+        if not 0.0 <= self.v_el < math.inf:
+            raise ValueError(f"v_el must be finite and >= 0: {self.v_el!r}")
         for name in ("eta_det", "eta_lo", "p_ec", "beta"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
@@ -82,8 +82,8 @@ class CvProtocolParams(Record):
             )
         if not 0.0 < self.ber_target <= 0.5:
             raise ValueError(f"ber_target must lie in (0, 0.5]: {self.ber_target!r}")
-        if self.n_bg < 0.0:
-            raise ValueError(f"background occupancy must be >= 0: {self.n_bg!r}")
+        if not 0.0 <= self.n_bg < math.inf:
+            raise ValueError(f"n_bg must be finite and >= 0: {self.n_bg!r}")
         # the trusted-detector model purifies v_el through the receiver's loss
         if self.eta_receiver == 1.0 and self.v_el > 0.0:
             raise ValueError(
@@ -143,8 +143,8 @@ class PhaseEncodingNoise(Record):
     eps_classical: float = 3.9e-5
 
     def _validate(self) -> None:
-        if self.eps_classical < 0.0:
-            raise ValueError(f"excess noise fraction must be >= 0: {self.eps_classical!r}")
+        if not self.eps_classical >= 0.0:
+            raise ValueError(f"eps_classical must be >= 0: {self.eps_classical!r}")
 
 
 class ThermalLossChannel(Record):
@@ -160,8 +160,8 @@ class ThermalLossChannel(Record):
     def _validate(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"transmissivity must lie in [0, 1]: {self.tau!r}")
-        if self.n_thermal < 0.0:
-            raise ValueError(f"thermal occupancy must be >= 0: {self.n_thermal!r}")
+        if not 0.0 <= self.n_thermal < math.inf:
+            raise ValueError(f"n_thermal must be finite and >= 0: {self.n_thermal!r}")
 
 
 def _detection_noise(

@@ -192,27 +192,17 @@ class FsoChannelParams(Record):
 
         The collected fraction times the extinction, _range_law[2], is the
         transmissivity, as ChannelOutput forms it.  The slant range is
-        slant_range's, from the constant terms that _law_constants keeps.
+        slant_range's, from the constant terms that _range_law keeps.
         """
-        r_sin_sq, r_cos, two_a_sq = self._law_constants
+        a, b, _, r_sin_sq, r_cos, two_a_sq = self._range_law
         z_km = _slant_range(altitude_km, r_sin_sq, r_cos)
         z_m = z_km * 1e3
-        a, b, _ = self._range_law
         w_sq = a + b * (z_m * z_m)
         return z_km, w_sq, -math.expm1(-two_a_sq / w_sq)
 
     @derived
-    def _law_constants(self) -> tuple[float, float, float]:
-        """((R sin(zeta))^2, R cos(zeta), 2 a^2): what _law_at reads that no altitude changes.
-
-        Computed once per record, so that each read of the law, of which
-        altitude_at makes several, pays for no trigonometry.
-        """
-        return (*_slant_constants(self.zenith_deg), 2.0 * self.aperture_m**2)
-
-    @derived
-    def _range_law(self) -> tuple[float, float, float]:
-        """(A, B, eta_ext), the channel law that at_altitude and altitude_at share.
+    def _range_law(self) -> tuple[float, float, float, float, float, float]:
+        """(A, B, eta_ext, (R sin(zeta))^2, R cos(zeta), 2 a^2): the law both directions read.
 
         w_LT^2 = A + B z^2 exactly, in m^2 with z the slant range in metres,
         and eta_ext = tau_zenith ** sec(zeta) is the extinction.  The moment
@@ -220,7 +210,9 @@ class FsoChannelParams(Record):
         rho_0 = c z and the turbulence term 2 (lambda z / (pi rho_0))^2 =
         2 (lambda / (pi c))^2 is constant: A = w0^2 + 2 (lambda / (pi c))^2,
         and B = w0^2 / z_R^2 + sigma^2 collects the diffraction and jitter
-        terms that grow as z^2.  Computed once per record, on first read; a
+        terms that grow as z^2.  The slant range's constant terms
+        (_slant_constants) and 2 a^2 complete it, so that no read of the law
+        pays for trigonometry.  Computed once per record, on first read; a
         law that leaves floating-point range raises on every read.
         """
         wavelength_m = self.wavelength_nm * 1e-9
@@ -232,7 +224,8 @@ class FsoChannelParams(Record):
         rayleigh_range_m = math.pi * w0**2 / wavelength_m
         a = w0 * w0 + 2.0 * (wavelength_m / (math.pi * rho0_per_m)) ** 2
         b = (w0 / rayleigh_range_m) ** 2 + (self.jitter_urad * 1e-6) ** 2
-        return a, b, self.tau_zenith**sec_z
+        extinction = self.tau_zenith**sec_z
+        return (a, b, extinction, *_slant_constants(self.zenith_deg), 2.0 * self.aperture_m**2)
 
     def altitude_at(self, transmissivity: float) -> float:
         """The highest altitude in km that passes at least this transmissivity.
@@ -245,16 +238,18 @@ class FsoChannelParams(Record):
 
         The closed form inverts the exact law: x* = -log1p(-eta / eta_ext)
         is the 2 a^2 / w^2 that collects eta / eta_ext, w*^2 = 2 a^2 / x*,
-        z*^2 = (w*^2 - A) / B (see _range_law), and h* = q / (sqrt(q + R^2) + R)
-        with q = z*^2 + 2 z* R cos(zeta), sqrt(q + R^2) - R without its
-        cancellation; z* = inf makes h* inf / inf.  The evaluated collection
-        is exactly 1 from x = 54 ln 2 up, so eta = eta_ext maps to that x.
-        Rounding can leave h* off the highest altitude that passes, either
-        way, so reads of the evaluated law (_law_at) correct it: from an h*
-        that passes, steps of 1, 2, 4, ... ulps up to an altitude that does
-        not, and from one that does not, the same steps down to one that
-        does; then bisection to the float above which the law stops
-        passing.  An h* whose next float up fails takes two reads.  The
+        z*^2 = (w*^2 - A) / B, and h* = q / (sqrt(q + R^2) + R) with
+        q = z*^2 + 2 z* R cos(zeta), sqrt(q + R^2) - R without its
+        cancellation; A, B, eta_ext, R cos(zeta) and 2 a^2 are _range_law's,
+        the constants the forward law reads.  z* = inf makes h* inf / inf.
+        The evaluated collection is exactly 1 from x = 54 ln 2 up, so
+        eta = eta_ext maps to that x.  Rounding can leave h* off the highest
+        altitude that passes, either way, so reads of the evaluated law
+        (_law_at) correct it: one gallop of 1, 2, 4, ... ulps from h*, up
+        while the law passes and down while it does not (0.0 where the way
+        down reaches 0 without passing), brackets the answer; then
+        bisection to the float above which the law stops passing.  An h*
+        whose next float up fails takes two reads.  The
         steps end within 55 reads and the bisection within 53 more while
         the answer lies within a factor of two of h*, which holds while the
         collection stays under 1 - 1e-4 (the answer is then within 1e-9 km
@@ -265,12 +260,12 @@ class FsoChannelParams(Record):
         if not 0.0 < transmissivity <= 1.0:
             raise ValueError(f"transmissivity must lie in (0, 1]: {transmissivity!r}")
         try:
-            a, b, eta_ext = self._range_law
+            a, b, eta_ext, _, r_cos, two_a_sq = self._range_law
             if transmissivity > eta_ext:
                 return 0.0
             ratio = transmissivity / eta_ext
             x = -math.log1p(-ratio) if ratio < 1.0 else _SATURATED_X
-            w_sq = self._law_constants[2] / x
+            w_sq = two_a_sq / x
             z_m_sq = (w_sq - a) / b
         except ArithmeticError as exc:  # OverflowError, ZeroDivisionError
             raise ValueError(
@@ -280,7 +275,7 @@ class FsoChannelParams(Record):
             return 0.0
         z_km = math.sqrt(z_m_sq) * 1e-3
         r = EARTH_RADIUS_KM
-        q = z_km * z_km + 2.0 * z_km * r * math.cos(math.radians(self.zenith_deg))
+        q = z_km * z_km + 2.0 * z_km * r_cos
         altitude_km = q / (math.sqrt(q + r * r) + r)
         if not math.isfinite(altitude_km):
             return math.inf
@@ -288,21 +283,18 @@ class FsoChannelParams(Record):
         def passes(h: float) -> bool:
             return self._law_at(h)[2] * eta_ext >= transmissivity
 
-        step = math.ulp(altitude_km)
-        if passes(altitude_km):
-            # gallop up to an altitude that does not pass, keeping the last one that did
-            lo, hi = altitude_km, altitude_km + step
-            while passes(hi):
-                lo, step = hi, 2.0 * step
-                hi = altitude_km + step
-        else:
-            # gallop down to an altitude that passes, keeping the last one that did not
-            hi, lo = altitude_km, altitude_km - step
-            while not passes(lo):
-                if lo == 0.0:
-                    return 0.0
-                hi, step = lo, 2.0 * step
-                lo = max(altitude_km - step, 0.0)
+        # gallop 1, 2, 4, ... ulps from h*, up while the law passes and down
+        # while it does not, keeping the last altitude on h*'s side
+        up = passes(altitude_km)
+        last, step = altitude_km, math.ulp(altitude_km)
+        while True:
+            probe = altitude_km + step if up else max(altitude_km - step, 0.0)
+            if passes(probe) != up:
+                break
+            if probe == 0.0:
+                return 0.0
+            last, step = probe, 2.0 * step
+        lo, hi = (last, probe) if up else (probe, last)
         # bisect: lo passes, hi does not
         while True:
             mid = lo + 0.5 * (hi - lo)

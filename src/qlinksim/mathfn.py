@@ -154,4 +154,11 @@ def thermal_photon_number(frequency_hz: float, temperature_k: float) -> float:
     if x > 700.0:
         # expm1 would overflow; occupancy is exp(-x) to double precision
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    # at an extreme k*T, x underflows to 0, or 1 / x overflows below about 5.6e-309
+    occupancy = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if occupancy == math.inf:
+        raise ValueError(
+            f"occupancy 1 / expm1(h*f / k*T) is not finite at frequency {frequency_hz!r} Hz, "
+            f"temperature {temperature_k!r} K: h*f / k*T = {x!r}"
+        )
+    return occupancy

@@ -31,6 +31,5 @@ def gamma_at(f_ghz, t_k, p_hpa, rho_g_m3, node_major=None) -> np.ndarray:
         factors = _line_factors(*states, *default_line_table())
     out = np.empty((f.size, states[0].size))
     for lo, gamma in _gamma_blocks(f, factors):
-        block = gamma.T if factors[0] else gamma
-        out[lo : lo + block.shape[0]] = block
+        out[lo : lo + gamma.shape[0]] = gamma
     return out

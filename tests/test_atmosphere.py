@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 import shutil
 import tracemalloc
 from importlib import resources
@@ -404,10 +405,11 @@ def test_gamma_blocks_run_unbuffered_along_the_longer_axis(nodes, node_major, ro
     # a full block and a short last one
     shapes = []
     for _, gamma in atmosphere._gamma_blocks(np.linspace(1.0, 1000.0, rows + 7), factors):
-        assert gamma.flags.c_contiguous
+        # handed out (frequencies x nodes), computed along the longer axis
+        assert (gamma.T if node_major else gamma).flags.c_contiguous
         assert np.getbufsize() == caller
         shapes.append(gamma.shape)
-    assert shapes == ([(nodes, rows), (nodes, 7)] if node_major else [(rows, nodes), (7, nodes)])
+    assert shapes == [(rows, nodes), (7, nodes)]
     assert seen == [16, 16]
 
 
@@ -642,6 +644,12 @@ def test_thermal_photon_number_domain():
         thermal_photon_number(1e-312, 295.0)
     with pytest.raises(ValueError, match=r"underflows to 0 at .*, temperature 1e-320 K$"):
         thermal_photon_number(1e9, 1e-320)
+    # h*f / k*T underflows to 0, or 1 / expm1 of it overflows: no occupancy is finite
+    for f_hz, t_k in ((1e-290, 1e300), (1e9, 1e308)):
+        with pytest.raises(ValueError, match=re.escape(
+            f"not finite at frequency {f_hz!r} Hz, temperature {t_k!r} K: h*f / k*T = "
+        )):
+            thermal_photon_number(f_hz, t_k)
 
 
 @given(

@@ -85,6 +85,12 @@ def test_unknown_section_and_key_are_named(tmp_path):
     path.write_text("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match=re.escape(f"unknown section 'nonsense' in config file {str(path)!r}")):
         load_config(str(path))
+    # configparser drops a lone DEFAULT section's keys, and copies them into
+    # every other section: both are unknown sections, named before any key lands
+    for text in ("[DEFAULT]\njitter_urad = 5\n", "[DEFAULT]\nmu = 0.5\n[dv]\nnu = 0.1\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"unknown section 'DEFAULT' in config file {str(path)!r}")):
+            load_config(str(path))
     with pytest.raises(ConfigError, match=re.escape("unknown key 'channel.bogus' in command-line override")):
         load_config(overrides=["channel.bogus=1"])
 

@@ -61,6 +61,13 @@ def test_params_validation():
         CvProtocolParams(d_bits=5.0)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         CvProtocolParams(n_bg=-1e-12)
+    # non-finite noise is named at load, not left for a later overflow
+    for name in ("v_el", "n_bg"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0: {bad!r}"):
+                CvProtocolParams(**{name: bad})
+    with pytest.raises(ValueError, match="eps_classical must be >= 0: nan"):
+        PhaseEncodingNoise(math.nan)
 
 
 def test_channel_validation_and_output_variance():
@@ -70,6 +77,9 @@ def test_channel_validation_and_output_variance():
         ThermalLossChannel(1.2)
     with pytest.raises(ValueError):
         ThermalLossChannel(0.5, n_thermal=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"n_thermal must be finite and >= 0: {bad!r}"):
+            ThermalLossChannel(0.5, n_thermal=bad)
     # V_out = tau V_in + (1 - tau)(2 n + 1): the thermal excess over a pure
     # loss, (1 - tau) 2 n, reaches the detector as background
     ch = ThermalLossChannel(0.3, n_thermal=2.0)

@@ -18,6 +18,7 @@ from qlinksim.fso import (
     _turbulence_moment,
     slant_range,
 )
+from qlinksim.mathfn import EARTH_RADIUS_KM
 
 PARAMS = FsoChannelParams()
 # no pointing jitter: w_LT^2 is diffraction plus the turbulence term
@@ -372,7 +373,11 @@ def test_channel_params_at_altitude_matches_components():
 def test_at_altitude_evaluates_the_range_law():
     # the law altitude_at inverts is the one at_altitude evaluates, to the last bit
     for params, altitude_km in _random_channels(20261020, 200):
-        a, b, eta_ext = params._range_law
+        a, b, eta_ext, r_sin_sq, r_cos, two_a_sq = params._range_law
+        zeta = math.radians(params.zenith_deg)
+        assert (r_sin_sq, r_cos) == ((EARTH_RADIUS_KM * math.sin(zeta)) ** 2,
+                                     EARTH_RADIUS_KM * math.cos(zeta))
+        assert two_a_sq == 2.0 * params.aperture_m**2
         z_m = slant_range(altitude_km, params.zenith_deg) * 1e3
         w_sq = a + b * (z_m * z_m)
         out = params.at_altitude(altitude_km)

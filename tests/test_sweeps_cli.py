@@ -1234,6 +1234,19 @@ def test_rate_path_loads_no_numpy():
             "efficiency below 1 in the trusted-detector model: eta_det * eta_lo = 1.0, "
             "v_el=0.1",
         ),
+        # h*f / k*T underflows to 0, which crashed on 1 / expm1(0.0), or leaves
+        # 1 / expm1 past the largest double, which printed mean_photons = inf
+        (
+            ["thermal-grid", "sweep.freq_start_ghz=1e-299", "sweep.freq_stop_ghz=1e-299",
+             "sweep.temp_start_k=1e300", "sweep.temp_stop_k=1e300"],
+            "thermal-grid row at frequency_hz=9.999999999999999e-291, temperature_k=1e+300: "
+            "occupancy 1 / expm1(h*f / k*T) is not finite",
+        ),
+        (
+            ["thermal-grid", "sweep.temp_start_k=1e308", "sweep.temp_stop_k=1e308"],
+            "thermal-grid row at frequency_hz=1000000000.0, temperature_k=1e+308: "
+            "occupancy 1 / expm1(h*f / k*T) is not finite",
+        ),
     ],
 )
 def test_cli_bad_grid_value_exits_2(args, message):
@@ -1323,6 +1336,22 @@ def test_cli_holevo_overflow_names_its_cause(args, override, cause):
             "cv.v_mod=1e6",
             "cv.v_mod=inf",
             "invalid [cv] settings: v_mod must be finite and > 0: inf",
+        ),
+        # infinite noise used to pass the load and fail every row as a tau
+        # "too small" for the detector residual
+        (
+            "cv-sweep",
+            [],
+            "cv.n_bg=1e6",
+            "cv.n_bg=inf",
+            "invalid [cv] settings: n_bg must be finite and >= 0: inf",
+        ),
+        (
+            "cv-sweep",
+            [],
+            "cv.v_el=1e6",
+            "cv.v_el=inf",
+            "invalid [cv] settings: v_el must be finite and >= 0: inf",
         ),
     ],
 )
