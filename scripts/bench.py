@@ -22,8 +22,10 @@ process.  The file holds four sections:
   the median peak RSS over --cli-runs runs per tree, alternating; `floor`
   is `python3 -c pass`, the interpreter start that no change to the
   package can remove.
-* layers: in-process times per call of the rate, channel, attenuation and
-  sweep layers, best of --layer-repeats batches, and their median.
+* layers: in-process times per call of the rate, channel, attenuation,
+  sweep and calibration layers, best of --layer-repeats batches, and their
+  median.  Each batch runs in a child of its own, and the trees alternate
+  batch by batch, as the workloads' pairs do.
 * metadata: CPU count and model, Python and numpy versions, the SIMD
   features numpy dispatches to, the commit this tree was checked out at
   and whether its tracked files have uncommitted edits.
@@ -72,11 +74,12 @@ CLI = {
 }
 TIMEOUT_S = 600
 
-# Run in a child of each tree: argv[1] is the repeat count, argv[2] the layer
-# names joined by commas.  Each layer is a (calls per batch, setup, call)
-# triple; it prints {name: [seconds per call of each batch]} as JSON.
+# Run in a child of a tree, from its root: argv[1] is the layer names joined
+# by commas.  Each layer is a (calls per batch, call) pair, set up here; the
+# child calls each once, then times one batch of it, and prints
+# {name: seconds per call} as JSON.
 LAYER_CODE = r'''
-import json, math, sys
+import contextlib, io, itertools, json, math, os, sys, types
 from time import perf_counter
 from qlinksim import cvqkd, dvqkd, sweeps
 from qlinksim.config import load_config
@@ -89,11 +92,14 @@ def rate_layers():
     residual = cvqkd._detection_noise(ch, cfg.cv, cfg.cv_noise)[3]
     fig2, fig3 = load_config("configs/fig2_dv_rates.ini"), load_config("configs/fig3_cv_rates.ini")
     table2 = sweeps.dv_sweep(fig2)
-    # the default 1e9 DV threshold, whose closed-form altitude the inverse corrects
-    eta = sweeps.max_secure_altitude("dv", 1e9, cfg).threshold
+    # the eight default thresholds, DV and CV at each block size, in turn: a
+    # batch of 1000 calls inverts each of them 125 times
+    etas = itertools.cycle([
+        sweeps.max_secure_altitude(protocol, n, cfg).threshold
+        for protocol in ("dv", "cv") for n in sorted(cfg.sweep.block_sizes)])
     return {
         "fso.at_altitude": (1000, lambda: cfg.channel.at_altitude(500.0)),
-        "fso.altitude_at": (1000, lambda: cfg.channel.altitude_at(eta)),
+        "fso.altitude_at": (1000, lambda: cfg.channel.altitude_at(next(etas))),
         "dvqkd.finite_key_rate": (
             1000, lambda: dvqkd.finite_key_rate(tau * cfg.dv.eta_receiver, cfg.dv, fs)),
         "cvqkd.composable_key_rate": (
@@ -104,7 +110,24 @@ def rate_layers():
         "sweeps.dv_sweep.fig2": (3, lambda: sweeps.dv_sweep(fig2)),
         "sweeps.cv_sweep.fig3": (3, lambda: sweeps.cv_sweep(fig3)),
         "sweeps.render_csv.fig2": (10, lambda: sweeps.render_csv(table2, fig2)),
+        "calibrate_defaults.main": (5, calibration_pass),
     }
+
+def calibration_pass():
+    """One main() of scripts/calibrate_defaults.py on a fresh module, its stdout captured."""
+    module = types.ModuleType("calibrate_defaults")
+    module.__file__ = CALIBRATE_CODE.co_filename
+    saved_path = sys.path[:]
+    try:
+        exec(CALIBRATE_CODE, vars(module))
+    finally:
+        sys.path[:] = saved_path
+    with contextlib.redirect_stdout(io.StringIO()):
+        if module.main() != 0:
+            raise RuntimeError("calibrate_defaults.main() found no admissible pair")
+
+with open("scripts/calibrate_defaults.py", encoding="utf-8") as handle:
+    CALIBRATE_CODE = compile(handle.read(), os.path.abspath(handle.name), "exec")
 
 def gas_layers():
     import numpy as np
@@ -127,7 +150,7 @@ def gas_layers():
         "sweeps.render_csv.fig4": (1, lambda: sweeps.render_csv(table4, fig4)),
     }
 
-repeats, wanted = int(sys.argv[1]), sys.argv[2].split(",")
+wanted = sys.argv[1].split(",")
 layers = rate_layers()
 if any(name not in layers for name in wanted):
     layers.update(gas_layers())
@@ -135,13 +158,10 @@ out = {}
 for name in wanted:
     calls, fn = layers[name]
     fn()
-    times = []
-    for _ in range(repeats):
-        start = perf_counter()
-        for _ in range(calls):
-            fn()
-        times.append((perf_counter() - start) / calls)
-    out[name] = times
+    start = perf_counter()
+    for _ in range(calls):
+        fn()
+    out[name] = (perf_counter() - start) / calls
 print(json.dumps(out))
 '''
 LAYERS = (
@@ -155,6 +175,7 @@ LAYERS = (
     "sweeps.dv_sweep.fig2",
     "sweeps.cv_sweep.fig3",
     "sweeps.render_csv.fig2",
+    "calibrate_defaults.main",
     "atmosphere._gamma_blocks",
     "atmosphere.slant_attenuation_spectra.fig4",
     "atmosphere.slant_attenuation_spectrum",
@@ -284,8 +305,12 @@ def bench_cli(trees: dict[str, Path], names: list[str], runs: int) -> dict:
 
 
 def bench_layers(trees: dict[str, Path], names: list[str], repeats: int) -> dict:
-    times = {label: json.loads(run_child(tree, ["-c", LAYER_CODE, str(repeats), ",".join(names)]))
-             for label, tree in trees.items()}
+    times: dict[str, dict[str, list[float]]] = {label: {name: [] for name in names} for label in trees}
+    for i in range(repeats):
+        for label, tree in ordered(trees, i):
+            batch = json.loads(run_child(tree, ["-c", LAYER_CODE, ",".join(names)]))
+            for name in names:
+                times[label][name].append(batch[name])
     return {
         name: {label: {"best_s": min(times[label][name]), "median_s": statistics.median(times[label][name])}
                for label in trees}

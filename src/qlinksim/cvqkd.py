@@ -143,8 +143,8 @@ class PhaseEncodingNoise(Record):
     eps_classical: float = 3.9e-5
 
     def _validate(self) -> None:
-        if not self.eps_classical >= 0.0:
-            raise ValueError(f"eps_classical must be >= 0: {self.eps_classical!r}")
+        if not 0.0 <= self.eps_classical < math.inf:
+            raise ValueError(f"eps_classical must be finite and >= 0: {self.eps_classical!r}")
 
 
 class ThermalLossChannel(Record):

@@ -85,8 +85,8 @@ class DecoyProtocolParams(Record):
                 f"y0_stray + y0_dark + 1 - exp(-mu), the signal gain at eta = 1, "
                 f"must be <= 1: {gain!r}"
             )
-        if not self.f_ec >= 1.0:
-            raise ValueError(f"f_ec must be >= 1: {self.f_ec!r}")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValueError(f"f_ec must be finite and >= 1: {self.f_ec!r}")
 
     @derived
     def y0(self) -> float:

@@ -143,8 +143,8 @@ class FsoChannelParams(Record):
                 raise ValueError(f"{name} must be > 0: {value!r}")
         for name in ("hv_ground_cn2", "hv_wind", "jitter_urad"):
             value = getattr(self, name)
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be >= 0: {value!r}")
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0: {value!r}")
         for name in _SQUARED_FIELDS:
             value = getattr(self, name)
             # the model squares these; a square that overflows raises OverflowError

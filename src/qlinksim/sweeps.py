@@ -2,7 +2,9 @@
 
 Rows are computed in process from immutable records (see record.Record),
 in the order of their grid coordinates, each axis ascending, so output is
-byte-identical for identical configuration.
+byte-identical for identical configuration.  A SweepTable holds them as
+columns, one tuple of values per column, from the scenario that builds
+it to render_csv, which formats it column by column.
 
 Both protocols see the channel only through its transmissivity tau, and
 every rate here is evaluated through _rate_of_tau, which gives one
@@ -101,18 +103,20 @@ class InfeasibleScenario(RuntimeError):
 
 
 class SweepTable(Record):
-    """One scenario's worth of rows under a fixed column contract."""
+    """One scenario's table under a fixed column contract, held as columns.
+
+    values holds one tuple of floats per name in columns, in that order,
+    all of one length: row i is the i-th value of every column.
+    """
 
     scenario: str
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    values: tuple[tuple[float, ...], ...]
 
     def _validate(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} does not match {len(self.columns)} columns"
-                )
+        lengths = [len(column) for column in self.values]
+        if len(lengths) != len(self.columns) or len(set(lengths)) > 1:
+            raise ValueError(f"value lengths {lengths} do not match {len(self.columns)} columns")
 
 
 class SecureAltitudeResult(Record):
@@ -193,23 +197,25 @@ def _altitude_sweep(
     pick: Callable[[float, RateResult], tuple[float, ...]],
     cfg: SimulationConfig,
 ) -> SweepTable:
-    """Rows (altitude, block size) + pick(tau, rate result) over the altitude grid.
+    """Columns altitude, block size, then pick(tau, rate result), over the altitude grid.
 
     Rows run block size by block size, each over the whole grid.  The
     channel is read once per altitude, during the first block size, and
     its tau is reused by the others, so the rows, and the first error and
     its message, are those of reading it for every row.
     """
-    rows = []
+    picked = []
     altitudes = cfg.sweep.altitudes_km()
+    sizes = sorted(cfg.sweep.block_sizes)
     taus: list[float | None] = [None] * len(altitudes)
-    for n in sorted(cfg.sweep.block_sizes):
+    for n in sizes:
         rate_of = _rate_of_tau(protocol, n, cfg)
         for i, alt in enumerate(altitudes):
             tau, res = _rate_at_altitude(scenario, rate_of, alt, n, cfg, taus[i])
             taus[i] = tau
-            rows.append((alt, n) + pick(tau, res))
-    return SweepTable(scenario, columns, tuple(rows))
+            picked.append(pick(tau, res))
+    axes = (altitudes * len(sizes), tuple(n for n in sizes for _ in altitudes))
+    return SweepTable(scenario, columns, axes + tuple(zip(*picked)))
 
 
 def dv_sweep(cfg: SimulationConfig) -> SweepTable:
@@ -253,8 +259,9 @@ def atmos_grid(cfg: SimulationConfig) -> SweepTable:
         raise ValueError(
             f"atmos-grid slant at elevation_deg={elevation!r}, slant_km={culprit!r}: {exc}"
         ) from exc
-    rows = [(f, s, a) for f, column in zip(freqs, att.T.tolist()) for s, a in zip(slants, column)]
-    return SweepTable("atmos-grid", ATMOS_COLUMNS, tuple(rows))
+    # frequency-major, as the rows run: att is slants x frequencies
+    axes = (tuple(f for f in freqs for _ in slants), slants * len(freqs))
+    return SweepTable("atmos-grid", ATMOS_COLUMNS, axes + (tuple(att.T.ravel().tolist()),))
 
 
 def thermal_grid(cfg: SimulationConfig) -> SweepTable:
@@ -262,19 +269,19 @@ def thermal_grid(cfg: SimulationConfig) -> SweepTable:
 
     Errors are prefixed with the row that reproduces them.
     """
-    freqs, temperatures = cfg.sweep.frequencies_ghz(), cfg.sweep.temperatures_k()
-    rows = []
-    f_hz = t = None
+    freqs_hz = tuple(f_ghz * 1e9 for f_ghz in cfg.sweep.frequencies_ghz())
+    temperatures = cfg.sweep.temperatures_k()
+    photons = []
     try:
-        for f_ghz in freqs:
-            f_hz = f_ghz * 1e9
+        for f_hz in freqs_hz:
             for t in temperatures:
-                rows.append((f_hz, t, thermal_photon_number(f_hz, t)))
+                photons.append(thermal_photon_number(f_hz, t))
     except ValueError as exc:
         raise ValueError(
             f"thermal-grid row at frequency_hz={f_hz!r}, temperature_k={t!r}: {exc}"
         ) from exc
-    return SweepTable("thermal-grid", THERMAL_COLUMNS, tuple(rows))
+    axes = (tuple(f for f in freqs_hz for _ in temperatures), temperatures * len(freqs_hz))
+    return SweepTable("thermal-grid", THERMAL_COLUMNS, axes + (tuple(photons),))
 
 
 def _lattice_tau(k: int) -> float:
@@ -461,7 +468,7 @@ def max_altitude_table(cfg: SimulationConfig) -> SweepTable:
                 float(res.unbounded),
             )
         )
-    return SweepTable("max-altitude", MAX_ALT_COLUMNS, tuple(rows))
+    return SweepTable("max-altitude", MAX_ALT_COLUMNS, tuple(zip(*rows)))
 
 
 class Scenario(Record):
@@ -527,20 +534,21 @@ def _format_column(values: tuple[float, ...]) -> list[str]:
 
 
 def render_csv(table: SweepTable, cfg: SimulationConfig) -> str:
-    """Render rows as CSV with a '#'-prefixed resolved-config header block.
+    """Render the table as CSV with a '#'-prefixed resolved-config header block.
 
     The header records scenario plus every resolved parameter, so the
     file regenerates itself; formatting is fixed (repr floats, '\\n'
-    newlines) to keep repeated runs byte-identical.  Cells are formatted
-    in blocks of _CSV_BLOCK_ROWS rows, column by column, each distinct
-    value of a block's column once: equal values format alike (0.0 and
+    newlines) to keep repeated runs byte-identical.  The table's columns
+    are cut into blocks of _CSV_BLOCK_ROWS rows, and each block is
+    formatted column by column, each distinct value of a column's slice
+    once, into one chunk of lines: equal values format alike (0.0 and
     -0.0 both as "0").
     """
     lines = [f"# scenario = {table.scenario}"]
     lines += [f"# {section}.{key} = {value}" for section, key, value in resolved_items(cfg)]
     lines.append(",".join(table.columns))
-    rows = table.rows
-    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        cells = [_format_column(column) for column in zip(*rows[start : start + _CSV_BLOCK_ROWS])]
-        lines += map(",".join, zip(*cells))
+    values = table.values
+    for start in range(0, max(map(len, values), default=0), _CSV_BLOCK_ROWS):
+        cells = [_format_column(column[start : start + _CSV_BLOCK_ROWS]) for column in values]
+        lines.append("\n".join(map(",".join, zip(*cells))))
     return "\n".join(lines) + "\n"

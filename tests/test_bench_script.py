@@ -1,7 +1,9 @@
 """Smoke test of scripts/bench.py: one minimal calibration-scan pair, every section written.
 
-Its layers take one rate layer and one gas layer, the line-by-line gamma
-kernel, so that both halves of the layer code run in both trees.
+Its layers take rate layers, the channel inverse over the eight default
+thresholds, one in-process calibration pass and one gas layer, the
+line-by-line gamma kernel, so that every part of the layer code runs in
+both trees, in two batches each, one in either order.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ def test_bench_writes_every_section_for_one_minimal_pair(tmp_path):
         sys.executable, str(REPO_ROOT / "scripts" / "bench.py"), "--out", str(out),
         "--against", str(REPO_ROOT), "--workload", "calibration-scan", "--pairs", "1",
         "--seconds", "0", "--cli", "floor", "--cli", "max-altitude.dv", "--cli-runs", "1",
-        "--layer", "fso.at_altitude", "--layer", "atmosphere._gamma_blocks", "--layer-repeats", "1",
+        "--layer", "fso.at_altitude", "--layer", "fso.altitude_at", "--layer", "calibrate_defaults.main",
+        "--layer", "atmosphere._gamma_blocks", "--layer-repeats", "2",
     ]
     proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -55,7 +58,9 @@ def test_bench_writes_every_section_for_one_minimal_pair(tmp_path):
         for label in ("change", "against"):
             assert 0.0 < by_tree[label]["min_s"] <= by_tree[label]["median_s"]
             assert by_tree[label]["peak_rss_mb"] > 0.0
-    assert set(report["layers"]) == {"fso.at_altitude", "atmosphere._gamma_blocks"}
+    assert set(report["layers"]) == {
+        "fso.at_altitude", "fso.altitude_at", "calibrate_defaults.main", "atmosphere._gamma_blocks"}
     for name in report["layers"]:
         for label in ("change", "against"):
-            assert 0.0 < report["layers"][name][label]["best_s"], name
+            stats = report["layers"][name][label]
+            assert 0.0 < stats["best_s"] <= stats["median_s"], name

@@ -14,6 +14,7 @@ from qlinksim.config import (
     ConfigError,
     SimulationConfig,
     SweepRanges,
+    _SCHEMA,
     load_config,
     resolved_items,
 )
@@ -122,6 +123,25 @@ def test_component_validation_is_wrapped_per_section():
         load_config(overrides=["sweep.altitude_step_km=0"])
     with pytest.raises(ConfigError, match=re.escape("invalid [sweep] settings")):
         load_config(overrides=["sweep.protocol=qv"])
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf"])
+def test_an_infinite_value_is_rejected_at_load_under_its_key(text):
+    """Every key refuses +-inf at load and names itself; an infinite block is the asymptotic one."""
+    unnamed = []
+    for section, keys in _SCHEMA.items():
+        for key in keys:
+            if (section, key, text) == ("sweep", "block_sizes", "inf"):
+                continue
+            try:
+                load_config(overrides=[f"{section}.{key}={text}"])
+            except ConfigError as exc:
+                if not re.search(rf"\b{key}\b", str(exc)):
+                    unnamed.append(f"{section}.{key}={text}: {exc}")
+            else:
+                unnamed.append(f"{section}.{key}={text} loads")
+    assert not unnamed, "\n".join(unnamed)
+    assert load_config(overrides=["sweep.block_sizes=inf"]).sweep.block_sizes == (math.inf,)
 
 
 def test_missing_and_malformed_files(tmp_path):
@@ -248,7 +268,7 @@ def _nudged(key: str, text: str, step: float = 0.1) -> str:
 
 def _rate_rows(*overrides: str) -> tuple:
     cfg = load_config(overrides=GUARD_GRID + overrides)
-    return dv_sweep(cfg).rows + cv_sweep(cfg).rows
+    return dv_sweep(cfg).values + cv_sweep(cfg).values
 
 
 def test_every_model_key_changes_some_output():
@@ -292,7 +312,7 @@ def _stepped(key: str, text: str) -> str:
 
 def _scenario_rows(*overrides: str) -> tuple:
     cfg = load_config(overrides=LIVENESS_GRID + overrides)
-    return tuple(run_scenario(name, cfg).rows for name in SCENARIOS)
+    return tuple(run_scenario(name, cfg).values for name in SCENARIOS)
 
 
 def test_every_config_key_changes_some_scenarios_rows():

@@ -66,8 +66,9 @@ def test_params_validation():
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite and >= 0: {bad!r}"):
                 CvProtocolParams(**{name: bad})
-    with pytest.raises(ValueError, match="eps_classical must be >= 0: nan"):
-        PhaseEncodingNoise(math.nan)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"eps_classical must be finite and >= 0: {bad!r}"):
+            PhaseEncodingNoise(bad)
 
 
 def test_channel_validation_and_output_variance():

@@ -215,8 +215,9 @@ def test_params_validation():
         DecoyProtocolParams(eta_receiver=1.5)
     with pytest.raises(ValueError):
         DecoyProtocolParams(f_ec=0.9)
-    with pytest.raises(ValueError, match="f_ec must be >= 1: nan"):
-        DecoyProtocolParams(f_ec=math.nan)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"f_ec must be finite and >= 1: {bad!r}"):
+            DecoyProtocolParams(f_ec=bad)
     with pytest.raises(ValueError):
         DecoyProtocolParams(y0_stray=-1e-4)
     # each yield lies in [0, 1], but this pair gave Q_mu = 1.0512 at eta = 1

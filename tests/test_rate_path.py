@@ -70,9 +70,9 @@ def test_every_sweep_row_equals_a_fresh_evaluation_of_that_row(scenario, path, o
         for block_n in sorted(cfg.sweep.block_sizes)
         for altitude_km in cfg.sweep.altitudes_km()
     ]
-    assert [_bits(row) for row in table.rows] == [_bits(row) for row in expected]
+    assert [_bits(row) for row in zip(*table.values)] == [_bits(row) for row in expected]
     # each case has rows with a key, so the finite-size terms count
-    assert any(row[2] > 0.0 for row in table.rows)
+    assert any(rate > 0.0 for rate in table.values[2])
 
 
 def test_the_channel_is_read_once_per_altitude(monkeypatch):
@@ -91,7 +91,7 @@ def test_the_channel_is_read_once_per_altitude(monkeypatch):
         read.clear()
         table = run_scenario(scenario, cfg)
         assert read == list(cfg.sweep.altitudes_km())
-        assert len(table.rows) == len(read) * len(cfg.sweep.block_sizes) == len(read) * 4
+        assert len(table.values[0]) == len(read) * len(cfg.sweep.block_sizes) == len(read) * 4
 
 
 def _traced_rate_of_tau(monkeypatch, fail_at=None):

@@ -34,7 +34,7 @@ RECORDS = {
     config.SweepRanges: (config.SweepRanges, {"altitude_step_km": 0.0}),
     config.SimulationConfig: (config.load_config, None),
     sweeps.SweepTable: (
-        lambda: sweeps.SweepTable("t", ("a", "b"), ((1.0, 2.0),)), {"rows": ((1.0,),)}
+        lambda: sweeps.SweepTable("t", ("a", "b"), ((1.0,), (2.0,))), {"values": ((1.0,),)}
     ),
     sweeps.SecureAltitudeResult: (
         lambda: sweeps.SecureAltitudeResult(300.0, 1e-3, _DV_RATE, 3),

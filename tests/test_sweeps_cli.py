@@ -82,8 +82,7 @@ def _override_args(overrides: list[str]) -> list[str]:
 
 
 def _column(table: SweepTable, name: str) -> tuple[float, ...]:
-    idx = table.columns.index(name)
-    return tuple(row[idx] for row in table.rows)
+    return table.values[table.columns.index(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +91,41 @@ def _column(table: SweepTable, name: str) -> tuple[float, ...]:
 
 
 def test_table_enforces_row_width():
-    with pytest.raises(ValueError):
-        SweepTable("x", ("a", "b"), ((1.0, 2.0, 3.0),))
-    assert SweepTable("x", ("a", "b"), ((1.0, 2.0), (3.0, 4.0))).rows[1] == (3.0, 4.0)
+    # one value tuple per column, all of one length
+    for values in (((1.0, 2.0, 3.0),), ((1.0,), (2.0,), (3.0,)), ((1.0, 2.0), (3.0,))):
+        with pytest.raises(ValueError, match="do not match 2 columns"):
+            SweepTable("x", ("a", "b"), values)
+    assert SweepTable("x", ("a", "b"), ((1.0, 3.0), (2.0, 4.0))).values[1] == (2.0, 4.0)
+    assert SweepTable("x", ("a", "b"), ((), ())).values == ((), ())
+
+
+def test_render_csv_formats_every_row_as_its_cells():
+    """Blocks of columns render as one line of formatted cells per row, across block edges."""
+    from qlinksim import sweeps
+
+    rows = 600
+    assert 2 * sweeps._CSV_BLOCK_ROWS < rows  # two block edges
+    specials = (0.0, -0.0, math.inf, -math.inf, 1e16, 2.5, -3.0)
+    values = (
+        tuple(float(i // 3) for i in range(rows)),  # integral, each repeated
+        tuple(i / 7 for i in range(rows)),  # distinct
+        tuple(specials[i % len(specials)] for i in range(rows)),  # signed zeros and infinities
+        (-0.0,) + tuple(i * 1e15 for i in range(1, rows)),  # integral on both sides of 1e16
+    )
+    table = SweepTable("hand-built", ("a", "b", "c", "d"), values)
+    cfg = load_config()
+    text = render_csv(table, cfg)
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    head = 2 + len(sweeps.resolved_items(cfg))
+    assert lines[0] == "# scenario = hand-built" and lines[head - 1] == "a,b,c,d"
+    assert lines[head:] == [",".join(map(sweeps._format_cell, row)) for row in zip(*values)]
+    assert lines[head : head + 2] == ["0,0,0,0", "0,0.14285714285714285,0,1000000000000000"]
+    assert lines[head + 3 : head + 5] == [
+        "1,0.42857142857142855,-inf,3000000000000000",
+        "1,0.5714285714285714,1e+16,4000000000000000",
+    ]
+    assert lines[head + 20] == "6,2.857142857142857,-3,2e+16"
 
 
 def test_altitude_result_validation():
@@ -119,7 +150,7 @@ def test_altitude_result_validation():
 def test_dv_sweep_grid_and_ordering():
     table = dv_sweep(SMALL_DV)
     assert table.columns[0] == "altitude_km"
-    assert len(table.rows) == 6  # 3 altitudes x 2 block sizes
+    assert {len(column) for column in table.values} == {6}  # 3 altitudes x 2 block sizes
     # sorted by (block_size, altitude)
     assert _column(table, "block_size") == (1e10,) * 3 + (math.inf,) * 3
     assert _column(table, "altitude_km") == (300.0, 310.0, 320.0) * 2
@@ -128,12 +159,12 @@ def test_dv_sweep_grid_and_ordering():
     assert rates[3] > rates[0]  # asymptotic beats finite at same altitude
     # transmissivity column reproduces the channel model
     tau = SMALL_DV.channel.at_altitude(300.0).transmissivity
-    assert table.rows[0][4] == pytest.approx(tau, rel=1e-15, abs=0.0)
+    assert _column(table, "transmissivity")[0] == pytest.approx(tau, rel=1e-15, abs=0.0)
 
 
 def test_cv_sweep_grid_and_ordering():
     table = cv_sweep(SMALL_CV)
-    assert len(table.rows) == 6
+    assert {len(column) for column in table.values} == {6}
     rates = _column(table, "key_rate_bits_per_use")
     assert rates[0] > rates[1] > rates[2] > 0.0
     classical = _column(table, "classical_rate_bits_per_use")
@@ -855,12 +886,12 @@ def test_default_ladders_hold_their_ceilings_and_probe_counts(protocol):
     assert _ladder_drifts(protocol, table) == []
     # a 1 m move of any one ceiling, or one more probe, is caught
     km, probes = table.columns.index("max_secure_altitude_km"), table.columns.index("iterations")
-    for i, row in enumerate(table.rows):
+    for i in range(len(table.values[0])):
         for col, delta in ((km, 1e-3), (km, -1e-3), (probes, 1.0)):
-            moved = list(row)
-            moved[col] += delta
-            drifted = table.replace(rows=table.rows[:i] + (tuple(moved),) + table.rows[i + 1:])
-            assert _ladder_drifts(protocol, drifted), (i, col, delta)
+            moved = list(table.values[col])
+            moved[i] += delta
+            values = table.values[:col] + (tuple(moved),) + table.values[col + 1:]
+            assert _ladder_drifts(protocol, table.replace(values=values)), (i, col, delta)
 
 
 def _calibration_script(monkeypatch):
@@ -970,7 +1001,7 @@ def test_unbounded_link_is_flagged():
     ])
     table = run_scenario("max-altitude", cfg)
     assert table.columns[-1] == "unbounded"
-    (row,) = table.rows
+    (row,) = zip(*table.values)
     assert row[1] == 2000.0
     assert row[-1] == 1.0
 
@@ -1352,6 +1383,29 @@ def test_cli_holevo_overflow_names_its_cause(args, override, cause):
             "cv.v_el=1e6",
             "cv.v_el=inf",
             "invalid [cv] settings: v_el must be finite and >= 0: inf",
+        ),
+        # an infinite f_ec used to load and zero every key rate; an infinite
+        # ground Cn2 or leak used to load and fail at the first row
+        (
+            "dv-sweep",
+            [],
+            "dv.f_ec=1e6",
+            "dv.f_ec=inf",
+            "invalid [dv] settings: f_ec must be finite and >= 1: inf",
+        ),
+        (
+            "dv-sweep",
+            [],
+            "channel.hv_ground_cn2=1e-12",
+            "channel.hv_ground_cn2=inf",
+            "invalid [channel] settings: hv_ground_cn2 must be finite and >= 0: inf",
+        ),
+        (
+            "cv-sweep",
+            [],
+            "cv.eps_classical=0",
+            "cv.eps_classical=inf",
+            "invalid [cv] settings: eps_classical must be finite and >= 0: inf",
         ),
     ],
 )
